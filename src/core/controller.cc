@@ -2,9 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
-#include <cstdlib>
-
 namespace proteus {
 
 Controller::Controller(Simulator* sim, Allocator* allocator,
@@ -111,14 +108,6 @@ Controller::start(const std::vector<double>& initial_demand)
 void
 Controller::requestReallocation()
 {
-    // Debug tracing: PROTEUS_TRACE_ALARM=1 logs burst alarms.
-    static const bool trace_alarm = getenv("PROTEUS_TRACE_ALARM");
-    if (trace_alarm) {
-        warn("[alarm] pending=", decision_pending_, " since=",
-             last_start_ == kNoTime
-                 ? -1.0
-                 : toSeconds(sim_->now() - last_start_));
-    }
     if (decision_pending_)
         return;
     if (last_start_ != kNoTime &&

@@ -1,7 +1,7 @@
 /**
  * @file
- * Inference query representation and the observer interface the
- * metrics layer implements.
+ * Inference query representation and the observer interface that
+ * workers and load balancers report query outcomes through.
  */
 
 #ifndef PROTEUS_CORE_QUERY_H_
@@ -51,7 +51,7 @@ struct Query {
 
     // Pipeline cursor (DESIGN.md, "Pipeline serving"). Single-family
     // queries keep the defaults; the one hot-path branch they pay is
-    // the pipeline == kInvalidId test in the stage router.
+    // the pipeline == kInvalidId test in ServingSystem::onFinished.
     /** Pipeline this query traverses (kInvalidId = single-family). */
     PipelineId pipeline = kInvalidId;
     /** Current stage in the pipeline's topological order. */
@@ -113,7 +113,10 @@ traceQueryEnd(obs::Tracer* tracer, const Query& query,
     tracer->record(s);
 }
 
-/** Sink for query lifecycle events; implemented by the metrics layer. */
+/**
+ * Sink for query lifecycle events: ServingSystem is the one every worker
+ * and load balancer reports to, and it feeds the metrics collector.
+ */
 class QueryObserver
 {
   public:

@@ -14,82 +14,8 @@
 #include "common/logging.h"
 #include "core/batching.h"
 #include "pipeline/planner.h"
-#include <cstdlib>
 
 namespace proteus {
-
-namespace {
-
-/**
- * Query-lifecycle fan-out used when observability is on: the metrics
- * collector stays the primary sink (results are identical with obs
- * off), the SLO monitor passively shadows every terminal outcome.
- */
-class ObsFanout : public QueryObserver
-{
-  public:
-    ObsFanout(QueryObserver* primary, obs::SloMonitor* slo,
-              obs::TailReservoir* tail)
-        : primary_(primary), slo_(slo), tail_(tail)
-    {}
-
-    void onArrival(const Query& query) override
-    {
-        primary_->onArrival(query);
-    }
-
-    void
-    onFinished(const Query& query) override
-    {
-        primary_->onFinished(query);
-        const bool violated = query.violatedSlo();
-        slo_->onOutcome(query.family, violated);
-        // Sample the tail: by the time the fanout sees a pipeline
-        // query it is terminal and remapped to the entry family, so
-        // the reservoir holds end-to-end violators only.
-        tail_->offer(query.id, violated);
-    }
-
-  private:
-    QueryObserver* primary_;
-    obs::SloMonitor* slo_;
-    obs::TailReservoir* tail_;
-};
-
-/**
- * Terminal stage of the observer chain: after every sink has seen the
- * outcome, the query's pool slot is recycled. This is what keeps
- * memory bounded on long traces — a finished query's storage is
- * reused by a later arrival instead of accumulating.
- */
-class PoolReleaseObserver : public QueryObserver
-{
-  public:
-    PoolReleaseObserver(QueryObserver* inner,
-                        alloc::ObjectPool<Query>* pool)
-        : inner_(inner), pool_(pool)
-    {}
-
-    void onArrival(const Query& query) override
-    {
-        inner_->onArrival(query);
-    }
-
-    void
-    onFinished(const Query& query) override
-    {
-        inner_->onFinished(query);
-        // The pool owns the storage; observers see const refs, but the
-        // lifecycle ends here and ownership returns to the pool.
-        pool_->release(const_cast<Query*>(&query));  // NOLINT-PROTEUS(S1): pool owns the non-const object; observer API is read-only by design
-    }
-
-  private:
-    QueryObserver* inner_;
-    alloc::ObjectPool<Query>* pool_;
-};
-
-}  // namespace
 
 const char*
 toString(AllocatorKind kind)
@@ -165,7 +91,6 @@ ServingSystem::ServingSystem(const Cluster* cluster,
     // test on the hot path. The SLO monitor and time-series recorder
     // are strictly passive (they observe, never steer), so the
     // simulated results are identical with observability on or off.
-    observer_ = &metrics_;
     if (config_.obs.enabled) {
         tracer_ = std::make_unique<obs::Tracer>(config_.obs.ring_capacity,
                                                 config_.obs.link_capacity);
@@ -181,39 +106,22 @@ ServingSystem::ServingSystem(const Cluster* cluster,
         slo_monitor_ = std::make_unique<obs::SloMonitor>(&sim_, slo_opts);
         slo_monitor_->setTracer(tracer_.get());
         slo_monitor_->setRegistry(&obs_registry_);
-        fanout_ = std::make_unique<ObsFanout>(
-            &metrics_, slo_monitor_.get(), tail_reservoir_.get());
-        observer_ = fanout_.get();
         obs::TimeSeriesOptions ts_opts;
         ts_opts.sample_interval = config_.obs.sample_interval;
         ts_opts.capacity = config_.obs.timeseries_capacity;
         timeseries_ =
             std::make_unique<obs::TimeSeriesRecorder>(&sim_, ts_opts);
     }
-    // Terminal observer stage: recycle finished queries into the pool
-    // after the metrics / SLO sinks ran.
-    pool_release_ =
-        std::make_unique<PoolReleaseObserver>(observer_, &query_pool_);
-    observer_ = pool_release_.get();
-
-    // Stage router: outermost, so intermediate pipeline-stage
-    // completions are intercepted and forwarded before the metrics
-    // sinks count them or the pool release recycles the slot. The
-    // forwarder is a raw function pointer + context (no per-query
-    // allocation); the hop itself is deferred one zero-delay event in
-    // forwardQuery() because the completion that triggers it is still
-    // inside Worker::finishBatch.
+    // Stage router: the pipeline step of onFinished. The hop itself
+    // is deferred one zero-delay event in forwardQuery() because the
+    // completion that triggers it is still inside Worker::finishBatch.
     if (!pipelines_.empty()) {
-        stage_router_ =
-            std::make_unique<StageRouter>(observer_, &pipelines_);
+        stage_router_ = std::make_unique<StageRouter>(&pipelines_);
         stage_router_->setTracer(tracer_.get());
-        stage_router_->setForwarder(
-            [](void* ctx, Query* q) {
-                static_cast<ServingSystem*>(ctx)->forwardQuery(q);
-            },
-            this);
-        observer_ = stage_router_.get();
     }
+
+    // Every worker and load balancer reports to this system.
+    QueryObserver* sink = this;
 
     // One worker per device. Requeued queries (variant swaps, stale
     // routing) are re-submitted through the family's load balancer on
@@ -224,11 +132,7 @@ ServingSystem::ServingSystem(const Cluster* cluster,
                 if (q->finished())
                     return;
                 if (sim_.now() > q->deadline) {
-                    q->status = QueryStatus::Dropped;
-                    q->completion = sim_.now();
-                    if (tracer_)
-                        traceQueryEnd(tracer_.get(), *q);
-                    observer_->onFinished(*q);
+                    dropQuery(q);
                     return;
                 }
                 // Resubmit without re-counting the arrival.
@@ -237,7 +141,7 @@ ServingSystem::ServingSystem(const Cluster* cluster,
         };
         auto worker = std::make_unique<Worker>(
             &sim_, cluster_, dev.id, registry_, &cost_, &profiles_,
-            observer_, requeue, config_.latency_jitter_frac,
+            sink, requeue, config_.latency_jitter_frac,
             config_.seed);
         worker->setBatchingPolicy(makeBatchingPolicy());
         worker->setTracer(tracer_.get());
@@ -252,7 +156,7 @@ ServingSystem::ServingSystem(const Cluster* cluster,
     // One load balancer per registered application (query type).
     for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
         auto lb = std::make_unique<LoadBalancer>(
-            &sim_, f, observer_, config_.monitor_window);
+            &sim_, f, sink, config_.monitor_window);
         lb->setTracer(tracer_.get());
         balancers_.push_back(std::move(lb));
     }
@@ -424,33 +328,38 @@ ServingSystem::registerTimeSeriesChannels()
 
     // Pipeline channels (registered only when pipelines exist, so
     // single-family timelines keep their exact channel set): per-
-    // pipeline e2e completion rates plus per-stage forward/drop rates.
+    // pipeline e2e completion rates, read from the entry family's
+    // collector totals, plus per-stage forward/drop rates.
     if (stage_router_) {
         StageRouter* sr = stage_router_.get();
+        const MetricsCollector* mc = &metrics_;
         for (PipelineId p = 0; p < pipelines_.size(); ++p) {
             const std::string prefix =
                 "pipeline." + std::to_string(p) + ".";
-            ts->addCounterRate(prefix + "e2e_served_qps", [sr, p] {
-                return static_cast<double>(sr->stats(p).served);
+            const CompiledPipeline& pipe = pipelines_.pipeline(p);
+            const FamilyId entry = pipe.stages.front().family;
+            ts->addCounterRate(prefix + "e2e_served_qps", [mc, entry] {
+                return static_cast<double>(
+                    mc->familyTotals()[entry].served);
             });
-            ts->addCounterRate(prefix + "e2e_late_qps", [sr, p] {
-                return static_cast<double>(sr->stats(p).served_late);
+            ts->addCounterRate(prefix + "e2e_late_qps", [mc, entry] {
+                return static_cast<double>(
+                    mc->familyTotals()[entry].served_late);
             });
-            ts->addCounterRate(prefix + "e2e_dropped_qps", [sr, p] {
-                return static_cast<double>(sr->stats(p).dropped);
+            ts->addCounterRate(prefix + "e2e_dropped_qps", [mc, entry] {
+                return static_cast<double>(
+                    mc->familyTotals()[entry].dropped);
             });
-            const std::size_t stages =
-                pipelines_.pipeline(p).stages.size();
+            const std::size_t stages = pipe.stages.size();
             for (std::size_t s = 0; s < stages; ++s) {
                 const std::string sp =
                     prefix + "stage." + std::to_string(s) + ".";
                 ts->addCounterRate(sp + "forward_qps", [sr, p, s] {
                     return static_cast<double>(
-                        sr->stats(p).stages[s].forwarded);
+                        sr->stages(p)[s].forwarded);
                 });
                 ts->addCounterRate(sp + "drop_qps", [sr, p, s] {
-                    return static_cast<double>(
-                        sr->stats(p).stages[s].dropped);
+                    return static_cast<double>(sr->stages(p)[s].dropped);
                 });
             }
         }
@@ -527,23 +436,6 @@ ServingSystem::demandEstimate() const
 void
 ServingSystem::applyPlan(const Allocation& plan)
 {
-    // Debug tracing: PROTEUS_TRACE_PLAN=1 logs every applied plan.
-    static const bool trace_plan = getenv("PROTEUS_TRACE_PLAN");
-    if (trace_plan) {
-        double cap = 0.0;
-        for (double ccc : plan.family_capacity)
-            cap += ccc;
-        double est = 0.0;
-        for (double d : demandEstimate())
-            est += d;
-        int swaps = 0;
-        for (DeviceId d = 0; d < workers_.size(); ++d) {
-            if (workers_[d]->hostedVariant() != plan.hosting[d])
-                ++swaps;
-        }
-        warn("[plan] est_now=", est, " planned_cap=", cap,
-             " swaps=", swaps, " exp_acc=", plan.expected_accuracy);
-    }
     // Hosting changes first (loads start immediately) ... Each worker
     // is stamped with the decision number this plan came from, so the
     // batches it executes (and the loads it starts) link back to the
@@ -635,6 +527,48 @@ ServingSystem::forwardQuery(Query* query)
     });
 }
 
+void
+ServingSystem::onArrival(const Query& query)
+{
+    // Arrivals happen once, at the entry stage; forwarded hops enter
+    // through LoadBalancer::forward(), which does not re-announce.
+    metrics_.onArrival(query);
+}
+
+void
+ServingSystem::onFinished(const Query& query)
+{
+    // Every query lives in the pool and its lifecycle ends here, so
+    // the sink may rewrite it (pipeline hops) and release its slot.
+    Query* q = const_cast<Query*>(&query);  // NOLINT-PROTEUS(S1): the pool owns the non-const query; reporters hand the sink a const ref
+    if (q->pipeline != kInvalidId && stage_router_->advance(q)) {
+        forwardQuery(q);
+        return;
+    }
+    metrics_.onFinished(*q);
+    if (slo_monitor_) {
+        // A pipeline query is terminal and remapped to its entry
+        // family by now, so the monitor and the tail reservoir see
+        // end-to-end outcomes only.
+        const bool violated = q->violatedSlo();
+        slo_monitor_->onOutcome(q->family, violated);
+        tail_reservoir_->offer(q->id, violated);
+    }
+    // After every sink has seen the outcome the slot is recycled; this
+    // is what keeps memory bounded on long traces.
+    query_pool_.release(q);
+}
+
+void
+ServingSystem::dropQuery(Query* query)
+{
+    query->status = QueryStatus::Dropped;
+    query->completion = sim_.now();
+    if (tracer_)
+        traceQueryEnd(tracer_.get(), *query);
+    onFinished(*query);
+}
+
 Time
 ServingSystem::beginRun(const Trace& trace,
                         std::vector<double> planning_demand)
@@ -712,13 +646,8 @@ ServingSystem::finishRun()
     });
     std::sort(drain_scratch_.begin(), drain_scratch_.end(),
               [](const Query* a, const Query* b) { return a->id < b->id; });
-    for (Query* q : drain_scratch_) {
-        q->status = QueryStatus::Dropped;
-        q->completion = sim_.now();
-        if (tracer_)
-            traceQueryEnd(tracer_.get(), *q);
-        observer_->onFinished(*q);
-    }
+    for (Query* q : drain_scratch_)
+        dropQuery(q);
     drain_scratch_.clear();
     // Every query the trace injected must be back in the pool now;
     // anything still out is a lifecycle leak.
@@ -788,9 +717,19 @@ ServingSystem::finishRun()
     if (stage_router_) {
         result.forwarded = stage_router_->forwarded();
         for (PipelineId p = 0; p < pipelines_.size(); ++p) {
+            const CompiledPipeline& pipe = pipelines_.pipeline(p);
+            // Every query of the entry family is a query of this
+            // pipeline (families are never shared, and every arrival
+            // of a pipeline family is tagged), so its totals are the
+            // pipeline's end-to-end outcomes.
+            const IntervalCounters& e2e =
+                result.family_totals[pipe.stages.front().family];
             PipelineRunStats prs;
-            prs.name = pipelines_.pipeline(p).name;
-            prs.stats = stage_router_->stats(p);
+            prs.name = pipe.name;
+            prs.stats.served = e2e.served;
+            prs.stats.served_late = e2e.served_late;
+            prs.stats.dropped = e2e.dropped;
+            prs.stats.stages = stage_router_->stages(p);
             result.pipelines.push_back(std::move(prs));
         }
     }

@@ -6,6 +6,14 @@
  * per device with the configured adaptive-batching policy, and the
  * metrics pipeline.
  *
+ * Completion path: the system is the one QueryObserver every worker
+ * and load balancer reports to. Arrivals go straight to the metrics
+ * collector. A terminal outcome takes one fixed route: the pipeline
+ * stage step (an intermediate hop is forwarded to the next stage and
+ * goes no further), then the metrics collector, then the SLO monitor
+ * and tail reservoir when observability is on, and finally the
+ * query's pool slot is released.
+ *
  * Usage:
  *   Cluster cluster = paperCluster();
  *   ModelRegistry registry = paperRegistry();
@@ -75,7 +83,7 @@ struct RunResult {
 };
 
 /** Fully assembled inference-serving system on a simulated cluster. */
-class ServingSystem
+class ServingSystem : private QueryObserver
 {
   public:
     /**
@@ -186,6 +194,12 @@ class ServingSystem
     }
 
   private:
+    // QueryObserver: the single completion sink (see file comment).
+    void onArrival(const Query& query) override;
+    void onFinished(const Query& query) override;
+    /** Drop the still-pending @p query now and report it. */
+    void dropQuery(Query* query);
+
     void applyPlan(const Allocation& plan);
     void injectArrivals();
     void forwardQuery(Query* query);
@@ -210,15 +224,8 @@ class ServingSystem
     std::unique_ptr<obs::SloMonitor> slo_monitor_;
     /** Seeded reservoir of SLO-violating query ids (tail exemplars). */
     std::unique_ptr<obs::TailReservoir> tail_reservoir_;
-    /** Fan-out observer (metrics + SLO monitor) when obs is enabled. */
-    std::unique_ptr<QueryObserver> fanout_;
-    /** Recycles finished queries into the pool after the sinks ran. */
-    std::unique_ptr<QueryObserver> pool_release_;
-    /** Outermost observer when pipelines are configured: intercepts
-     *  intermediate stage completions before slot release / metrics. */
+    /** Pipeline stage step of onFinished (null without pipelines). */
     std::unique_ptr<StageRouter> stage_router_;
-    /** The observer every component reports to. */
-    QueryObserver* observer_ = nullptr;
 
     std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::unique_ptr<LoadBalancer>> balancers_;

@@ -4,87 +4,60 @@
 
 namespace proteus {
 
-StageRouter::StageRouter(QueryObserver* inner,
-                         const CompiledPipelines* pipelines)
-    : inner_(inner), pipelines_(pipelines)
+StageRouter::StageRouter(const CompiledPipelines* pipelines)
+    : pipelines_(pipelines)
 {
-    PROTEUS_ASSERT(inner != nullptr, "null inner observer");
     PROTEUS_ASSERT(pipelines != nullptr && !pipelines->empty(),
                    "stage router without pipelines");
-    stats_.resize(pipelines->size());
+    stages_.resize(pipelines->size());
     for (PipelineId p = 0; p < pipelines->size(); ++p)
-        stats_[p].stages.resize(pipelines->pipeline(p).stages.size());
+        stages_[p].resize(pipelines->pipeline(p).stages.size());
 }
 
-void
-StageRouter::onArrival(const Query& query)
+bool
+StageRouter::advance(Query* query)
 {
-    // Arrivals happen once, at the entry stage; forwarded hops enter
-    // through LoadBalancer::forward(), which does not re-announce.
-    inner_->onArrival(query);
-}
+    const CompiledPipeline& pipe = pipelines_->pipeline(query->pipeline);
+    std::vector<StageStats>& stages = stages_[query->pipeline];
+    const bool completed = query->status == QueryStatus::Served ||
+                           query->status == QueryStatus::ServedLate;
 
-void
-StageRouter::onFinished(const Query& query)
-{
-    if (query.pipeline == kInvalidId) {
-        inner_->onFinished(query);
-        return;
-    }
-    const CompiledPipeline& pipe = pipelines_->pipeline(query.pipeline);
-    PipelineStats& stats = stats_[query.pipeline];
-    const bool completed = query.status == QueryStatus::Served ||
-                           query.status == QueryStatus::ServedLate;
-    // The observer API is read-only by design, but the lifecycle of a
-    // pipeline query is not over at an intermediate hop, and at the
-    // terminal hop the e2e accuracy/family rewrite below is what the
-    // inner sinks are meant to account.
-    Query* q = const_cast<Query*>(&query);  // NOLINT-PROTEUS(S1): the stage router owns pipeline-query lifecycle; inner observers still see a const ref
-
-    if (completed && query.stage < query.last_stage) {
+    if (completed && query->stage < query->last_stage) {
         // Intermediate completion: fold this stage's accuracy into
         // the running product, advance the cursor and retarget at the
-        // next stage's family. The inner chain does not see the event
-        // — the query is still in flight.
-        ++stats.stages[query.stage].forwarded;
+        // next stage's family. The query is still in flight.
+        ++stages[query->stage].forwarded;
         ++forwarded_;
-        q->acc_product *= q->accuracy / 100.0;
-        ++q->stage;
-        q->family = pipe.stages[q->stage].family;
-        q->status = QueryStatus::Pending;
-        q->accuracy = 0.0;
-        q->served_by = kInvalidId;
+        query->acc_product *= query->accuracy / 100.0;
+        ++query->stage;
+        query->family = pipe.stages[query->stage].family;
+        query->status = QueryStatus::Pending;
+        query->accuracy = 0.0;
+        query->served_by = kInvalidId;
         if (tracer_) {
             obs::LinkRecord link;
             link.kind = obs::LinkKind::StageHandoff;
-            link.at = query.completion;
-            link.from = q->id;
-            link.to = q->stage;
-            link.aux = query.pipeline;
+            link.at = query->completion;
+            link.from = query->id;
+            link.to = query->stage;
+            link.aux = query->pipeline;
             tracer_->recordLink(link);
         }
-        PROTEUS_ASSERT(forward_ != nullptr, "no forwarder installed");
-        forward_(ctx_, q);
-        return;
+        return true;
     }
 
     // Terminal: e2e accuracy is the product across stages (0 on a
     // drop), and the query is remapped to the entry family so the
-    // existing per-family pipelines of the metrics collector, SLO
-    // monitor and timeline channels report end-to-end numbers.
+    // per-family sinks downstream report end-to-end numbers.
     if (completed) {
-        q->accuracy = 100.0 * q->acc_product * (q->accuracy / 100.0);
-        if (query.status == QueryStatus::Served)
-            ++stats.served;
-        else
-            ++stats.served_late;
+        query->accuracy =
+            100.0 * query->acc_product * (query->accuracy / 100.0);
     } else {
-        q->accuracy = 0.0;
-        ++stats.stages[query.stage].dropped;
-        ++stats.dropped;
+        query->accuracy = 0.0;
+        ++stages[query->stage].dropped;
     }
-    q->family = pipe.stages.front().family;
-    inner_->onFinished(*q);
+    query->family = pipe.stages.front().family;
+    return false;
 }
 
 }  // namespace proteus

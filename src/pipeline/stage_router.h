@@ -1,24 +1,21 @@
 /**
  * @file
- * StageRouter: the outermost query observer when pipelines are
- * configured (DESIGN.md, "Pipeline serving").
+ * StageRouter: the pipeline stage-advance step of the completion path
+ * (DESIGN.md, "Pipeline serving").
  *
- * Workers report every terminal outcome through the observer chain.
- * For single-family queries the router is a pass-through (one integer
- * compare). For pipeline queries it intercepts *intermediate* stage
- * completions — accumulates the accuracy product, advances the stage
- * cursor, retargets the query at the next stage's family and hands it
- * to the forward callback — without letting the inner chain see the
- * event, so metrics are not double-counted and the pooled slot is not
- * released while the query is still alive. Terminal outcomes (final
- * stage, or a drop anywhere) fold the product into the query's
- * accuracy, remap it to the entry family (so the existing per-family
- * metrics ARE the end-to-end pipeline metrics) and flow through the
- * inner chain once, exactly like a single-family query.
+ * ServingSystem is the single sink for terminal query outcomes. When a
+ * finished query belongs to a pipeline it asks the stage router what
+ * the outcome means before anything counts it. An *intermediate* stage
+ * completion folds the stage's accuracy into the running product,
+ * advances the stage cursor and retargets the query at the next
+ * stage's family; the caller then forwards the still-live query and
+ * stops there. A terminal outcome (final stage, or a drop anywhere)
+ * folds the product into the query's accuracy and remaps it to the
+ * entry family, so the collector's per-family metrics for the entry
+ * family ARE the end-to-end pipeline metrics.
  *
- * Zero hot-path allocations: the forward callback is a raw function
- * pointer + context installed once at wiring time, and all counters
- * are preallocated per (pipeline, stage).
+ * Zero hot-path allocations: all counters are preallocated per
+ * (pipeline, stage).
  */
 
 #ifndef PROTEUS_PIPELINE_STAGE_ROUTER_H_
@@ -60,51 +57,40 @@ struct PipelineRunStats {
     PipelineStats stats;
 };
 
-/** Observer that forwards completed stages to the next family. */
-class StageRouter : public QueryObserver
+/** Advances finished pipeline queries from stage to stage. */
+class StageRouter
 {
   public:
-    /**
-     * Forward callback: re-inject @p query (already retargeted at its
-     * next stage's family) into the serving path. A raw function
-     * pointer + context — not std::function — so installing and
-     * invoking it never allocates (lint rule A1).
-     */
-    using ForwardFn = void (*)(void* ctx, Query* query);
-
-    StageRouter(QueryObserver* inner,
-                const CompiledPipelines* pipelines);
+    explicit StageRouter(const CompiledPipelines* pipelines);
 
     StageRouter(const StageRouter&) = delete;
     StageRouter& operator=(const StageRouter&) = delete;
 
-    /** Install the forward callback (wiring time, once). */
-    void
-    setForwarder(ForwardFn fn, void* ctx)
-    {
-        forward_ = fn;
-        ctx_ = ctx;
-    }
-
     /** Attach the span tracer (nullptr = tracing off, the default). */
     void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-    void onArrival(const Query& query) override;
-    void onFinished(const Query& query) override;
+    /**
+     * Step the finished pipeline query @p query.
+     *
+     * @return true when it completed an intermediate stage and now
+     *         targets the next one (the caller forwards it); false
+     *         when the outcome is terminal and rewritten end to end.
+     */
+    bool advance(Query* query);
 
-    /** @return counters for pipeline @p p. */
-    const PipelineStats& stats(PipelineId p) const { return stats_[p]; }
+    /** @return per-stage counters of pipeline @p p. */
+    const std::vector<StageStats>& stages(PipelineId p) const
+    {
+        return stages_[p];
+    }
 
     /** @return stage completions forwarded across all pipelines. */
     std::uint64_t forwarded() const { return forwarded_; }
 
   private:
-    QueryObserver* inner_;
     const CompiledPipelines* pipelines_;
-    ForwardFn forward_ = nullptr;
-    void* ctx_ = nullptr;
     obs::Tracer* tracer_ = nullptr;
-    std::vector<PipelineStats> stats_;
+    std::vector<std::vector<StageStats>> stages_;
     std::uint64_t forwarded_ = 0;
 };
 

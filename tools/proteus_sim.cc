@@ -9,6 +9,7 @@
  *   proteus_sim <config.json> [--csv <timeline.csv>] [--quiet]
  *               [--trace <trace.json>] [--metrics <metrics.json>]
  *               [--timeline <series.csv>] [--timeline-json <series.json>]
+ *   proteus_sim --help
  *
  * --trace enables span tracing and writes a Chrome trace-event file
  * (chrome://tracing / Perfetto); analyse it with proteus_trace.
@@ -25,16 +26,33 @@
 #include "common/table.h"
 #include "core/experiment.h"
 
+namespace {
+
+void
+printUsage(std::ostream& out)
+{
+    out << "usage: proteus_sim <config.json> "
+           "[--csv <timeline.csv>] [--quiet] "
+           "[--trace <trace.json>] [--metrics <metrics.json>] "
+           "[--timeline <series.csv>] "
+           "[--timeline-json <series.json>]\n";
+}
+
+}  // namespace
+
 int
 main(int argc, char** argv)
 {
     using namespace proteus;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            printUsage(std::cout);
+            return 0;
+        }
+    }
     if (argc < 2) {
-        std::cerr << "usage: proteus_sim <config.json> "
-                     "[--csv <timeline.csv>] [--quiet] "
-                     "[--trace <trace.json>] [--metrics <metrics.json>] "
-                     "[--timeline <series.csv>] "
-                     "[--timeline-json <series.json>]\n";
+        printUsage(std::cerr);
         return 2;
     }
     std::string config_path = argv[1];

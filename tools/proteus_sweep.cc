@@ -11,6 +11,7 @@
  *                 [--report <BENCH_x.json>] [--budget-ms N]
  *                 [--list] [--quiet]
  *   proteus_sweep --aggregate <store.jsonl> --report <BENCH_x.json>
+ *   proteus_sweep --help
  *
  * The journal is written next to the store as <store>.journal in
  * completion order with wall-time stamps; the merged store itself is
@@ -32,15 +33,21 @@
 
 namespace {
 
-int
-usage()
+void
+printUsage(std::FILE* out)
 {
-    std::fprintf(stderr,
+    std::fprintf(out,
                  "usage: proteus_sweep <sweep.json> [--threads N] "
                  "[--out <store.jsonl>] [--report <BENCH_x.json>] "
                  "[--budget-ms N] [--list] [--quiet]\n"
                  "       proteus_sweep --aggregate <store.jsonl> "
                  "--report <BENCH_x.json>\n");
+}
+
+int
+usage()
+{
+    printUsage(stderr);
     return 2;
 }
 
@@ -76,6 +83,9 @@ main(int argc, char** argv)
             list_only = true;
         } else if (arg == "--quiet") {
             quiet = true;
+        } else if (arg == "--help" || arg == "-h") {
+            printUsage(stdout);
+            return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "proteus_sweep: unknown option %s\n",
                          arg.c_str());
