@@ -102,10 +102,10 @@ BM_MilpAllocation(benchmark::State& state)
         in.demand_qps = demand;
         Allocation plan = alloc.allocate(in);
         benchmark::DoNotOptimize(plan.expected_accuracy);
-        const auto& st = alloc.lastStats();
-        solve_s += st.solve_seconds;
+        const AllocatorSolveMeta st = alloc.lastSolveMeta();
+        solve_s += st.wall_seconds;
         nodes += static_cast<double>(st.nodes);
-        iters += static_cast<double>(st.simplex_iters);
+        iters += static_cast<double>(st.simplex_iterations);
         backoff += st.backoff_steps;
     }
     // Solver-phase breakdown of §6.8: how the decision time divides
@@ -150,10 +150,10 @@ BM_MilpReallocationWarm(benchmark::State& state)
         in.current = &current;
         Allocation plan = alloc.allocate(in);
         benchmark::DoNotOptimize(plan.expected_accuracy);
-        const auto& st = alloc.lastStats();
-        solve_s += st.solve_seconds;
+        const AllocatorSolveMeta st = alloc.lastSolveMeta();
+        solve_s += st.wall_seconds;
         nodes += static_cast<double>(st.nodes);
-        iters += static_cast<double>(st.simplex_iters);
+        iters += static_cast<double>(st.simplex_iterations);
     }
     state.counters["solve_ms"] = benchmark::Counter(
         solve_s * 1e3, benchmark::Counter::kAvgIterations);

@@ -4,6 +4,19 @@
 
 namespace proteus {
 
+namespace {
+
+/** Target batch size before the first feedback. */
+constexpr int kInitialBatch = 1;
+/** Additive increment after a clean batch. */
+constexpr int kIncrease = 1;
+/** Multiplicative factor after an SLO miss. */
+constexpr double kDecrease = 0.5;
+/** Max wait before a partial batch executes, as a fraction of the SLO. */
+constexpr double kWaitSloFrac = 0.25;
+
+}  // namespace
+
 BatchAction
 AimdBatching::decide(const WorkerView& view)
 {
@@ -17,7 +30,7 @@ AimdBatching::decide(const WorkerView& view)
     const int hard_cap =
         static_cast<int>(view.profile->latency.size());
     if (target_ == 0)
-        target_ = std::min(options_.initial_batch, hard_cap);
+        target_ = std::min(kInitialBatch, hard_cap);
     target_ = std::min(target_, hard_cap);
 
     if (static_cast<int>(queue.size()) >= target_) {
@@ -29,7 +42,7 @@ AimdBatching::decide(const WorkerView& view)
     const Time flush_at =
         queue.front()->arrival +
         static_cast<Duration>(static_cast<double>(view.slo) *
-                              options_.wait_slo_frac);
+                              kWaitSloFrac);
     if (view.now >= flush_at) {
         action.execute = static_cast<int>(queue.size());
         return action;
@@ -46,9 +59,9 @@ AimdBatching::onBatchOutcome(int batch_size, bool any_violation)
         return;
     if (any_violation) {
         target_ = std::max(
-            1, static_cast<int>(target_ * options_.decrease));
+            1, static_cast<int>(target_ * kDecrease));
     } else {
-        target_ += options_.increase;
+        target_ += kIncrease;
     }
 }
 

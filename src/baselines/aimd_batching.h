@@ -22,19 +22,6 @@ namespace proteus {
 class AimdBatching : public BatchingPolicy
 {
   public:
-    struct Options {
-        int initial_batch = 1;
-        /** Additive increment after a clean batch. */
-        int increase = 1;
-        /** Multiplicative factor after an SLO miss. */
-        double decrease = 0.5;
-        /** Max wait before a partial batch executes: SLO * this. */
-        double wait_slo_frac = 0.25;
-    };
-
-    AimdBatching() : options_() {}
-    explicit AimdBatching(const Options& options) : options_(options) {}
-
     BatchAction decide(const WorkerView& view) override;
     void onBatchOutcome(int batch_size, bool any_violation) override;
 
@@ -44,7 +31,6 @@ class AimdBatching : public BatchingPolicy
     int targetBatch() const { return target_; }
 
   private:
-    Options options_;
     int target_ = 0;  ///< 0 = uninitialized
 };
 

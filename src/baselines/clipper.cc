@@ -47,7 +47,6 @@ withPinnedVariants(IlpAllocatorOptions options,
         }
         return v == pinned;
     };
-    options.decision_delay = 0;
     return options;
 }
 

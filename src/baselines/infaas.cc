@@ -7,14 +7,23 @@
 
 namespace proteus {
 
+namespace {
+
+/** Surplus factor above which accuracy upgrades are attempted. */
+constexpr double kUpgradeSurplus = 1.5;
+/** Safety cap on greedy iterations per family. */
+constexpr int kMaxSteps = 64;
+
+}  // namespace
+
 InfaasAllocator::InfaasAllocator(const ModelRegistry* registry,
                                  const Cluster* cluster,
                                  const ProfileStore* profiles,
-                                 InfaasOptions options)
+                                 double headroom)
     : registry_(registry),
       cluster_(cluster),
       profiles_(profiles),
-      options_(options)
+      headroom_(headroom)
 {}
 
 double
@@ -55,7 +64,7 @@ InfaasAllocator::allocate(const AllocationInput& input)
     }
 
     auto target = [&](FamilyId f) {
-        return input.demand_qps[f] * options_.headroom;
+        return input.demand_qps[f] * headroom_;
     };
 
     // Most accurate variant of family f usable on device d that has
@@ -100,7 +109,7 @@ InfaasAllocator::allocate(const AllocationInput& input)
             continue;
         int steps = 0;
         while (familyCapacity(hosting, f) < target(f) &&
-               steps++ < options_.max_steps) {
+               steps++ < kMaxSteps) {
             double deficit = target(f) - familyCapacity(hosting, f);
 
             // Step 1: best single-device downgrade within the family.
@@ -195,9 +204,9 @@ InfaasAllocator::allocate(const AllocationInput& input)
         if (input.demand_qps[f] <= 0.0)
             continue;
         int steps = 0;
-        while (steps++ < options_.max_steps) {
+        while (steps++ < kMaxSteps) {
             double cap = familyCapacity(hosting, f);
-            if (cap < target(f) * options_.upgrade_surplus)
+            if (cap < target(f) * kUpgradeSurplus)
                 break;
             // Upgrade the least accurate hosted variant one step.
             DeviceId up_dev = kInvalidId;

@@ -36,24 +36,18 @@
 
 namespace proteus {
 
-/** Tunables of the greedy heuristic. */
-struct InfaasOptions {
-    /** Target capacity = demand * headroom before it stops scaling. */
-    double headroom = 1.05;
-    /** Surplus factor above which accuracy upgrades are attempted. */
-    double upgrade_surplus = 1.5;
-    /** Safety cap on greedy iterations per family. */
-    int max_steps = 64;
-};
-
 /** Greedy dynamic allocator (INFaaS-Accuracy). */
 class InfaasAllocator : public Allocator
 {
   public:
+    /**
+     * @param headroom target capacity = demand * headroom before the
+     *        heuristic stops scaling a family out.
+     */
     InfaasAllocator(const ModelRegistry* registry,
                     const Cluster* cluster,
                     const ProfileStore* profiles,
-                    InfaasOptions options = {});
+                    double headroom = 1.05);
 
     Allocation allocate(const AllocationInput& input) override;
 
@@ -70,7 +64,7 @@ class InfaasAllocator : public Allocator
     const ModelRegistry* registry_;
     const Cluster* cluster_;
     const ProfileStore* profiles_;
-    InfaasOptions options_;
+    double headroom_;
 };
 
 }  // namespace proteus

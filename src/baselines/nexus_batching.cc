@@ -21,24 +21,6 @@ NexusBatching::decide(const WorkerView& view)
 
     const BatchProfile& prof = *view.profile;
 
-    if (eager_backlog_drop_ && q >= prof.max_batch) {
-        // Optional eager variant: shed heads that would miss their
-        // deadline in the full batch they would ride in.
-        while (q > 0) {
-            int k = std::min(q, prof.max_batch);
-            const Query* head =
-                queue[static_cast<std::size_t>(action.drop)];
-            if (head->deadline >= view.now + prof.latencyFor(k))
-                break;
-            ++action.drop;
-            --q;
-        }
-        if (q <= 0)
-            return action;
-        action.execute = std::min(q, prof.max_batch);
-        return action;
-    }
-
     // Largest batch whose completion meets the head query's deadline.
     const Time t_exp1 =
         queue[static_cast<std::size_t>(action.drop)]->deadline;

@@ -9,6 +9,11 @@
  * deadline. It never waits for more queries to accumulate — the
  * work-conserving trait that costs it 2-3x more SLO violations than
  * Proteus when inter-arrivals are bursty (paper §6.4).
+ *
+ * This is the paper's lazy rule only ("drop queries that cannot meet
+ * the deadline even executed immediately") plus a head-bounded batch
+ * size, so under sustained backlog it burns capacity rescuing stale
+ * heads with small batches.
  */
 
 #ifndef PROTEUS_BASELINES_NEXUS_BATCHING_H_
@@ -22,28 +27,9 @@ namespace proteus {
 class NexusBatching : public BatchingPolicy
 {
   public:
-    /**
-     * @param eager_backlog_drop if true, also shed head queries that
-     *        cannot survive the full batch they would ride in when a
-     *        backlog has formed. The paper describes only the lazy
-     *        rule ("drop queries that cannot meet the deadline even
-     *        executed immediately") plus a head-bounded batch size —
-     *        which burns capacity rescuing stale heads with small
-     *        batches under sustained backlog, the behaviour its
-     *        evaluation penalizes (2-3x more violations than Proteus
-     *        on bursty arrivals, §6.4). The eager variant closes most
-     *        of that gap; EXPERIMENTS.md reports both.
-     */
-    explicit NexusBatching(bool eager_backlog_drop = false)
-        : eager_backlog_drop_(eager_backlog_drop)
-    {}
-
     BatchAction decide(const WorkerView& view) override;
 
     const char* name() const override { return "nexus-early-drop"; }
-
-  private:
-    bool eager_backlog_drop_;
 };
 
 }  // namespace proteus

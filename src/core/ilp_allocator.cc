@@ -9,17 +9,25 @@
 
 namespace proteus {
 
-IlpAllocator::IlpAllocator(const ModelRegistry* registry,
-                           const Cluster* cluster,
-                           const ProfileStore* profiles,
-                           IlpAllocatorOptions options)
-    : registry_(registry),
-      cluster_(cluster),
-      profiles_(profiles),
-      options_(options)
-{}
-
 namespace {
+
+/** §4 demand scale-down per infeasibility step (the artifact's 1.05). */
+constexpr double kBackoffBeta = 1.05;
+/** Backoff steps before serving nothing: 1.05^-200 ~ 6e-5 of demand. */
+constexpr int kMaxBackoffSteps = 200;
+/**
+ * Relative MILP gap: certifies plans within 0.5% of the optimum, which
+ * the LP-rounding + local-search warm start usually reaches at once.
+ */
+constexpr double kMilpGap = 5e-3;
+/** Keep the current hosting when within 0.3% of the fresh optimum. */
+constexpr double kKeepPlanHysteresis = 3e-3;
+/** Scale on the reload-forfeit keep bonus; 1 prices it exactly. */
+constexpr double kChurnDamping = 1.0;
+/** Control period the swap cost is amortized over (seconds). */
+constexpr double kChurnPeriodSec = 30.0;
+/** Model load time that prices churn: a flat estimate (seconds). */
+constexpr double kLoadTimeSec = 0.3;
 
 /**
  * Exact objective of a fixed integer hosting plan: given per-(type,
@@ -40,7 +48,7 @@ struct CountsContext {
     const ProfileStore* profiles;
     double replica_penalty;
     /** Variants of family f sorted by accuracy descending. */
-    std::vector<std::vector<VariantId>> by_acc_desc;
+    const std::vector<std::vector<VariantId>>* by_acc_desc;
     /** Churn damping (may be null): bonus and current counts. */
     const std::vector<std::vector<double>>* keep_bonus = nullptr;
     const std::vector<std::vector<int>>* cur_counts = nullptr;
@@ -53,7 +61,7 @@ familyValue(const CountsContext& ctx,
 {
     double remaining = demand;
     double value = 0.0;
-    for (VariantId m : ctx.by_acc_desc[f]) {
+    for (VariantId m : (*ctx.by_acc_desc)[f]) {
         if (remaining <= 1e-9)
             break;
         double acc = ctx.registry->variant(m).accuracy;
@@ -120,7 +128,7 @@ greedyFill(const CountsContext& ctx,
                                           0.0));
     for (std::size_t f = 0; f < demand.size(); ++f) {
         double remaining = demand[f];
-        for (VariantId m : ctx.by_acc_desc[f]) {
+        for (VariantId m : (*ctx.by_acc_desc)[f]) {
             if (remaining <= 1e-12)
                 break;
             for (std::size_t t = 0; t < count.size(); ++t) {
@@ -142,6 +150,32 @@ greedyFill(const CountsContext& ctx,
 }
 
 }  // namespace
+
+IlpAllocator::IlpAllocator(const ModelRegistry* registry,
+                           const Cluster* cluster,
+                           const ProfileStore* profiles,
+                           IlpAllocatorOptions options)
+    : registry_(registry),
+      cluster_(cluster),
+      profiles_(profiles),
+      options_(options)
+{
+    by_acc_desc_.resize(registry_->numFamilies());
+    for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
+        auto vs = registry_->variantsOf(f);
+        std::reverse(vs.begin(), vs.end());  // accuracy descending
+        by_acc_desc_[f] = std::move(vs);
+    }
+    meta_.work_budget = options_.milp_work_budget;
+}
+
+std::function<bool(VariantId)>
+mostAccurateOnly(const ModelRegistry* registry)
+{
+    return [registry](VariantId v) {
+        return v == registry->mostAccurate(registry->familyOf(v));
+    };
+}
 
 int
 IlpAllocator::availableOfType(DeviceTypeId t) const
@@ -204,9 +238,6 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
             FamilyId f = registry_->familyOf(static_cast<VariantId>(m));
             if (demand[f] <= 0.0)
                 continue;
-            if (options_.fix_most_accurate &&
-                static_cast<VariantId>(m) != registry_->mostAccurate(f))
-                continue;
             if (options_.variant_filter &&
                 !options_.variant_filter(static_cast<VariantId>(m)))
                 continue;
@@ -249,7 +280,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     std::vector<std::vector<int>> k_col(T, std::vector<int>(M, -1));
     std::vector<std::vector<double>> keep_bonus(
         T, std::vector<double>(M, 0.0));
-    if (cur && options_.churn_damping > 0.0) {
+    if (cur) {
         for (std::size_t t = 0; t < T; ++t) {
             for (std::size_t m = 0; m < M; ++m) {
                 if (n_col[t][m] < 0 || (*cur)[t][m] <= 0)
@@ -258,14 +289,8 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                     profiles_->get(static_cast<VariantId>(m),
                                    static_cast<DeviceTypeId>(t))
                         .peak_qps;
-                double load_sec = toSeconds(
-                    options_.load_time_fn
-                        ? options_.load_time_fn(
-                              static_cast<DeviceTypeId>(t),
-                              static_cast<VariantId>(m))
-                        : seconds(0.3));
-                double bonus = options_.churn_damping * 100.0 * peak *
-                               load_sec / options_.churn_period_sec;
+                double bonus = kChurnDamping * 100.0 * peak *
+                               kLoadTimeSec / kChurnPeriodSec;
                 if (bonus <= 0.0)
                     continue;
                 keep_bonus[t][m] = bonus;
@@ -365,38 +390,6 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         any_demand = true;
     }
 
-    // Fairness extension (paper §7): reward the worst per-family
-    // effective accuracy. t is bounded by each family's mean served
-    // accuracy: sum A_m w >= t * s_f.
-    if (options_.fairness_weight > 0.0) {
-        double total_demand = 0.0;
-        for (std::size_t f = 0; f < F; ++f)
-            total_demand += eff_demand[f];
-        if (total_demand > 0.0) {
-            int t_col = lp.addVariable(
-                0.0, 100.0,
-                options_.fairness_weight * total_demand, "fair_t");
-            for (std::size_t f = 0; f < F; ++f) {
-                if (eff_demand[f] <= 0.0)
-                    continue;
-                std::vector<Coeff> coeffs;
-                for (VariantId m : registry_->variantsOf(
-                         static_cast<FamilyId>(f))) {
-                    for (std::size_t t = 0; t < T; ++t) {
-                        if (w_col[t][m] >= 0) {
-                            coeffs.emplace_back(
-                                w_col[t][m],
-                                registry_->variant(m).accuracy);
-                        }
-                    }
-                }
-                coeffs.emplace_back(t_col, -eff_demand[f]);
-                lp.addConstraint(std::move(coeffs),
-                                 RowSense::GreaterEqual, 0.0);
-            }
-        }
-    }
-
     TypeSolution out;
     out.count.assign(T, std::vector<int>(M, 0));
     out.qps.assign(T, std::vector<double>(M, 0.0));
@@ -419,15 +412,10 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     ctx.registry = registry_;
     ctx.profiles = profiles_;
     ctx.replica_penalty = kReplicaPenalty;
-    if (cur && options_.churn_damping > 0.0) {
+    ctx.by_acc_desc = &by_acc_desc_;
+    if (cur) {
         ctx.keep_bonus = &keep_bonus;
         ctx.cur_counts = cur;
-    }
-    ctx.by_acc_desc.resize(F);
-    for (std::size_t f = 0; f < F; ++f) {
-        auto vs = registry_->variantsOf(static_cast<FamilyId>(f));
-        std::reverse(vs.begin(), vs.end());  // accuracy descending
-        ctx.by_acc_desc[f] = std::move(vs);
     }
     // Only columns present in the MILP may get devices.
     auto col_ok = [&](std::size_t t, std::size_t m) {
@@ -435,141 +423,131 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     };
 
     std::vector<double> hint;
-    if (options_.fairness_weight <= 0.0) {
-        SimplexSolver splx;
-        Solution relax = splx.solve(lp);
-        if (relax.status == SolveStatus::Optimal) {
-            // Step 1: budget-repair rounding of the LP counts.
-            std::vector<std::vector<int>> count(
-                T, std::vector<int>(M, 0));
-            std::vector<int> budget(T);
-            std::vector<std::vector<int>> quota_left;
-            if (!options_.family_quota.empty())
-                quota_left = options_.family_quota;
-            for (std::size_t t = 0; t < T; ++t) {
-                budget[t] =
-                    availableOfType(static_cast<DeviceTypeId>(t));
-                std::vector<std::pair<double, std::size_t>> fracs;
-                for (std::size_t m = 0; m < M; ++m) {
-                    if (!col_ok(t, m))
-                        continue;
-                    double v = relax.x[n_col[t][m]];
-                    int fl = static_cast<int>(std::floor(v + 1e-9));
-                    count[t][m] = fl;
-                    budget[t] -= fl;
-                    if (!quota_left.empty()) {
-                        quota_left[t][registry_->familyOf(
-                            static_cast<VariantId>(m))] -= fl;
-                    }
-                    if (v - fl > 1e-6)
-                        fracs.emplace_back(v - fl, m);
+    SimplexSolver splx;
+    Solution relax = splx.solve(lp);
+    if (relax.status == SolveStatus::Optimal) {
+        // Step 1: budget-repair rounding of the LP counts.
+        std::vector<std::vector<int>> count(T, std::vector<int>(M, 0));
+        std::vector<int> budget(T);
+        std::vector<std::vector<int>> quota_left;
+        if (!options_.family_quota.empty())
+            quota_left = options_.family_quota;
+        for (std::size_t t = 0; t < T; ++t) {
+            budget[t] = availableOfType(static_cast<DeviceTypeId>(t));
+            std::vector<std::pair<double, std::size_t>> fracs;
+            for (std::size_t m = 0; m < M; ++m) {
+                if (!col_ok(t, m))
+                    continue;
+                double v = relax.x[n_col[t][m]];
+                int fl = static_cast<int>(std::floor(v + 1e-9));
+                count[t][m] = fl;
+                budget[t] -= fl;
+                if (!quota_left.empty()) {
+                    quota_left[t][registry_->familyOf(
+                        static_cast<VariantId>(m))] -= fl;
                 }
-                std::sort(fracs.rbegin(), fracs.rend());
-                for (const auto& [frac, m] : fracs) {
-                    if (budget[t] <= 0)
-                        break;
-                    FamilyId f =
-                        registry_->familyOf(static_cast<VariantId>(m));
-                    if (!quota_left.empty() && quota_left[t][f] <= 0)
-                        continue;
-                    ++count[t][m];
-                    --budget[t];
-                    if (!quota_left.empty())
-                        --quota_left[t][f];
-                }
+                if (v - fl > 1e-6)
+                    fracs.emplace_back(v - fl, m);
             }
+            std::sort(fracs.rbegin(), fracs.rend());
+            for (const auto& [frac, m] : fracs) {
+                if (budget[t] <= 0)
+                    break;
+                FamilyId f = registry_->familyOf(static_cast<VariantId>(m));
+                if (!quota_left.empty() && quota_left[t][f] <= 0)
+                    continue;
+                ++count[t][m];
+                --budget[t];
+                if (!quota_left.empty())
+                    --quota_left[t][f];
+            }
+        }
 
-            // Step 2: first-improvement local search over count moves
-            // (re-purpose one device of a type, or add an idle one).
-            CountsEval cur_eval = evalCounts(ctx, count, eff_demand);
-            auto quota_allows = [&](std::size_t t, std::size_t m) {
-                if (quota_left.empty())
-                    return true;
-                return quota_left[t][registry_->familyOf(
-                           static_cast<VariantId>(m))] > 0;
-            };
-            for (int round = 0; round < 64; ++round) {
-                bool improved = false;
-                for (std::size_t t = 0; t < T; ++t) {
-                    for (std::size_t dst = 0; dst < M; ++dst) {
-                        if (!col_ok(t, dst))
-                            continue;
-                        // Pure add from idle budget.
-                        if (budget[t] > 0 && quota_allows(t, dst)) {
-                            ++count[t][dst];
-                            CountsEval e =
-                                evalCounts(ctx, count, eff_demand);
-                            if ((e.feasible && !cur_eval.feasible) ||
-                                (e.feasible == cur_eval.feasible &&
-                                 e.objective >
-                                     cur_eval.objective + 1e-9)) {
-                                cur_eval = e;
-                                --budget[t];
-                                if (!quota_left.empty()) {
-                                    --quota_left[t][registry_->familyOf(
-                                        static_cast<VariantId>(dst))];
-                                }
-                                improved = true;
-                                continue;
+        // Step 2: first-improvement local search over count moves
+        // (re-purpose one device of a type, or add an idle one).
+        CountsEval cur_eval = evalCounts(ctx, count, eff_demand);
+        auto quota_allows = [&](std::size_t t, std::size_t m) {
+            if (quota_left.empty())
+                return true;
+            return quota_left[t][registry_->familyOf(
+                       static_cast<VariantId>(m))] > 0;
+        };
+        for (int round = 0; round < 64; ++round) {
+            bool improved = false;
+            for (std::size_t t = 0; t < T; ++t) {
+                for (std::size_t dst = 0; dst < M; ++dst) {
+                    if (!col_ok(t, dst))
+                        continue;
+                    // Pure add from idle budget.
+                    if (budget[t] > 0 && quota_allows(t, dst)) {
+                        ++count[t][dst];
+                        CountsEval e = evalCounts(ctx, count, eff_demand);
+                        if ((e.feasible && !cur_eval.feasible) ||
+                            (e.feasible == cur_eval.feasible &&
+                             e.objective > cur_eval.objective + 1e-9)) {
+                            cur_eval = e;
+                            --budget[t];
+                            if (!quota_left.empty()) {
+                                --quota_left[t][registry_->familyOf(
+                                    static_cast<VariantId>(dst))];
                             }
+                            improved = true;
+                            continue;
+                        }
+                        --count[t][dst];
+                    }
+                    // Re-purpose one device from another variant.
+                    for (std::size_t src = 0; src < M; ++src) {
+                        if (src == dst || count[t][src] <= 0)
+                            continue;
+                        FamilyId sf = registry_->familyOf(
+                            static_cast<VariantId>(src));
+                        FamilyId df = registry_->familyOf(
+                            static_cast<VariantId>(dst));
+                        if (!quota_left.empty() && sf != df &&
+                            quota_left[t][df] <= 0) {
+                            continue;
+                        }
+                        --count[t][src];
+                        ++count[t][dst];
+                        CountsEval e = evalCounts(ctx, count, eff_demand);
+                        if ((e.feasible && !cur_eval.feasible) ||
+                            (e.feasible == cur_eval.feasible &&
+                             e.objective > cur_eval.objective + 1e-9)) {
+                            cur_eval = e;
+                            if (!quota_left.empty() && sf != df) {
+                                ++quota_left[t][sf];
+                                --quota_left[t][df];
+                            }
+                            improved = true;
+                        } else {
+                            ++count[t][src];
                             --count[t][dst];
                         }
-                        // Re-purpose one device from another variant.
-                        for (std::size_t src = 0; src < M; ++src) {
-                            if (src == dst || count[t][src] <= 0)
-                                continue;
-                            FamilyId sf = registry_->familyOf(
-                                static_cast<VariantId>(src));
-                            FamilyId df = registry_->familyOf(
-                                static_cast<VariantId>(dst));
-                            if (!quota_left.empty() && sf != df &&
-                                quota_left[t][df] <= 0) {
-                                continue;
-                            }
-                            --count[t][src];
-                            ++count[t][dst];
-                            CountsEval e =
-                                evalCounts(ctx, count, eff_demand);
-                            if ((e.feasible && !cur_eval.feasible) ||
-                                (e.feasible == cur_eval.feasible &&
-                                 e.objective >
-                                     cur_eval.objective + 1e-9)) {
-                                cur_eval = e;
-                                if (!quota_left.empty() && sf != df) {
-                                    ++quota_left[t][sf];
-                                    --quota_left[t][df];
-                                }
-                                improved = true;
-                            } else {
-                                ++count[t][src];
-                                --count[t][dst];
-                            }
-                        }
                     }
                 }
-                if (!improved)
-                    break;
             }
+            if (!improved)
+                break;
+        }
 
-            // Step 3: synthesize the hint vector (counts + greedy w).
-            if (cur_eval.feasible) {
-                hint.assign(
-                    static_cast<std::size_t>(lp.numVariables()), 0.0);
-                for (std::size_t t = 0; t < T; ++t) {
-                    for (std::size_t m = 0; m < M; ++m) {
-                        if (col_ok(t, m))
-                            hint[n_col[t][m]] = count[t][m];
-                    }
+        // Step 3: synthesize the hint vector (counts + greedy w).
+        if (cur_eval.feasible) {
+            hint.assign(static_cast<std::size_t>(lp.numVariables()), 0.0);
+            for (std::size_t t = 0; t < T; ++t) {
+                for (std::size_t m = 0; m < M; ++m) {
+                    if (col_ok(t, m))
+                        hint[n_col[t][m]] = count[t][m];
                 }
-                auto qps = greedyFill(ctx, count, eff_demand);
-                for (std::size_t t = 0; t < T; ++t) {
-                    for (std::size_t m = 0; m < M; ++m) {
-                        if (col_ok(t, m) && qps[t][m] > 0.0)
-                            hint[w_col[t][m]] = qps[t][m];
-                        if (k_col[t][m] >= 0 && cur) {
-                            hint[k_col[t][m]] = std::min(
-                                count[t][m], (*cur)[t][m]);
-                        }
+            }
+            auto qps = greedyFill(ctx, count, eff_demand);
+            for (std::size_t t = 0; t < T; ++t) {
+                for (std::size_t m = 0; m < M; ++m) {
+                    if (col_ok(t, m) && qps[t][m] > 0.0)
+                        hint[w_col[t][m]] = qps[t][m];
+                    if (k_col[t][m] >= 0 && cur) {
+                        hint[k_col[t][m]] = std::min(
+                            count[t][m], (*cur)[t][m]);
                     }
                 }
             }
@@ -579,7 +557,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     MilpSolver::Options mopt;
     mopt.work_limit_iters = options_.milp_work_budget;
     mopt.time_limit_sec = options_.milp_time_limit_sec;
-    mopt.gap_tol = options_.milp_gap;
+    mopt.gap_tol = kMilpGap;
     mopt.heuristic_period = 4;
     MilpSolver milp(mopt);
     Solution sol = milp.solve(lp, hint.empty() ? nullptr : &hint);
@@ -831,7 +809,7 @@ IlpAllocator::allocate(const AllocationInput& input)
         if (sol.feasible)
             break;
         ++steps;
-        if (steps > options_.max_backoff_steps) {
+        if (steps > kMaxBackoffSteps) {
             // Serve nothing rather than loop forever; the routers
             // will shed all load until demand falls.
             for (auto& d : demand)
@@ -842,7 +820,7 @@ IlpAllocator::allocate(const AllocationInput& input)
             break;
         }
         for (auto& d : demand)
-            d /= options_.backoff_beta;
+            d /= kBackoffBeta;
     }
 
     // Plan hysteresis: if the hosting currently in force can still
@@ -851,48 +829,38 @@ IlpAllocator::allocate(const AllocationInput& input)
     // transient SLO violations that a fraction of a percent of
     // accuracy cannot repay. Routing weights are still refreshed for
     // the new demand.
-    if (sol.feasible && have_cur &&
-        options_.keep_plan_hysteresis > 0.0 &&
-        options_.fairness_weight <= 0.0) {
+    if (sol.feasible && have_cur) {
         const std::size_t T = cluster_->numTypes();
-        {
-            CountsContext ctx;
-            ctx.registry = registry_;
-            ctx.profiles = profiles_;
-            ctx.replica_penalty = 0.0;
-            ctx.by_acc_desc.resize(registry_->numFamilies());
-            for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
-                auto vs = registry_->variantsOf(f);
-                std::reverse(vs.begin(), vs.end());
-                ctx.by_acc_desc[f] = std::move(vs);
+        CountsContext ctx;
+        ctx.registry = registry_;
+        ctx.profiles = profiles_;
+        ctx.replica_penalty = 0.0;
+        ctx.by_acc_desc = &by_acc_desc_;
+        // Families with no usable variant anywhere are shed by every
+        // plan; exclude them from the feasibility check.
+        std::vector<double> check = demand;
+        for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
+            bool servable = false;
+            for (VariantId m : registry_->variantsOf(f)) {
+                for (DeviceTypeId t = 0; t < T; ++t)
+                    servable |= profiles_->get(m, t).usable();
             }
-            // Families with no usable variant anywhere are shed by
-            // every plan; exclude them from the feasibility check.
-            std::vector<double> check = demand;
-            for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
-                bool servable = false;
-                for (VariantId m : registry_->variantsOf(f)) {
-                    for (DeviceTypeId t = 0; t < T; ++t)
-                        servable |= profiles_->get(m, t).usable();
-                }
-                if (!servable)
-                    check[f] = 0.0;
-            }
-            CountsEval cur_eval = evalCounts(ctx, cur_counts, check);
-            double fresh_obj = sol.objective;
-            if (cur_eval.feasible &&
-                cur_eval.objective >=
-                    fresh_obj * (1.0 - options_.keep_plan_hysteresis)) {
-                TypeSolution kept;
-                kept.count = cur_counts;
-                kept.qps = greedyFill(ctx, cur_counts, check);
-                kept.objective = cur_eval.objective;
-                kept.feasible = true;
-                kept.nodes = sol.nodes;
-                kept.simplex_iters = sol.simplex_iters;
-                kept.gap = sol.gap;
-                sol = std::move(kept);
-            }
+            if (!servable)
+                check[f] = 0.0;
+        }
+        CountsEval cur_eval = evalCounts(ctx, cur_counts, check);
+        if (cur_eval.feasible &&
+            cur_eval.objective >=
+                sol.objective * (1.0 - kKeepPlanHysteresis)) {
+            TypeSolution kept;
+            kept.count = cur_counts;
+            kept.qps = greedyFill(ctx, cur_counts, check);
+            kept.objective = cur_eval.objective;
+            kept.feasible = true;
+            kept.nodes = sol.nodes;
+            kept.simplex_iters = sol.simplex_iters;
+            kept.gap = sol.gap;
+            sol = std::move(kept);
         }
     }
 
@@ -900,12 +868,11 @@ IlpAllocator::allocate(const AllocationInput& input)
                              input.current);
     plan.planned_demand = input.demand_qps;
     down_ = nullptr;
-    stats_.solve_seconds = timer.elapsedSeconds();
-    stats_.nodes = total_nodes;
-    stats_.simplex_iters = total_iters;
-    stats_.gap = sol.gap;
-    stats_.backoff_steps = steps;
-    stats_.served_fraction = plan.planned_fraction;
+    meta_.wall_seconds = timer.elapsedSeconds();
+    meta_.nodes = total_nodes;
+    meta_.simplex_iterations = total_iters;
+    meta_.gap = sol.gap;
+    meta_.backoff_steps = steps;
     return plan;
 }
 

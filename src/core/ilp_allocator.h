@@ -19,7 +19,7 @@
  * aggregation is exact; the integer counts are expanded onto concrete
  * devices with a churn-minimizing matching. If the demand is
  * infeasible even with the least accurate variants, s is scaled down
- * by beta (default 1.05) until feasible, as in §4 ("we solve the MILP
+ * by beta = 1.05 until feasible, as in §4 ("we solve the MILP
  * again by decreasing s_q by a small value").
  */
 
@@ -39,10 +39,13 @@
 
 namespace proteus {
 
-/** Configuration of the MILP allocator and its ablations (§6.5). */
+/**
+ * Configuration of the MILP allocator and its ablations (§6.5). Only
+ * what a caller sets lives here; the paper's fixed policy values
+ * (backoff beta, MILP gap, churn pricing) are constants in
+ * ilp_allocator.cc.
+ */
 struct IlpAllocatorOptions {
-    /** Demand scale-down factor per infeasibility step (artifact: 1.05). */
-    double backoff_beta = 1.05;
     /**
      * Capacity headroom: the MILP provisions for demand times this
      * factor so estimate lag and arrival noise between control
@@ -51,13 +54,6 @@ struct IlpAllocatorOptions {
      * because the slack target is infeasible).
      */
     double planning_headroom = 1.0;
-    /** Maximum backoff steps before giving up (serving fraction ~0). */
-    int max_backoff_steps = 200;
-    /**
-     * Ablation "w/o MS": only the most accurate variant of each
-     * family may be selected (placement/assignment still optimal).
-     */
-    bool fix_most_accurate = false;
     /**
      * Ablation "w/o QA": replace the optimal query assignment with a
      * uniform split across the devices hosting each family.
@@ -77,49 +73,9 @@ struct IlpAllocatorOptions {
      */
     double milp_time_limit_sec = 10.0;
     /**
-     * Relative optimality gap for the MILP. The default certifies the
-     * plan within 0.5% of the optimum; the LP-rounding + local-search
-     * warm start typically reaches that immediately, keeping control
-     * decisions fast (paper §6.8 reports 4.2 s mean solve time).
-     */
-    double milp_gap = 5e-3;
-    /**
-     * Keep the currently-applied hosting when it is feasible for the
-     * new demand and within this relative objective sliver of the
-     * fresh optimum. Avoids model-swap churn (load delays, transient
-     * violations) for negligible accuracy gains. 0 disables.
-     */
-    double keep_plan_hysteresis = 3e-3;
-    /**
-     * Churn damping: hosting a variant a device already runs earns a
-     * bonus equal to the accuracy-weighted capacity that a reload
-     * would forfeit (P x 100 x load_time / control period), scaled by
-     * this factor. 0 disables. Keeps near-equivalent optima from
-     * oscillating and swapping dozens of models every period.
-     */
-    double churn_damping = 1.0;
-    /** Control period used to amortize the swap cost (seconds). */
-    double churn_period_sec = 30.0;
-    /**
-     * Model load time per (device type, variant), used to price the
-     * churn damping. Unset = a flat 0.3 s estimate.
-     */
-    std::function<Duration(DeviceTypeId, VariantId)> load_time_fn;
-    /**
-     * Fairness extension (paper §7, future work): weight on the worst
-     * per-family effective accuracy. 0 keeps the paper's pure
-     * system-level objective; larger values trade total effective
-     * accuracy for a higher per-family floor. Implemented exactly in
-     * the MILP: a floor variable t with one row
-     * `sum_{type,m in f} A_m w >= t * s_f` per demanded family and
-     * `+ weight * total_demand * t` added to the objective.
-     * Disables the warm-start local search and plan hysteresis (their
-     * exact evaluation covers only the paper objective).
-     */
-    double fairness_weight = 0.0;
-    /**
-     * Restrict the selectable variants (Clipper-HT/HA use this to pin
-     * one variant per family). Empty = all variants allowed.
+     * Restrict the selectable variants: Clipper-HT/HA pin one variant
+     * per family, the "w/o MS" ablation keeps mostAccurateOnly().
+     * Empty = all variants allowed.
      */
     std::function<bool(VariantId)> variant_filter;
     /**
@@ -134,6 +90,13 @@ struct IlpAllocatorOptions {
      */
     std::vector<std::optional<FamilyId>> device_family_lock;
 };
+
+/**
+ * Ablation "w/o MS" (§6.5): a variant_filter that keeps only the most
+ * accurate variant of each family (placement and assignment stay
+ * optimal).
+ */
+std::function<bool(VariantId)> mostAccurateOnly(const ModelRegistry* registry);
 
 /** Exact-MILP allocator (the Proteus resource manager). */
 class IlpAllocator : public Allocator
@@ -152,33 +115,8 @@ class IlpAllocator : public Allocator
 
     const char* name() const override { return "proteus-ilp"; }
 
-    /** Statistics of the most recent allocate() call. */
-    struct SolveStats {
-        double solve_seconds = 0.0;
-        std::int64_t nodes = 0;
-        /** Simplex iterations over every LP relaxation solved. */
-        std::int64_t simplex_iters = 0;
-        /** Final MILP incumbent/bound gap of the accepted solve. */
-        double gap = 0.0;
-        int backoff_steps = 0;
-        double served_fraction = 1.0;
-    };
-
-    /** @return stats of the last allocate() call. */
-    const SolveStats& lastStats() const { return stats_; }
-
-    AllocatorSolveMeta
-    lastSolveMeta() const override
-    {
-        AllocatorSolveMeta meta;
-        meta.wall_seconds = stats_.solve_seconds;
-        meta.nodes = stats_.nodes;
-        meta.simplex_iterations = stats_.simplex_iters;
-        meta.gap = stats_.gap;
-        meta.backoff_steps = stats_.backoff_steps;
-        meta.work_budget = options_.milp_work_budget;
-        return meta;
-    }
+    /** Solver effort, gap and backoff steps of the last allocate(). */
+    AllocatorSolveMeta lastSolveMeta() const override { return meta_; }
 
   private:
     /** Aggregated solution: devices-per-(type, variant) plus QPS. */
@@ -217,7 +155,9 @@ class IlpAllocator : public Allocator
 
   private:
     IlpAllocatorOptions options_;
-    SolveStats stats_;
+    /** Variants of each family, accuracy descending. */
+    std::vector<std::vector<VariantId>> by_acc_desc_;
+    AllocatorSolveMeta meta_;
     /** Failure mask of the allocate() call in progress (may be null). */
     const std::vector<char>* down_ = nullptr;
 };

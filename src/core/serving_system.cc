@@ -395,19 +395,16 @@ ServingSystem::makeAllocator()
         return std::make_unique<IlpAllocator>(registry_, cluster_,
                                               &profiles_, ilp);
       case AllocatorKind::ProteusNoMS:
-        ilp.fix_most_accurate = true;
+        ilp.variant_filter = mostAccurateOnly(registry_);
         return std::make_unique<IlpAllocator>(registry_, cluster_,
                                               &profiles_, ilp);
       case AllocatorKind::ProteusNoQA:
         ilp.uniform_assignment = true;
         return std::make_unique<IlpAllocator>(registry_, cluster_,
                                               &profiles_, ilp);
-      case AllocatorKind::InfaasAccuracy: {
-        InfaasOptions iopt;
-        iopt.headroom = config_.planning_headroom;
-        return std::make_unique<InfaasAllocator>(registry_, cluster_,
-                                                 &profiles_, iopt);
-      }
+      case AllocatorKind::InfaasAccuracy:
+        return std::make_unique<InfaasAllocator>(
+            registry_, cluster_, &profiles_, config_.planning_headroom);
       case AllocatorKind::ClipperHT:
         return std::make_unique<ClipperAllocator>(
             registry_, cluster_, &profiles_,

@@ -105,9 +105,25 @@ TEST(IlpAllocatorTest, BacksOffWhenOverloaded)
     in.demand_qps = demandOf(w, {1e6, 1e6, 1e6});
     Allocation plan = alloc.allocate(in);
     EXPECT_LT(plan.planned_fraction, 1.0);
-    EXPECT_GT(alloc.lastStats().backoff_steps, 0);
+    EXPECT_GT(alloc.lastSolveMeta().backoff_steps, 0);
     // Still a valid plan: weights <= 1 etc.
     checkPlanInvariants(w, plan, in.demand_qps);
+}
+
+TEST(IlpAllocatorTest, BackoffFollowsPaperGrid)
+{
+    // §4 backoff: each infeasible solve scales demand by 1/1.05, so
+    // the accepted plan serves exactly 1.05^-k of the demand.
+    World w = miniWorld(2, 1, 1);
+    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
+    AllocationInput in;
+    in.demand_qps = demandOf(w, {2000.0, 800.0, 800.0});
+    Allocation plan = alloc.allocate(in);
+    const int k = alloc.lastSolveMeta().backoff_steps;
+    ASSERT_GT(k, 0);
+    ASSERT_LE(k, 200);
+    const double expected = std::pow(1.05, -k);
+    EXPECT_NEAR(plan.planned_fraction, expected, expected * 1e-9);
 }
 
 TEST(IlpAllocatorTest, ZeroDemandHostsNothing)
@@ -142,7 +158,7 @@ TEST(IlpAllocatorTest, FixMostAccurateAblation)
 {
     World w = miniWorld(4, 2, 2);
     IlpAllocatorOptions opts;
-    opts.fix_most_accurate = true;
+    opts.variant_filter = mostAccurateOnly(&w.registry);
     IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get(), opts);
     AllocationInput in;
     in.demand_qps = demandOf(w, {50.0, 20.0, 10.0});
@@ -199,12 +215,7 @@ TEST(IlpAllocatorTest, AggregatedMatchesPerDeviceFormulation)
     World w = miniWorld(2, 1, 1);
     std::vector<double> demand = demandOf(w, {60.0, 25.0, 0.0});
 
-    IlpAllocatorOptions opts;
-    opts.keep_plan_hysteresis = 0.0;
-    opts.churn_damping = 0.0;
-    opts.milp_gap = 1e-7;
-    opts.milp_time_limit_sec = 30.0;
-    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get(), opts);
+    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
     AllocationInput in;
     in.demand_qps = demand;
     Allocation plan = alloc.allocate(in);
@@ -231,7 +242,7 @@ TEST(IlpAllocatorTest, PaperScaleSolvesFast)
     in.demand_qps = demand;
     Allocation plan = alloc.allocate(in);
     EXPECT_GT(plan.expected_accuracy, 90.0);
-    EXPECT_LT(alloc.lastStats().solve_seconds, 5.0);
+    EXPECT_LT(alloc.lastSolveMeta().wall_seconds, 5.0);
 }
 
 }  // namespace

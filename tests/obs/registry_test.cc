@@ -127,7 +127,8 @@ TEST(HistogramTest, KnownDistributionPercentilesWithinOneBucket)
         std::sort(c.samples->begin(), c.samples->end());
         for (double p : {50.0, 95.0, 99.0}) {
             const std::size_t rank = static_cast<std::size_t>(
-                p / 100.0 * (c.samples->size() - 1));
+                p / 100.0 *
+                static_cast<double>(c.samples->size() - 1));
             const double exact = (*c.samples)[rank];
             const double est = c.h->percentile(p);
             EXPECT_NEAR(est, exact, bucketWidthAt(*c.h, exact))
