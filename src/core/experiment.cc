@@ -1,5 +1,6 @@
 #include "core/experiment.h"
 
+#include <cmath>
 #include <fstream>
 
 #include "common/logging.h"
@@ -200,6 +201,24 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     PROTEUS_FATAL("unknown workload kind: ", kind);
 }
 
+/**
+ * The MILP work budget in simplex iterations: an integer in [1, 2^53]
+ * (every such count is exact in a JSON double). The solver reads a
+ * budget <= 0 as "no limit", so zero, negative and fractional values
+ * would silently leave only the wall-clock backstop.
+ */
+std::int64_t
+workBudgetFromJson(const JsonValue& json, std::int64_t fallback)
+{
+    const double v =
+        json.numberOr("milp_work_budget", static_cast<double>(fallback));
+    if (!(v >= 1.0 && v <= 9007199254740992.0 && v == std::floor(v))) {
+        PROTEUS_FATAL("milp_work_budget must be an integer in [1, 2^53] ",
+                      "(simplex iterations), got ", v);
+    }
+    return static_cast<std::int64_t>(v);
+}
+
 }  // namespace
 
 ExperimentSpec
@@ -224,9 +243,8 @@ loadExperiment(const JsonValue& json)
     spec.config.ilp_decision_delay = seconds(json.numberOr(
         "decision_delay_sec",
         toSeconds(spec.config.ilp_decision_delay)));
-    spec.config.milp_work_budget = static_cast<std::int64_t>(
-        json.numberOr("milp_work_budget",
-                      static_cast<double>(spec.config.milp_work_budget)));
+    spec.config.milp_work_budget = workBudgetFromJson(
+        json, spec.config.milp_work_budget);
     spec.config.latency_jitter_frac = json.numberOr(
         "latency_jitter", spec.config.latency_jitter_frac);
     spec.config.seed =

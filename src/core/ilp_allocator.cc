@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "core/counts_evaluator.h"
 
 namespace proteus {
 
@@ -29,126 +30,6 @@ constexpr double kChurnPeriodSec = 30.0;
 /** Model load time that prices churn: a flat estimate (seconds). */
 constexpr double kLoadTimeSec = 0.3;
 
-/**
- * Exact objective of a fixed integer hosting plan: given per-(type,
- * variant) device counts, the optimal served-QPS assignment fills each
- * family's demand onto its highest-accuracy hosted capacity first
- * (the only coupling across families is the hosting budget, which the
- * counts already satisfy). Returns the accuracy-weighted served sum
- * minus the replica tie-penalty, or infeasible when some family's
- * capacity cannot cover its demand.
- */
-struct CountsEval {
-    bool feasible = false;
-    double objective = 0.0;
-};
-
-struct CountsContext {
-    const ModelRegistry* registry;
-    const ProfileStore* profiles;
-    double replica_penalty;
-    /** Variants of family f sorted by accuracy descending. */
-    const std::vector<std::vector<VariantId>>* by_acc_desc;
-    /** Churn damping (may be null): bonus and current counts. */
-    const std::vector<std::vector<double>>* keep_bonus = nullptr;
-    const std::vector<std::vector<int>>* cur_counts = nullptr;
-};
-
-double
-familyValue(const CountsContext& ctx,
-            const std::vector<std::vector<int>>& count, FamilyId f,
-            double demand, bool* feasible)
-{
-    double remaining = demand;
-    double value = 0.0;
-    for (VariantId m : (*ctx.by_acc_desc)[f]) {
-        if (remaining <= 1e-9)
-            break;
-        double acc = ctx.registry->variant(m).accuracy;
-        for (std::size_t t = 0; t < count.size(); ++t) {
-            if (count[t][m] <= 0)
-                continue;
-            double cap =
-                ctx.profiles->get(m, static_cast<DeviceTypeId>(t))
-                    .peak_qps *
-                count[t][m];
-            double used = std::min(cap, remaining);
-            value += acc * used;
-            remaining -= used;
-            if (remaining <= 1e-9)
-                break;
-        }
-    }
-    *feasible = remaining <= 1e-6 * std::max(1.0, demand);
-    return value;
-}
-
-CountsEval
-evalCounts(const CountsContext& ctx,
-           const std::vector<std::vector<int>>& count,
-           const std::vector<double>& demand)
-{
-    CountsEval out;
-    out.feasible = true;
-    for (std::size_t f = 0; f < demand.size(); ++f) {
-        if (demand[f] <= 0.0)
-            continue;
-        bool ok = false;
-        out.objective += familyValue(ctx, count,
-                                     static_cast<FamilyId>(f),
-                                     demand[f], &ok);
-        out.feasible &= ok;
-    }
-    int replicas = 0;
-    for (const auto& row : count)
-        for (int c : row)
-            replicas += c;
-    out.objective -= ctx.replica_penalty * replicas;
-    if (ctx.keep_bonus && ctx.cur_counts) {
-        for (std::size_t t = 0; t < count.size(); ++t) {
-            for (std::size_t m = 0; m < count[t].size(); ++m) {
-                int kept = std::min(count[t][m], (*ctx.cur_counts)[t][m]);
-                if (kept > 0)
-                    out.objective += (*ctx.keep_bonus)[t][m] * kept;
-            }
-        }
-    }
-    return out;
-}
-
-/** Greedy served-QPS assignment for fixed counts (highest acc first). */
-std::vector<std::vector<double>>
-greedyFill(const CountsContext& ctx,
-           const std::vector<std::vector<int>>& count,
-           const std::vector<double>& demand)
-{
-    std::vector<std::vector<double>> qps(
-        count.size(), std::vector<double>(count.empty() ? 0
-                                                        : count[0].size(),
-                                          0.0));
-    for (std::size_t f = 0; f < demand.size(); ++f) {
-        double remaining = demand[f];
-        for (VariantId m : (*ctx.by_acc_desc)[f]) {
-            if (remaining <= 1e-12)
-                break;
-            for (std::size_t t = 0; t < count.size(); ++t) {
-                if (count[t][m] <= 0)
-                    continue;
-                double cap =
-                    ctx.profiles->get(m, static_cast<DeviceTypeId>(t))
-                        .peak_qps *
-                    count[t][m];
-                double used = std::min(cap, remaining);
-                qps[t][m] += used;
-                remaining -= used;
-                if (remaining <= 1e-12)
-                    break;
-            }
-        }
-    }
-    return qps;
-}
-
 }  // namespace
 
 IlpAllocator::IlpAllocator(const ModelRegistry* registry,
@@ -158,14 +39,9 @@ IlpAllocator::IlpAllocator(const ModelRegistry* registry,
     : registry_(registry),
       cluster_(cluster),
       profiles_(profiles),
-      options_(options)
+      options_(options),
+      by_acc_desc_(variantsByAccuracyDesc(*registry))
 {
-    by_acc_desc_.resize(registry_->numFamilies());
-    for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
-        auto vs = registry_->variantsOf(f);
-        std::reverse(vs.begin(), vs.end());  // accuracy descending
-        by_acc_desc_[f] = std::move(vs);
-    }
     meta_.work_budget = options_.milp_work_budget;
 }
 
@@ -398,16 +274,17 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         return out;
     }
 
-    // Warm-start hint, built in three steps:
-    //  1. solve the LP relaxation and round the device counts with a
-    //     per-budget repair (ceil in descending fractional order
-    //     while the hosting/quota budgets allow, floor otherwise);
+    // Warm-start hint, built by the B&B root-hint callback from the
+    // root LP relaxation in three steps:
+    //  1. round the device counts with a per-budget repair (ceil in
+    //     descending fractional order while the hosting/quota budgets
+    //     allow, floor otherwise);
     //  2. improve the integer counts by local search, using the exact
-    //     greedy evaluation of a fixed hosting plan (microseconds per
-    //     move);
+    //     greedy evaluation of a fixed hosting plan (a move re-scores
+    //     only the families it touches);
     //  3. synthesize the matching served-QPS values.
     // The result is typically within the MILP gap already, letting
-    // branch & bound prune almost immediately.
+    // branch & bound prune at the root.
     CountsContext ctx;
     ctx.registry = registry_;
     ctx.profiles = profiles_;
@@ -422,10 +299,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         return n_col[t][m] >= 0;
     };
 
-    std::vector<double> hint;
-    SimplexSolver splx;
-    Solution relax = splx.solve(lp);
-    if (relax.status == SolveStatus::Optimal) {
+    auto root_hint = [&](const std::vector<double>& root_x) {
         // Step 1: budget-repair rounding of the LP counts.
         std::vector<std::vector<int>> count(T, std::vector<int>(M, 0));
         std::vector<int> budget(T);
@@ -438,7 +312,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
             for (std::size_t m = 0; m < M; ++m) {
                 if (!col_ok(t, m))
                     continue;
-                double v = relax.x[n_col[t][m]];
+                double v = root_x[n_col[t][m]];
                 int fl = static_cast<int>(std::floor(v + 1e-9));
                 count[t][m] = fl;
                 budget[t] -= fl;
@@ -465,7 +339,12 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
 
         // Step 2: first-improvement local search over count moves
         // (re-purpose one device of a type, or add an idle one).
-        CountsEval cur_eval = evalCounts(ctx, count, eff_demand);
+        CountsEvaluator ev(ctx, std::move(count), eff_demand);
+        auto improves = [](const CountsEval& e, const CountsEval& base) {
+            return (e.feasible && !base.feasible) ||
+                   (e.feasible == base.feasible &&
+                    e.objective > base.objective + 1e-9);
+        };
         auto quota_allows = [&](std::size_t t, std::size_t m) {
             if (quota_left.empty())
                 return true;
@@ -480,12 +359,8 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                         continue;
                     // Pure add from idle budget.
                     if (budget[t] > 0 && quota_allows(t, dst)) {
-                        ++count[t][dst];
-                        CountsEval e = evalCounts(ctx, count, eff_demand);
-                        if ((e.feasible && !cur_eval.feasible) ||
-                            (e.feasible == cur_eval.feasible &&
-                             e.objective > cur_eval.objective + 1e-9)) {
-                            cur_eval = e;
+                        const CountsEval base = ev.eval();
+                        if (improves(ev.tryAdd(t, dst), base)) {
                             --budget[t];
                             if (!quota_left.empty()) {
                                 --quota_left[t][registry_->familyOf(
@@ -494,11 +369,11 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                             improved = true;
                             continue;
                         }
-                        --count[t][dst];
+                        ev.reject();
                     }
                     // Re-purpose one device from another variant.
                     for (std::size_t src = 0; src < M; ++src) {
-                        if (src == dst || count[t][src] <= 0)
+                        if (src == dst || ev.count()[t][src] <= 0)
                             continue;
                         FamilyId sf = registry_->familyOf(
                             static_cast<VariantId>(src));
@@ -508,21 +383,15 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                             quota_left[t][df] <= 0) {
                             continue;
                         }
-                        --count[t][src];
-                        ++count[t][dst];
-                        CountsEval e = evalCounts(ctx, count, eff_demand);
-                        if ((e.feasible && !cur_eval.feasible) ||
-                            (e.feasible == cur_eval.feasible &&
-                             e.objective > cur_eval.objective + 1e-9)) {
-                            cur_eval = e;
+                        const CountsEval base = ev.eval();
+                        if (improves(ev.tryRepurpose(t, src, dst), base)) {
                             if (!quota_left.empty() && sf != df) {
                                 ++quota_left[t][sf];
                                 --quota_left[t][df];
                             }
                             improved = true;
                         } else {
-                            ++count[t][src];
-                            --count[t][dst];
+                            ev.reject();
                         }
                     }
                 }
@@ -532,27 +401,30 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         }
 
         // Step 3: synthesize the hint vector (counts + greedy w).
-        if (cur_eval.feasible) {
-            hint.assign(static_cast<std::size_t>(lp.numVariables()), 0.0);
-            for (std::size_t t = 0; t < T; ++t) {
-                for (std::size_t m = 0; m < M; ++m) {
-                    if (col_ok(t, m))
-                        hint[n_col[t][m]] = count[t][m];
-                }
+        std::vector<double> hint;
+        if (!ev.eval().feasible)
+            return hint;
+        const auto& hinted = ev.count();
+        hint.assign(static_cast<std::size_t>(lp.numVariables()), 0.0);
+        for (std::size_t t = 0; t < T; ++t) {
+            for (std::size_t m = 0; m < M; ++m) {
+                if (col_ok(t, m))
+                    hint[n_col[t][m]] = hinted[t][m];
             }
-            auto qps = greedyFill(ctx, count, eff_demand);
-            for (std::size_t t = 0; t < T; ++t) {
-                for (std::size_t m = 0; m < M; ++m) {
-                    if (col_ok(t, m) && qps[t][m] > 0.0)
-                        hint[w_col[t][m]] = qps[t][m];
-                    if (k_col[t][m] >= 0 && cur) {
-                        hint[k_col[t][m]] = std::min(
-                            count[t][m], (*cur)[t][m]);
-                    }
+        }
+        auto qps = ev.greedyFill();
+        for (std::size_t t = 0; t < T; ++t) {
+            for (std::size_t m = 0; m < M; ++m) {
+                if (col_ok(t, m) && qps[t][m] > 0.0)
+                    hint[w_col[t][m]] = qps[t][m];
+                if (k_col[t][m] >= 0 && cur) {
+                    hint[k_col[t][m]] = std::min(
+                        hinted[t][m], (*cur)[t][m]);
                 }
             }
         }
-    }
+        return hint;
+    };
 
     MilpSolver::Options mopt;
     mopt.work_limit_iters = options_.milp_work_budget;
@@ -560,7 +432,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     mopt.gap_tol = kMilpGap;
     mopt.heuristic_period = 4;
     MilpSolver milp(mopt);
-    Solution sol = milp.solve(lp, hint.empty() ? nullptr : &hint);
+    Solution sol = milp.solve(lp, root_hint);
     out.nodes = sol.work;
     out.simplex_iters = milp.lastStats().simplex_iterations;
     out.gap = milp.lastStats().gap;
@@ -848,13 +720,14 @@ IlpAllocator::allocate(const AllocationInput& input)
             if (!servable)
                 check[f] = 0.0;
         }
-        CountsEval cur_eval = evalCounts(ctx, cur_counts, check);
+        CountsEvaluator kept_plan(ctx, cur_counts, check);
+        const CountsEval& cur_eval = kept_plan.eval();
         if (cur_eval.feasible &&
             cur_eval.objective >=
                 sol.objective * (1.0 - kKeepPlanHysteresis)) {
             TypeSolution kept;
             kept.count = cur_counts;
-            kept.qps = greedyFill(ctx, cur_counts, check);
+            kept.qps = kept_plan.greedyFill();
             kept.objective = cur_eval.objective;
             kept.feasible = true;
             kept.nodes = sol.nodes;

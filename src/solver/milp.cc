@@ -53,8 +53,7 @@ mostFractional(const LinearProgram& lp, const std::vector<double>& x,
 }  // namespace
 
 Solution
-MilpSolver::solve(const LinearProgram& lp,
-                  const std::vector<double>* hint)
+MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
 {
     const WallTimer timer;
     const bool maximize = lp.objSense() == ObjSense::Maximize;
@@ -87,25 +86,21 @@ MilpSolver::solve(const LinearProgram& lp,
     double incumbent = -kInf;  // oriented
     double best_dual = kInf;   // oriented upper bound on the optimum
 
-    // Warm start: accept the hint as the initial incumbent when it is
-    // feasible and integral.
-    if (hint && static_cast<int>(hint->size()) == lp.numVariables() &&
-        lp.isFeasible(*hint, 1e-6)) {
-        bool integral = true;
+    // Warm start: accept the root hint's candidate as the initial
+    // incumbent when it is feasible and integral.
+    auto acceptHint = [&](std::vector<double> hint) {
+        if (static_cast<int>(hint.size()) != lp.numVariables() ||
+            !lp.isFeasible(hint, 1e-6))
+            return;
         for (int j : lp.integerVariables()) {
-            if (std::abs((*hint)[j] - std::round((*hint)[j])) >
-                options_.int_tol) {
-                integral = false;
-                break;
-            }
+            if (std::abs(hint[j] - std::round(hint[j])) > options_.int_tol)
+                return;
         }
-        if (integral) {
-            incumbent = orient(lp.objectiveValue(*hint));
-            best.x = *hint;
-            best.objective = lp.objectiveValue(*hint);
-            best.status = SolveStatus::Feasible;
-        }
-    }
+        incumbent = orient(lp.objectiveValue(hint));
+        best.objective = lp.objectiveValue(hint);
+        best.x = std::move(hint);
+        best.status = SolveStatus::Feasible;
+    };
 
     std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
     open.push(Node{root_bounds, kInf, 0});
@@ -252,8 +247,11 @@ MilpSolver::solve(const LinearProgram& lp,
             continue;  // iteration limit in relaxation: prune (rare)
 
         double bound = orient(relax.objective);
-        if (nodes == 1)
+        if (nodes == 1) {
             best_dual = bound;
+            if (root_hint)
+                acceptHint(root_hint(relax.x));
+        }
         if (bound <= incumbent + std::abs(incumbent) * options_.gap_tol +
                          1e-12) {
             continue;  // cannot improve

@@ -8,12 +8,19 @@
  * wall-clock limits; within the limits the returned solution is
  * globally optimal, matching the paper's use of an exact MILP
  * (§4, "Solving the MILP").
+ *
+ * A caller with problem knowledge warm-starts the search through a
+ * root-hint callback: it sees the root relaxation once and proposes an
+ * incumbent built from it, so one LP solve serves both the hint and
+ * the root bound.
  */
 
 #ifndef PROTEUS_SOLVER_MILP_H_
 #define PROTEUS_SOLVER_MILP_H_
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "solver/lp.h"
 #include "solver/simplex.h"
@@ -64,7 +71,10 @@ class MilpSolver
         std::int64_t lp_solves = 0;
         /** Simplex iterations summed over all LP solves. */
         std::int64_t simplex_iterations = 0;
-        /** Incumbents accepted (warm start, heuristics, search). */
+        /**
+         * Incumbents found by the heuristics and the search (an
+         * accepted root hint is not counted).
+         */
         int incumbents = 0;
         /** Final relative incumbent/dual-bound gap (0 when proven). */
         double gap = 0.0;
@@ -80,19 +90,30 @@ class MilpSolver
     const Stats& lastStats() const { return stats_; }
 
     /**
+     * Warm-start callback: receives the root relaxation's solution and
+     * returns a candidate incumbent, or an empty vector for none.
+     */
+    using RootHint =
+        std::function<std::vector<double>(const std::vector<double>&)>;
+
+    /**
      * Solve @p lp to proven optimality (within the configured gap)
      * or until a limit is hit.
      *
-     * @param hint optional warm-start assignment. When it is feasible
-     *        and integral it seeds the incumbent, letting best-first
-     *        search prune immediately (the Proteus allocator passes
-     *        an LP-rounding repair solution here).
+     * @param root_hint optional warm start, called once, right after
+     *        the root LP is solved to optimality and before the root's
+     *        bound test (never when the root LP is infeasible or
+     *        unbounded). A candidate that is feasible and integral
+     *        seeds the incumbent, letting best-first search prune at
+     *        the root; any other candidate is ignored. The Proteus
+     *        allocator rounds and locally improves the root solution
+     *        here.
      *
      * Solution::work reports branch-and-bound nodes; Solution::bound
      * reports the best proven dual bound in the model's sense.
      */
     Solution solve(const LinearProgram& lp,
-                   const std::vector<double>* hint = nullptr);
+                   const RootHint& root_hint = nullptr);
 
   private:
     Options options_;

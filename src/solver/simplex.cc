@@ -74,6 +74,7 @@ class Tableau
     std::vector<char> nb_at_upper_; ///< nonbasic at upper bound?
     std::vector<double> xb_;        ///< values of basic variables
     std::vector<double> d_;         ///< reduced costs
+    std::vector<int> pivot_nz_;     ///< non-zero columns of the pivot row
 
     std::int64_t iters_ = 0;
     int n_artificial_ = 0;
@@ -430,12 +431,18 @@ Tableau::iterate(bool bland)
         nb_at_upper_[leave_col] = 0;
     pos_in_basis_[leave_col] = -1;
 
-    // Gaussian elimination on the tableau and the reduced-cost row.
+    // Gaussian elimination on the tableau and the reduced-cost row,
+    // over the pivot row's non-zero columns only: a skipped column
+    // would subtract f * 0.0, which at most flips the sign of a zero.
     double piv = get(leave_row, enter);
     double* prow = &tab_[static_cast<std::size_t>(leave_row) * stride_];
     double inv = 1.0 / piv;
-    for (int j = 0; j < n_; ++j)
+    pivot_nz_.clear();
+    for (int j = 0; j < n_; ++j) {
         prow[j] *= inv;
+        if (prow[j] != 0.0)
+            pivot_nz_.push_back(j);
+    }
     for (int i = 0; i < m_; ++i) {
         if (i == leave_row)
             continue;
@@ -443,13 +450,13 @@ Tableau::iterate(bool bland)
         if (f == 0.0)
             continue;
         double* row = &tab_[static_cast<std::size_t>(i) * stride_];
-        for (int j = 0; j < n_; ++j)
+        for (int j : pivot_nz_)
             row[j] -= f * prow[j];
         row[enter] = 0.0;
     }
     double df = d_[enter];
     if (df != 0.0) {
-        for (int j = 0; j < n_; ++j)
+        for (int j : pivot_nz_)
             d_[j] -= df * prow[j];
         d_[enter] = 0.0;
     }

@@ -8,6 +8,15 @@
  * nonbasic variables, and falls back from Dantzig pricing to Bland's
  * rule when it detects stalling, which guarantees termination.
  *
+ * Storage is dense but elimination is pivot-row-sparse: each pivot
+ * collects the non-zero columns of the scaled pivot row once and
+ * updates the other rows and the reduced-cost row over those columns
+ * only. Allocation-shaped rows have 2-3 coefficients, so a pivot row
+ * typically has a fifth of the columns non-zero. Skipping a zero
+ * column can at most change the sign of a zero entry, which no
+ * comparison, ratio or output reads, so the pivot sequence is the
+ * same as with full-row elimination.
+ *
  * Phase 1 introduces artificial variables only for rows whose initial
  * slack value violates the slack bounds, then minimizes their sum.
  *

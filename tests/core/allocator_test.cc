@@ -245,5 +245,36 @@ TEST(IlpAllocatorTest, PaperScaleSolvesFast)
     EXPECT_LT(alloc.lastSolveMeta().wall_seconds, 5.0);
 }
 
+TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
+{
+    // Branch & bound effort of two paper-zoo decisions as the
+    // full-row-elimination simplex and the separately solved hint LP
+    // produced them. The first ends at the root on the warm-start
+    // hint; the second, re-planning from the first plan with churn
+    // keep bonuses, branches. Optimisations that keep the pivot
+    // sequence and the hint must reproduce them exactly.
+    World w = paperWorld();
+    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
+    AllocationInput in;
+    in.demand_qps.assign(w.registry.numFamilies(), 50.0);
+    Allocation first = alloc.allocate(in);
+    EXPECT_EQ(alloc.lastSolveMeta().nodes, 1);
+    EXPECT_EQ(alloc.lastSolveMeta().simplex_iterations, 93);
+    EXPECT_EQ(alloc.lastSolveMeta().gap, 0.0);
+    EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
+    EXPECT_EQ(first.expected_accuracy, 96.533333333333331);
+
+    for (std::size_t f = 0; f < in.demand_qps.size(); ++f)
+        in.demand_qps[f] = 40.0 + 35.0 * static_cast<double>(f);
+    in.current = &first;
+    Allocation second = alloc.allocate(in);
+    EXPECT_EQ(alloc.lastSolveMeta().nodes, 315);
+    EXPECT_EQ(alloc.lastSolveMeta().simplex_iterations, 72742);
+    EXPECT_EQ(alloc.lastSolveMeta().gap, 0.0);
+    EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
+    EXPECT_EQ(second.expected_accuracy, 90.102252387670788);
+    EXPECT_EQ(second.planned_qps, 1620.0);
+}
+
 }  // namespace
 }  // namespace proteus

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 namespace proteus {
 namespace {
@@ -120,6 +122,49 @@ TEST(ExperimentTest, TraceCsvWithoutHeader)
     Trace t = Trace::readCsv(ss);
     ASSERT_EQ(t.size(), 2u);
     EXPECT_EQ(t.events()[1].family, 1u);
+}
+
+/** A small valid config with the given milp_work_budget value. */
+std::string
+configWithWorkBudget(const std::string& budget)
+{
+    return R"({"cluster": {"cpu": 2, "gtx1080ti": 1, "v100": 1},
+               "zoo": "mini",
+               "workload": {"kind": "steady", "duration_sec": 5,
+                            "qps": 20},
+               "milp_work_budget": )" +
+           budget + "}";
+}
+
+TEST(ExperimentTest, WorkBudgetAcceptsPositiveIntegers)
+{
+    EXPECT_EQ(loadExperiment(parse(configWithWorkBudget("5000")))
+                  .config.milp_work_budget,
+              5000);
+    EXPECT_EQ(loadExperiment(parse(configWithWorkBudget("9007199254740992")))
+                  .config.milp_work_budget,
+              std::int64_t{1} << 53);
+}
+
+TEST(ExperimentDeathTest, WorkBudgetRejectsNegative)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithWorkBudget("-1"))),
+                ::testing::ExitedWithCode(1),
+                "milp_work_budget must be an integer in \\[1, 2\\^53\\].*got -1");
+}
+
+TEST(ExperimentDeathTest, WorkBudgetRejectsFraction)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithWorkBudget("0.5"))),
+                ::testing::ExitedWithCode(1),
+                "milp_work_budget must be an integer.*got 0\\.5");
+}
+
+TEST(ExperimentDeathTest, WorkBudgetRejectsOutOfRange)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithWorkBudget("1e30"))),
+                ::testing::ExitedWithCode(1),
+                "milp_work_budget must be an integer.*got 1e\\+30");
 }
 
 }  // namespace

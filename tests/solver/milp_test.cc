@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "solver/lp.h"
+#include "solver/simplex.h"
 
 namespace proteus {
 namespace {
@@ -106,9 +107,13 @@ TEST(MilpTest, EqualityWithIntegers)
     EXPECT_NEAR(sol.objective, 12.0, 1e-6);
 }
 
-TEST(MilpTest, AllocationShapedMilp)
+/**
+ * The integral version of the LP in SimplexTest: optimum 6700 at
+ * n_a = 1, n_b = 2; the LP bound is 6833.3.
+ */
+LinearProgram
+allocationShaped()
 {
-    // The integral version of the LP in SimplexTest: n_b=2, n_a=1.
     LinearProgram lp;
     int na = lp.addIntVariable(0.0, 3.0, 0.0, "n_a");
     int nb = lp.addIntVariable(0.0, 3.0, 0.0, "n_b");
@@ -118,11 +123,138 @@ TEST(MilpTest, AllocationShapedMilp)
     lp.addConstraint({{wb, 1.0}, {nb, -20.0}}, RowSense::LessEqual, 0.0);
     lp.addConstraint({{na, 1.0}, {nb, 1.0}}, RowSense::LessEqual, 3.0);
     lp.addConstraint({{wa, 1.0}, {wb, 1.0}}, RowSense::Equal, 70.0);
+    return lp;
+}
+
+TEST(MilpTest, AllocationShapedMilp)
+{
+    LinearProgram lp = allocationShaped();
     Solution sol = MilpSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
     EXPECT_NEAR(sol.objective, 6700.0, 1e-5);
-    EXPECT_NEAR(sol.x[na], 1.0, 1e-6);
-    EXPECT_NEAR(sol.x[nb], 2.0, 1e-6);
+    EXPECT_NEAR(sol.x[0], 1.0, 1e-6);
+    EXPECT_NEAR(sol.x[1], 2.0, 1e-6);
+}
+
+/** A branchy knapsack whose LP relaxation is fractional. */
+LinearProgram
+branchyKnapsack()
+{
+    LinearProgram lp;
+    const double profit[] = {9.0, 8.0, 7.5, 7.0, 6.5, 6.0, 5.5, 5.0};
+    const double weight[] = {3.1, 2.9, 2.7, 2.5, 2.3, 2.1, 1.9, 1.7};
+    std::vector<std::pair<int, double>> row;
+    for (int i = 0; i < 8; ++i) {
+        std::string name = "x";
+        name += std::to_string(i);
+        int v = lp.addIntVariable(0.0, 1.0, profit[i], name);
+        row.emplace_back(v, weight[i]);
+    }
+    lp.addConstraint(row, RowSense::LessEqual, 9.05);
+    return lp;
+}
+
+TEST(MilpTest, AllocationShapedWorkIsPinned)
+{
+    // Nodes, LP solves and simplex iterations as the full-row-
+    // elimination simplex produced them: optimisations that keep the
+    // pivot sequence must reproduce them exactly.
+    LinearProgram lp = allocationShaped();
+    MilpSolver solver;
+    Solution sol = solver.solve(lp);
+    EXPECT_EQ(sol.status, SolveStatus::Optimal);
+    EXPECT_EQ(sol.objective, 6700.0);
+    EXPECT_EQ(sol.work, 3);
+    EXPECT_EQ(solver.lastStats().nodes, 3);
+    EXPECT_EQ(solver.lastStats().lp_solves, 5);
+    EXPECT_EQ(solver.lastStats().simplex_iterations, 27);
+    EXPECT_EQ(solver.lastStats().incumbents, 1);
+    EXPECT_EQ(solver.lastStats().gap, 0.0);
+}
+
+TEST(MilpTest, RootHintRunsOnceOnTheRootRelaxation)
+{
+    LinearProgram lp = branchyKnapsack();
+    const Solution root = SimplexSolver().solve(lp);
+    ASSERT_EQ(root.status, SolveStatus::Optimal);
+
+    int calls = 0;
+    std::vector<double> seen;
+    MilpSolver solver;
+    Solution sol = solver.solve(lp, [&](const std::vector<double>& x) {
+        ++calls;
+        seen = x;
+        return std::vector<double>{};
+    });
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(seen, root.x);
+    EXPECT_GT(solver.lastStats().nodes, 1);
+
+    // An empty candidate leaves the search exactly as without a hint.
+    MilpSolver plain;
+    Solution ref = plain.solve(lp);
+    EXPECT_EQ(sol.x, ref.x);
+    EXPECT_EQ(solver.lastStats().simplex_iterations,
+              plain.lastStats().simplex_iterations);
+}
+
+TEST(MilpTest, IntegralRootHintWithinGapEndsAtTheRoot)
+{
+    LinearProgram lp = allocationShaped();
+    MilpSolver::Options opts;
+    opts.gap_tol = 0.05;  // 6700 is within 2% of the 6833.3 LP bound
+    MilpSolver solver(opts);
+    Solution sol = solver.solve(lp, [](const std::vector<double>&) {
+        return std::vector<double>{1.0, 2.0, 30.0, 40.0};
+    });
+    EXPECT_EQ(sol.status, SolveStatus::Optimal);
+    EXPECT_EQ(sol.x, (std::vector<double>{1.0, 2.0, 30.0, 40.0}));
+    EXPECT_EQ(sol.objective, 6700.0);
+    EXPECT_EQ(solver.lastStats().nodes, 1);
+    EXPECT_EQ(solver.lastStats().lp_solves, 1);
+}
+
+TEST(MilpTest, FractionalOrInfeasibleRootHintIsIgnored)
+{
+    LinearProgram lp = allocationShaped();
+    MilpSolver::Options opts;
+    opts.gap_tol = 0.05;
+    MilpSolver plain(opts);
+    Solution ref = plain.solve(lp);
+
+    const std::vector<std::vector<double>> rejected = {
+        {1.5, 1.5, 35.0, 35.0},  // feasible but fractional
+        {3.0, 3.0, 70.0, 0.0},   // integral but breaks n_a + n_b <= 3
+        {1.0, 2.0},              // wrong size
+    };
+    for (const auto& candidate : rejected) {
+        MilpSolver solver(opts);
+        Solution sol = solver.solve(lp, [&](const std::vector<double>&) {
+            return candidate;
+        });
+        EXPECT_EQ(sol.status, ref.status);
+        EXPECT_EQ(sol.x, ref.x);
+        EXPECT_EQ(solver.lastStats().nodes, plain.lastStats().nodes);
+        EXPECT_EQ(solver.lastStats().lp_solves,
+                  plain.lastStats().lp_solves);
+        EXPECT_EQ(solver.lastStats().simplex_iterations,
+                  plain.lastStats().simplex_iterations);
+    }
+}
+
+TEST(MilpTest, RootHintSkippedWhenRootLpInfeasible)
+{
+    LinearProgram lp;
+    int x = lp.addIntVariable(0.0, 1.0, 1.0, "x");
+    int y = lp.addIntVariable(0.0, 1.0, 1.0, "y");
+    lp.addConstraint({{x, 1.0}, {y, 1.0}}, RowSense::GreaterEqual, 5.0);
+    bool called = false;
+    Solution sol = MilpSolver().solve(lp, [&](const std::vector<double>&) {
+        called = true;
+        return std::vector<double>{1.0, 1.0};
+    });
+    EXPECT_FALSE(called);
+    EXPECT_EQ(sol.status, SolveStatus::Infeasible);
 }
 
 TEST(MilpTest, BoundReportedForOptimal)
@@ -154,24 +286,6 @@ TEST(MilpTest, NodeLimitReturnsFeasibleOrLimit)
     } else {
         EXPECT_EQ(sol.status, SolveStatus::IterLimit);
     }
-}
-
-/** A branchy knapsack whose LP relaxation is fractional. */
-LinearProgram
-branchyKnapsack()
-{
-    LinearProgram lp;
-    const double profit[] = {9.0, 8.0, 7.5, 7.0, 6.5, 6.0, 5.5, 5.0};
-    const double weight[] = {3.1, 2.9, 2.7, 2.5, 2.3, 2.1, 1.9, 1.7};
-    std::vector<std::pair<int, double>> row;
-    for (int i = 0; i < 8; ++i) {
-        std::string name = "x";
-        name += std::to_string(i);
-        int v = lp.addIntVariable(0.0, 1.0, profit[i], name);
-        row.emplace_back(v, weight[i]);
-    }
-    lp.addConstraint(row, RowSense::LessEqual, 9.05);
-    return lp;
 }
 
 TEST(MilpTest, WorkBudgetTruncatesDeterministically)

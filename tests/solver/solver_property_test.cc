@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -71,6 +72,64 @@ TEST_P(RandomLpTest, NoFeasiblePointBeatsReportedOptimum)
                 << "seed " << GetParam();
         }
     }
+}
+
+/**
+ * Iterations and objective of both instances of each seed above, as the
+ * full-row-elimination simplex produced them. Pivot-sequence-preserving
+ * optimisations must reproduce them exactly.
+ */
+struct PinnedLp {
+    std::int64_t iters_a;
+    double objective_a;
+    std::int64_t iters_b;
+    double objective_b;
+};
+
+const PinnedLp kPinnedLps[] = {
+    {7, 28.182694388992722, 2, 21.082300774462666},  // seed 0
+    {3, 40.597572377482635, 6, 55.845460136068354},  // seed 1
+    {6, 50.008004401005863, 3, 5.9180528458260904},  // seed 2
+    {3, 42.538611356578464, 4, 27.163694324959991},  // seed 3
+    {4, 66.081324802670053, 6, 37.572675979635207},  // seed 4
+    {4, 33.650685351684842, 3, 19.319893725291095},  // seed 5
+    {5, 47.866228536026334, 3, 28.924093191195318},  // seed 6
+    {4, 44.60928379327374, 6, 52.518080534124437},  // seed 7
+    {3, 46.85595261076913, 4, 22.155898997147666},  // seed 8
+    {4, 51.198411157185234, 3, 49.047505642339118},  // seed 9
+    {2, 26.467519790820912, 3, 8.5496600536594087},  // seed 10
+    {3, 22.331842996241356, 3, 5.4045030840436858},  // seed 11
+    {3, 15.184043434774146, 6, 55.053408297531},  // seed 12
+    {5, 32.933859697141678, 3, 14.659405384489773},  // seed 13
+    {6, 82.492636038546621, 5, 47.591309414116736},  // seed 14
+    {6, 53.118654243462842, 1, 0.0},  // seed 15
+    {2, 6.2647657566992851, 6, 70.086785493374492},  // seed 16
+    {5, 20.015370771918157, 4, 47.016534927541151},  // seed 17
+    {5, 24.173616044735407, 3, 10.839363497344214},  // seed 18
+    {4, 27.021194671127216, 4, 21.413477746055641},  // seed 19
+    {2, 7.5101143301053384, 1, 0.0},  // seed 20
+    {3, 8.7285763428168224, 2, 20.388814266433993},  // seed 21
+    {2, 2.0884393692230128, 3, 19.778357508063593},  // seed 22
+    {7, 43.900962925476932, 5, 22.147316321707979},  // seed 23
+    {5, 89.482403431679117, 3, 32.434510517714244},  // seed 24
+};
+
+TEST_P(RandomLpTest, PivotSequenceIsPinned)
+{
+    const PinnedLp& pin = kPinnedLps[GetParam()];
+    Rng rng_a(1000 + GetParam());
+    LinearProgram a = randomBoxLp(rng_a, 6, 5);
+    Solution sa = SimplexSolver().solve(a);
+    EXPECT_EQ(sa.status, SolveStatus::Optimal);
+    EXPECT_EQ(sa.work, pin.iters_a);
+    EXPECT_EQ(sa.objective, pin.objective_a);
+
+    Rng rng_b(2000 + GetParam());
+    LinearProgram b = randomBoxLp(rng_b, 5, 4);
+    Solution sb = SimplexSolver().solve(b);
+    EXPECT_EQ(sb.status, SolveStatus::Optimal);
+    EXPECT_EQ(sb.work, pin.iters_b);
+    EXPECT_EQ(sb.objective, pin.objective_b);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpTest, ::testing::Range(0, 25));

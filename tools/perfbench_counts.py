@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Exact-count gate for the repository benchmark.
+
+Runs every perfbench workload once with per-layer tracing on a fixed
+seed and compares each metric whose unit is `count` (decisions, simplex
+iterations, branch-and-bound nodes, batches, model loads, spans, ...)
+exactly against a committed record. These counts do not depend on
+machine speed or load, so any difference means the program did
+different work. Wall-clock metrics are not compared.
+
+    python3 tools/perfbench_counts.py            # compare, exit 1 on a diff
+    python3 tools/perfbench_counts.py --update   # rewrite the record
+
+Run from anywhere; it uses the checkout the script lives in. Exit code:
+0 all counts equal, 1 a count differs or a correctness check failed,
+2 the benchmark could not be run.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = os.path.join(ROOT, "bench", "baselines",
+                      "perfbench_counts_seed1.json")
+WORKLOADS = ("diurnal", "pipeline", "steady")
+SEED = 1
+
+
+def run_counts(workload):
+    """Run one traced perfbench repetition; return its count metrics."""
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(SEED), "--seconds", "1",
+           "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode == 2 or not lines:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"perfbench {workload}: could not run")
+    result = json.loads(lines[-1])
+    counts = {name: m["value"] for name, m in result["metrics"].items()
+              if m["unit"] == "count"}
+    ok = result["correct"] and result["failed"] == 0
+    return counts, ok
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--update", action="store_true",
+                        help="write the measured counts to the record")
+    args = parser.parse_args()
+
+    measured = {}
+    all_ok = True
+    for workload in WORKLOADS:
+        counts, ok = run_counts(workload)
+        measured[workload] = counts
+        if not ok:
+            print(f"{workload}: perfbench correctness check failed")
+            all_ok = False
+
+    if args.update:
+        record = {
+            "command": "python3 perfbench/run.py --workload W --seed "
+                       f"{SEED} --seconds 1 --trace 1",
+            "workloads": measured,
+        }
+        with open(RECORD, "w") as f:
+            json.dump(record, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"wrote {os.path.relpath(RECORD, ROOT)}")
+        return 0 if all_ok else 1
+
+    with open(RECORD) as f:
+        expected = json.load(f)["workloads"]
+    diffs = 0
+    for workload in WORKLOADS:
+        want = expected.get(workload, {})
+        got = measured[workload]
+        for name in sorted(set(want) | set(got)):
+            w, g = want.get(name), got.get(name)
+            mark = "ok" if w == g else "DIFF"
+            diffs += w != g
+            print(f"{workload:9s} {name:28s} {str(w):>10s} {str(g):>10s}"
+                  f"  {mark}")
+    print(f"{diffs} count(s) differ from {os.path.relpath(RECORD, ROOT)}")
+    return 0 if diffs == 0 and all_ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
