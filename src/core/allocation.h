@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "solver/lp.h"
 
 namespace proteus {
 
@@ -113,6 +114,12 @@ struct AllocatorSolveMeta {
      * budget consumption (simplex_iterations / work_budget).
      */
     std::int64_t work_budget = 0;
+    /** Which condition ended the search (wall clock if any solve did). */
+    SearchStop stop = SearchStop::Gap;
+    /** The final solve's root LP re-optimised from the previous basis. */
+    bool warm_root = false;
+    /** Warm LP solves that fell back to a cold solve in this decision. */
+    std::int64_t cold_fallbacks = 0;
 };
 
 /** Strategy interface for resource allocation. */

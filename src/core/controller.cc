@@ -26,6 +26,10 @@ Controller::setObs(obs::Tracer* tracer, obs::MetricsRegistry* registry)
         last_nodes_ = registry->gauge("solver.last_nodes");
         last_iters_ = registry->gauge("solver.last_simplex_iters");
         work_frac_ = registry->gauge("solver.work_frac");
+        backoff_steps_ = registry->histogram("solver.backoff_steps");
+        gap_ = registry->histogram("solver.gap");
+        wall_limit_stops_ = registry->counter("solver.wall_limit_stops");
+        warm_roots_ = registry->counter("solver.warm_roots");
     }
 }
 
@@ -52,6 +56,14 @@ Controller::noteSolve(const AllocatorSolveMeta& meta)
                       static_cast<double>(meta.work_budget)
                 : 0.0);
     }
+    if (backoff_steps_)
+        backoff_steps_->record(static_cast<double>(meta.backoff_steps));
+    if (gap_)
+        gap_->record(meta.gap);
+    if (wall_limit_stops_ && meta.stop == SearchStop::WallClock)
+        wall_limit_stops_->inc();
+    if (warm_roots_ && meta.warm_root)
+        warm_roots_->inc();
     return decision;
 }
 

@@ -130,6 +130,12 @@ class Controller
     obs::Gauge* last_iters_ = nullptr;
     /** Last solve's simplex iterations over its work budget (0..1+). */
     obs::Gauge* work_frac_ = nullptr;
+    obs::Histogram* backoff_steps_ = nullptr;
+    obs::Histogram* gap_ = nullptr;
+    /** Decisions whose search ended on the wall clock (nondeterministic). */
+    obs::Counter* wall_limit_stops_ = nullptr;
+    /** Decisions whose root LP re-optimised from the previous basis. */
+    obs::Counter* warm_roots_ = nullptr;
     std::uint64_t decision_seq_ = 0;
 
     Allocation current_;

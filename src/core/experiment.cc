@@ -45,6 +45,25 @@ batchingKindFromName(const std::string& name)
 
 namespace {
 
+/**
+ * @return json[@p key], or @p fallback when absent, after checking it
+ * is a finite number above zero (or at least zero with @p zero_ok). A
+ * bad value would otherwise trip an assert deep in the run or run
+ * silently with a meaningless result.
+ */
+double
+positiveFromJson(const JsonValue& json, const char* key, double fallback,
+                 bool zero_ok = false)
+{
+    const double v = json.numberOr(key, fallback);
+    if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok)) {
+        PROTEUS_FATAL(key, zero_ok ? " must be a finite number >= 0"
+                                   : " must be a finite number > 0",
+                      ", got ", v);
+    }
+    return v;
+}
+
 Cluster
 clusterFromJson(const JsonValue& json)
 {
@@ -132,7 +151,7 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     if (kind == "diurnal") {
         DiurnalTraceConfig cfg;
         cfg.duration = duration;
-        cfg.base_qps = w.numberOr("base_qps", 250.0);
+        cfg.base_qps = positiveFromJson(w, "base_qps", 250.0, true);
         cfg.diurnal_amplitude_qps = w.numberOr("amplitude_qps", 350.0);
         cfg.cycles = w.numberOr("cycles", 2.0);
         cfg.seed = seed;
@@ -229,12 +248,12 @@ loadExperiment(const JsonValue& json)
         json.stringOr("model_allocation", "ilp"));
     spec.config.batching =
         batchingKindFromName(json.stringOr("batching", "accscale"));
-    spec.config.slo_multiplier =
-        json.numberOr("slo_multiplier", spec.config.slo_multiplier);
-    spec.config.control_period = seconds(json.numberOr(
-        "control_period_sec", toSeconds(spec.config.control_period)));
-    spec.config.planning_headroom = json.numberOr(
-        "planning_headroom", spec.config.planning_headroom);
+    spec.config.slo_multiplier = positiveFromJson(
+        json, "slo_multiplier", spec.config.slo_multiplier);
+    spec.config.control_period = seconds(positiveFromJson(
+        json, "control_period_sec", toSeconds(spec.config.control_period)));
+    spec.config.planning_headroom = positiveFromJson(
+        json, "planning_headroom", spec.config.planning_headroom);
     spec.config.burst_threshold =
         json.numberOr("burst_threshold", spec.config.burst_threshold);
     spec.config.snapshot_interval = seconds(json.numberOr(

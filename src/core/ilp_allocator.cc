@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -29,6 +30,25 @@ constexpr double kChurnDamping = 1.0;
 constexpr double kChurnPeriodSec = 30.0;
 /** Model load time that prices churn: a flat estimate (seconds). */
 constexpr double kLoadTimeSec = 0.3;
+
+/**
+ * What a column or row of the aggregated MILP stands for: the kind of
+ * the basis key that carries the root basis from one solve to the next.
+ * Its two coordinates are (type, variant) for n / w / k columns and
+ * capacity / keep rows, (type, family) for quota rows, (type, 0) for
+ * hosting rows and (family, 0) for demand rows.
+ */
+enum BasisKind {
+    kColCount,
+    kColQps,
+    kColKeep,
+    kRowHosting,
+    kRowCapacity,
+    kRowKeep,
+    kRowQuota,
+    kRowDemand,
+    kNumBasisKinds
+};
 
 }  // namespace
 
@@ -95,6 +115,16 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     // devices idle when capacity allows, reducing churn and energy.
     constexpr double kReplicaPenalty = 1e-4;
 
+    // What each column and row stands for, in creation order, as a
+    // flat index into last_basis_.
+    const std::size_t key_a = std::max(T, F);
+    const std::size_t key_b = std::max(M, F);
+    std::vector<std::size_t> col_keys;
+    std::vector<std::size_t> row_keys;
+    auto key = [&](BasisKind kind, std::size_t a, std::size_t b) {
+        return (static_cast<std::size_t>(kind) * key_a + a) * key_b + b;
+    };
+
     // Variable layout bookkeeping: only (t, m) pairs with positive
     // capacity get columns.
     std::vector<std::vector<int>> n_col(
@@ -147,6 +177,8 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
             w_col[t][m] = lp.addVariable(
                 0.0, kInf,
                 registry_->variant(static_cast<VariantId>(m)).accuracy);
+            col_keys.push_back(key(kColCount, t, m));
+            col_keys.push_back(key(kColQps, t, m));
         }
     }
 
@@ -175,6 +207,8 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                 lp.addConstraint(
                     {{k_col[t][m], 1.0}, {n_col[t][m], -1.0}},
                     RowSense::LessEqual, 0.0);
+                col_keys.push_back(key(kColKeep, t, m));
+                row_keys.push_back(key(kRowKeep, t, m));
             }
         }
     }
@@ -205,6 +239,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
             lp.addConstraint(std::move(coeffs), RowSense::LessEqual,
                              availableOfType(
                                  static_cast<DeviceTypeId>(t)));
+            row_keys.push_back(key(kRowHosting, t, 0));
         }
     }
 
@@ -219,6 +254,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
             lp.addConstraint(
                 {{w_col[t][m], 1.0}, {n_col[t][m], -peak}},
                 RowSense::LessEqual, 0.0);
+            row_keys.push_back(key(kRowCapacity, t, m));
         }
     }
 
@@ -237,6 +273,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                     lp.addConstraint(std::move(coeffs),
                                      RowSense::LessEqual,
                                      options_.family_quota[t][f]);
+                    row_keys.push_back(key(kRowQuota, t, f));
                 }
             }
         }
@@ -263,6 +300,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         }
         lp.addConstraint(std::move(coeffs), RowSense::Equal,
                          eff_demand[f]);
+        row_keys.push_back(key(kRowDemand, f, 0));
         any_demand = true;
     }
 
@@ -426,16 +464,38 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         return hint;
     };
 
+    // Root basis: the previous solve's, mapped by key. A new column
+    // starts nonbasic at its lower bound, a new row with its slack basic.
+    Basis start;
+    if (!last_basis_.empty()) {
+        start.reserve(col_keys.size() + row_keys.size());
+        for (std::size_t k : col_keys)
+            start.push_back(last_basis_[k].value_or(BasisStatus::AtLower));
+        for (std::size_t k : row_keys)
+            start.push_back(last_basis_[k].value_or(BasisStatus::Basic));
+    }
+
     MilpSolver::Options mopt;
     mopt.work_limit_iters = options_.milp_work_budget;
     mopt.time_limit_sec = options_.milp_time_limit_sec;
     mopt.gap_tol = kMilpGap;
     mopt.heuristic_period = 4;
     MilpSolver milp(mopt);
-    Solution sol = milp.solve(lp, root_hint);
+    Solution sol = milp.solve(lp, root_hint, start.empty() ? nullptr : &start);
+    const MilpSolver::Stats& stats = milp.lastStats();
     out.nodes = sol.work;
-    out.simplex_iters = milp.lastStats().simplex_iterations;
-    out.gap = milp.lastStats().gap;
+    out.simplex_iters = stats.simplex_iterations;
+    out.gap = stats.gap;
+    out.stop = stats.stop;
+    out.warm_root = stats.warm_root;
+    out.cold_fallbacks = stats.cold_fallbacks;
+    if (sol.basis.size() == col_keys.size() + row_keys.size()) {
+        last_basis_.assign(kNumBasisKinds * key_a * key_b, std::nullopt);
+        for (std::size_t j = 0; j < col_keys.size(); ++j)
+            last_basis_[col_keys[j]] = sol.basis[j];
+        for (std::size_t i = 0; i < row_keys.size(); ++i)
+            last_basis_[row_keys[i]] = sol.basis[col_keys.size() + i];
+    }
     if (sol.status == SolveStatus::Infeasible) {
         out.feasible = false;
         return out;
@@ -674,10 +734,17 @@ IlpAllocator::allocate(const AllocationInput& input)
     int steps = 0;
     std::int64_t total_nodes = 0;
     std::int64_t total_iters = 0;
-    while (true) {
+    std::int64_t fallbacks = 0;
+    bool wall_stop = false;
+    auto solve = [&]() {
         sol = solveAggregated(demand, cur);
         total_nodes += sol.nodes;
         total_iters += sol.simplex_iters;
+        fallbacks += sol.cold_fallbacks;
+        wall_stop |= sol.stop == SearchStop::WallClock;
+    };
+    while (true) {
+        solve();
         if (sol.feasible)
             break;
         ++steps;
@@ -686,9 +753,7 @@ IlpAllocator::allocate(const AllocationInput& input)
             // will shed all load until demand falls.
             for (auto& d : demand)
                 d = 0.0;
-            sol = solveAggregated(demand, cur);
-            total_nodes += sol.nodes;
-            total_iters += sol.simplex_iters;
+            solve();
             break;
         }
         for (auto& d : demand)
@@ -733,6 +798,8 @@ IlpAllocator::allocate(const AllocationInput& input)
             kept.nodes = sol.nodes;
             kept.simplex_iters = sol.simplex_iters;
             kept.gap = sol.gap;
+            kept.stop = sol.stop;
+            kept.warm_root = sol.warm_root;
             sol = std::move(kept);
         }
     }
@@ -746,6 +813,11 @@ IlpAllocator::allocate(const AllocationInput& input)
     meta_.simplex_iterations = total_iters;
     meta_.gap = sol.gap;
     meta_.backoff_steps = steps;
+    // A wall-clock stop anywhere in the backoff makes the decision
+    // machine-dependent, so it wins over the final solve's reason.
+    meta_.stop = wall_stop ? SearchStop::WallClock : sol.stop;
+    meta_.warm_root = sol.warm_root;
+    meta_.cold_fallbacks = fallbacks;
     return plan;
 }
 

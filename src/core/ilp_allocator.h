@@ -128,7 +128,11 @@ class IlpAllocator : public Allocator
         std::int64_t nodes = 0;
         std::int64_t simplex_iters = 0;          ///< summed LP work
         double gap = 0.0;                        ///< final MILP gap
+        SearchStop stop = SearchStop::Gap;       ///< what ended B&B
+        bool warm_root = false;                  ///< root LP warm?
+        std::int64_t cold_fallbacks = 0;         ///< warm LPs gone cold
     };
+
 
     TypeSolution solveAggregated(
         const std::vector<double>& demand,
@@ -158,6 +162,13 @@ class IlpAllocator : public Allocator
     /** Variants of each family, accuracy descending. */
     std::vector<std::vector<VariantId>> by_acc_desc_;
     AllocatorSolveMeta meta_;
+    /**
+     * Final root basis of the last MILP solve, indexed by what each
+     * column and row stands for (a BasisKind and two coordinates, see
+     * ilp_allocator.cc); the next solve (next decision or backoff step)
+     * starts from it. Empty before the first solve.
+     */
+    std::vector<std::optional<BasisStatus>> last_basis_;
     /** Failure mask of the allocate() call in progress (may be null). */
     const std::vector<char>* down_ = nullptr;
 };

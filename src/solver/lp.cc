@@ -93,4 +93,16 @@ toString(SolveStatus status)
     return "Unknown";
 }
 
+const char*
+toString(SearchStop stop)
+{
+    switch (stop) {
+      case SearchStop::Gap: return "gap";
+      case SearchStop::WorkBudget: return "work_budget";
+      case SearchStop::NodeLimit: return "node_limit";
+      case SearchStop::WallClock: return "wall_clock";
+    }
+    return "unknown";
+}
+
 }  // namespace proteus

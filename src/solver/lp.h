@@ -11,6 +11,7 @@
 #ifndef PROTEUS_SOLVER_LP_H_
 #define PROTEUS_SOLVER_LP_H_
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -130,6 +131,29 @@ enum class SolveStatus {
 /** @return a human-readable name for @p status. */
 const char* toString(SolveStatus status);
 
+/** Where one column sits in a simplex basis. */
+enum class BasisStatus : std::uint8_t { Basic, AtLower, AtUpper };
+
+/**
+ * A simplex basis: the status of every structural column, then of
+ * every row's slack in row order (numVariables() + numConstraints()
+ * entries). Empty means "no basis". A basis need not be valid for the
+ * problem it is offered to: the solver repairs a wrong count of basic
+ * columns or a singular choice with row slacks.
+ */
+using Basis = std::vector<BasisStatus>;
+
+/** Which condition ended a branch-and-bound search. */
+enum class SearchStop : std::uint8_t {
+    Gap,         ///< the tree was exhausted or the gap closed
+    WorkBudget,  ///< the simplex-iteration work budget ran out
+    NodeLimit,   ///< the node limit was reached
+    WallClock,   ///< the wall-clock backstop fired
+};
+
+/** @return a human-readable name for @p stop. */
+const char* toString(SearchStop stop);
+
 /** Result of an LP or MILP solve. */
 struct Solution {
     SolveStatus status = SolveStatus::Infeasible;
@@ -139,6 +163,12 @@ struct Solution {
     double bound = 0.0;
     /** Simplex iterations (LP) or B&B nodes (MILP) used. */
     std::int64_t work = 0;
+    /**
+     * Final simplex basis, a warm start for a related problem: of the
+     * LP itself (when Optimal, or Infeasible as proven by the dual
+     * simplex), or of the MILP's root relaxation. Empty otherwise.
+     */
+    Basis basis;
 
     /** @return true when a usable assignment is available. */
     bool

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -18,6 +19,8 @@ using Bounds = std::vector<std::pair<double, double>>;
 /** One open node of the branch-and-bound tree. */
 struct Node {
     Bounds bounds;
+    /** Basis the relaxation re-optimises from: the parent's final one. */
+    std::shared_ptr<const Basis> basis;
     double parent_bound;  ///< LP bound inherited from the parent
     int depth;
 };
@@ -53,7 +56,8 @@ mostFractional(const LinearProgram& lp, const std::vector<double>& x,
 }  // namespace
 
 Solution
-MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
+MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
+                  const Basis* root_basis)
 {
     const WallTimer timer;
     const bool maximize = lp.objSense() == ObjSense::Maximize;
@@ -62,8 +66,8 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
 
     stats_ = Stats{};
     SimplexSolver lp_solver(options_.lp);
-    auto solveLp = [&](const Bounds* bounds) {
-        Solution s = lp_solver.solve(lp, bounds);
+    auto solveLp = [&](const Bounds* bounds, const Basis* start) {
+        Solution s = lp_solver.solve(lp, bounds, start);
         ++stats_.lp_solves;
         stats_.simplex_iterations += s.work;
         return s;
@@ -103,14 +107,21 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
     };
 
     std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
-    open.push(Node{root_bounds, kInf, 0});
+    std::shared_ptr<const Basis> start;
+    if (root_basis && !root_basis->empty())
+        start = std::make_shared<const Basis>(*root_basis);
+    open.push(Node{root_bounds, start, kInf, 0});
 
     std::int64_t nodes = 0;
     bool hit_node_limit = false;
     bool hit_work_limit = false;
     bool hit_time_limit = false;
-    bool root_infeasible = false;
     bool root_unbounded = false;
+    bool root_iter_limit = false;
+    // A child whose relaxation stops at the LP iteration cap is neither
+    // pruned nor proven: its parent's bound stays open.
+    bool lp_capped = false;
+    double capped_bound = -kInf;  // oriented
 
     auto timeUp = [&]() {
         if (options_.time_limit_sec <= 0.0)
@@ -133,14 +144,14 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
     // rounded relaxation value and re-solve the LP for the continuous
     // completion.
     auto tryRounding = [&](const std::vector<double>& x,
-                           const Bounds& node_bounds) {
+                           const Bounds& node_bounds, const Basis& basis) {
         Bounds fixed = node_bounds;
         for (int j : lp.integerVariables()) {
             double v = std::round(x[j]);
             v = std::clamp(v, node_bounds[j].first, node_bounds[j].second);
             fixed[j] = {v, v};
         }
-        Solution s = solveLp(&fixed);
+        Solution s = solveLp(&fixed, &basis);
         if (s.status == SolveStatus::Optimal)
             offerIncumbent(s);
     };
@@ -168,7 +179,7 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
         return best_j;
     };
 
-    auto dive = [&](std::vector<double> x, Bounds bounds) {
+    auto dive = [&](std::vector<double> x, Bounds bounds, Basis basis) {
         while (true) {
             int j = leastFractional(x, bounds);
             if (j < 0) {
@@ -193,11 +204,12 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
                 }
                 Bounds trial = bounds;
                 trial[j] = {v, v};
-                Solution s = solveLp(&trial);
+                Solution s = solveLp(&trial, &basis);
                 if (s.status != SolveStatus::Optimal)
                     continue;
                 bounds = std::move(trial);
-                x = s.x;
+                x = std::move(s.x);
+                basis = std::move(s.basis);
                 advanced = true;
                 break;
             }
@@ -230,12 +242,13 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
         }
         ++nodes;
 
-        Solution relax = solveLp(&node.bounds);
-        if (relax.status == SolveStatus::Infeasible) {
-            if (nodes == 1)
-                root_infeasible = true;
-            continue;
+        Solution relax = solveLp(&node.bounds, node.basis.get());
+        if (nodes == 1) {
+            best.basis = relax.basis;
+            stats_.warm_root = node.basis && lp_solver.coldFallbacks() == 0;
         }
+        if (relax.status == SolveStatus::Infeasible)
+            continue;
         if (relax.status == SolveStatus::Unbounded) {
             if (nodes == 1) {
                 root_unbounded = true;
@@ -243,8 +256,16 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
             }
             continue;
         }
-        if (relax.status != SolveStatus::Optimal)
-            continue;  // iteration limit in relaxation: prune (rare)
+        if (relax.status != SolveStatus::Optimal) {
+            // Stopped at the LP iteration cap: a limit, not a prune.
+            if (nodes == 1) {
+                root_iter_limit = true;
+                break;
+            }
+            lp_capped = true;
+            capped_bound = std::max(capped_bound, node.parent_bound);
+            continue;
+        }
 
         double bound = orient(relax.objective);
         if (nodes == 1) {
@@ -271,19 +292,23 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
         }
 
         if (nodes == 1 || nodes % (8 * options_.heuristic_period) == 0)
-            dive(relax.x, node.bounds);
+            dive(relax.x, node.bounds, relax.basis);
         else if (nodes % options_.heuristic_period == 0)
-            tryRounding(relax.x, node.bounds);
+            tryRounding(relax.x, node.bounds, relax.basis);
 
+        // Both children re-optimise from this node's optimal basis.
+        auto basis = std::make_shared<const Basis>(std::move(relax.basis));
         double v = relax.x[frac];
         Node down = node;
         down.bounds[frac].second =
             std::min(down.bounds[frac].second, std::floor(v));
+        down.basis = basis;
         down.parent_bound = bound;
         down.depth = node.depth + 1;
         Node up = node;
         up.bounds[frac].first =
             std::max(up.bounds[frac].first, std::ceil(v));
+        up.basis = basis;
         up.parent_bound = bound;
         up.depth = node.depth + 1;
         if (down.bounds[frac].first <= down.bounds[frac].second)
@@ -294,6 +319,11 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
 
     best.work = nodes;
     stats_.nodes = nodes;
+    stats_.cold_fallbacks = lp_solver.coldFallbacks();
+    stats_.stop = hit_time_limit   ? SearchStop::WallClock
+                  : hit_work_limit ? SearchStop::WorkBudget
+                  : hit_node_limit ? SearchStop::NodeLimit
+                                   : SearchStop::Gap;
     auto finish = [&]() { stats_.wall_seconds = timer.elapsedSeconds(); };
 
     if (root_unbounded) {
@@ -302,36 +332,36 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint)
         return best;
     }
 
+    const bool search_limited =
+        hit_node_limit || hit_work_limit || hit_time_limit;
     if (best.status == SolveStatus::Feasible) {
         // Compute the tightest remaining dual bound.
         double dual = incumbent;
-        if (hit_node_limit || hit_work_limit || hit_time_limit) {
+        if (search_limited) {
             dual = best_dual;
             if (!open.empty())
                 dual = std::min(best_dual, open.top().parent_bound);
         } else if (!open.empty()) {
             dual = std::max(incumbent, open.top().parent_bound);
         }
+        if (lp_capped)
+            dual = std::max(dual, std::min(best_dual, capped_bound));
         best.bound = maximize ? dual : -dual;
         double gap = std::abs(dual - incumbent) /
                      std::max(1.0, std::abs(incumbent));
         stats_.gap = gap;
-        if (!hit_node_limit && !hit_work_limit && !hit_time_limit) {
+        if ((!search_limited && !lp_capped) || gap <= options_.gap_tol)
             best.status = SolveStatus::Optimal;
-        } else if (gap <= options_.gap_tol) {
-            best.status = SolveStatus::Optimal;
-        }
         finish();
         return best;
     }
 
     if (hit_time_limit) {
         best.status = SolveStatus::TimeLimit;
-    } else if (hit_node_limit || hit_work_limit) {
+    } else if (search_limited || root_iter_limit || lp_capped) {
         best.status = SolveStatus::IterLimit;
     } else {
         best.status = SolveStatus::Infeasible;
-        (void)root_infeasible;
     }
     finish();
     return best;

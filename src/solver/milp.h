@@ -2,12 +2,18 @@
  * @file
  * Branch-and-bound solver for mixed-integer linear programs.
  *
- * Best-first search over LP relaxations solved by SimplexSolver, with
- * most-fractional branching and a rounding-and-repair primal heuristic
- * that produces incumbents early. Supports relative gap, node and
- * wall-clock limits; within the limits the returned solution is
- * globally optimal, matching the paper's use of an exact MILP
- * (§4, "Solving the MILP").
+ * Best-first search over LP relaxations solved by SimplexSolver, a
+ * revised bounded dual simplex, warm-started: every node keeps its
+ * optimal basis, and its children, the dive steps and the rounding
+ * heuristic re-optimise from it after their bound change instead of
+ * solving from the slack basis. The root itself starts from a
+ * caller-supplied basis when one is given (the previous control
+ * epoch's, in the Proteus allocator). Most-fractional branching and a
+ * rounding-and-repair primal heuristic produce incumbents early.
+ * Supports relative gap, node and wall-clock limits; within the limits
+ * the returned solution is globally optimal, matching the paper's use
+ * of an exact MILP (§4, "Solving the MILP"). A relaxation stopped by
+ * the LP iteration cap is a limit hit, never a prune.
  *
  * A caller with problem knowledge warm-starts the search through a
  * root-hint callback: it sees the root relaxation once and proposes an
@@ -78,6 +84,12 @@ class MilpSolver
         int incumbents = 0;
         /** Final relative incumbent/dual-bound gap (0 when proven). */
         double gap = 0.0;
+        /** Which condition ended the search. */
+        SearchStop stop = SearchStop::Gap;
+        /** The root LP re-optimised from the given basis (no fallback). */
+        bool warm_root = false;
+        /** Warm LP solves that fell back to a cold solve. */
+        std::int64_t cold_fallbacks = 0;
         /** Wall-clock time of the solve in seconds. */
         double wall_seconds = 0.0;
     };
@@ -109,11 +121,16 @@ class MilpSolver
      *        allocator rounds and locally improves the root solution
      *        here.
      *
+     * @param root_basis optional starting basis of the root LP (see
+     *        Basis), e.g. the root basis of a related earlier solve.
+     *
      * Solution::work reports branch-and-bound nodes; Solution::bound
-     * reports the best proven dual bound in the model's sense.
+     * reports the best proven dual bound in the model's sense;
+     * Solution::basis is the root relaxation's final basis.
      */
     Solution solve(const LinearProgram& lp,
-                   const RootHint& root_hint = nullptr);
+                   const RootHint& root_hint = nullptr,
+                   const Basis* root_basis = nullptr);
 
   private:
     Options options_;

@@ -1,34 +1,47 @@
 /**
  * @file
- * Two-phase primal simplex for linear programs with bounded variables.
+ * Revised bounded dual simplex, warm-started, for linear programs with
+ * bounded variables.
  *
- * The implementation keeps a dense tableau (B^-1 A) with an explicit
- * reduced-cost row, supports variables with arbitrary finite lower
- * bounds and finite-or-infinite upper bounds, performs bound flips for
- * nonbasic variables, and falls back from Dantzig pricing to Bland's
- * rule when it detects stalling, which guarantees termination.
+ * The constraint matrix is stored column-wise and row-wise sparse
+ * (allocation-shaped columns have 2-3 non-zeros) and the basis is kept
+ * factorised in product form: a reinversion builds one eta column per
+ * structural basic column (sparsest columns first, partial pivoting),
+ * each pivot appends one eta, and the basis is reinverted after a
+ * fixed number of updates. FTRAN/BTRAN run over the eta file; the
+ * pivot row is built from the row-wise matrix over the non-zeros of
+ * the BTRAN result.
  *
- * Storage is dense but elimination is pivot-row-sparse: each pivot
- * collects the non-zero columns of the scaled pivot row once and
- * updates the other rows and the reduced-cost row over those columns
- * only. Allocation-shaped rows have 2-3 coefficients, so a pivot row
- * typically has a fifth of the columns non-zero. Skipping a zero
- * column can at most change the sign of a zero entry, which no
- * comparison, ratio or output reads, so the pivot sequence is the
- * same as with full-row elimination.
+ * Two entry paths share that machinery:
+ *  - **Cold** (no basis given): two-phase primal simplex from the
+ *    slack basis, with phase-1 artificials only for rows whose slack
+ *    starts out of bounds, Dantzig pricing and a Bland fallback on
+ *    stalls, which guarantees termination. Its pivot rules are those
+ *    of the dense-tableau solver it replaced (kept under tests/ as a
+ *    differential oracle), so it makes the same pivots up to last-bit
+ *    ties.
+ *  - **Warm** (a basis given, e.g. the parent node's in branch & bound
+ *    or the previous control epoch's): factorise the basis, repairing
+ *    a singular or miscounted one with row slacks; move each boxed
+ *    nonbasic column to the bound its reduced cost wants; then run a
+ *    bounded dual simplex (largest infeasibility leaves, Harris ratio
+ *    test) to primal feasibility, and a primal clean-up should
+ *    round-off leave a reduced cost of the wrong sign. A column whose
+ *    reduced cost wants it on an infinite side first takes the bound
+ *    its rows imply there (w <= demand for an allocation's served QPS,
+ *    a slack's activity range); one with no finite opposite bound even
+ *    then cannot be repaired that way: the solve falls back to the
+ *    cold path and counts the fallback.
  *
- * Phase 1 introduces artificial variables only for rows whose initial
- * slack value violates the slack bounds, then minimizes their sum.
- *
- * Problem sizes in Proteus (hundreds of rows/columns for the
- * device-type aggregated allocation MILP, a few thousand for the
- * Fig. 10 stress formulations) are well within dense-tableau range.
+ * Every optimal (and every dual-proven infeasible) solve returns its
+ * final basis in Solution::basis.
  */
 
 #ifndef PROTEUS_SOLVER_SIMPLEX_H_
 #define PROTEUS_SOLVER_SIMPLEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -36,7 +49,7 @@
 
 namespace proteus {
 
-/** Bounded-variable two-phase primal simplex solver. */
+/** Revised bounded-variable simplex: cold primal, warm dual. */
 class SimplexSolver
 {
   public:
@@ -48,18 +61,20 @@ class SimplexSolver
         double feas_tol = 1e-7;
         /** Smallest acceptable pivot magnitude. */
         double pivot_tol = 1e-9;
-        /** Hard cap on simplex iterations across both phases. */
+        /** Hard cap on simplex iterations per solve, all phases. */
         std::int64_t max_iters = 500000;
         /**
-         * Verify the tableau invariants (A x = b, bounds) after every
-         * iteration. Extremely slow; intended for tests/debugging.
+         * Verify the invariants after every iteration (A x = b, the
+         * bounds of every column that must be within them) and that
+         * each reinversion reproduces the basis. Extremely slow;
+         * intended for tests/debugging.
          */
         bool paranoid = false;
     };
 
-    SimplexSolver() : options_() {}
-
-    explicit SimplexSolver(const Options& options) : options_(options) {}
+    SimplexSolver();
+    explicit SimplexSolver(const Options& options);
+    ~SimplexSolver();
 
     /**
      * Solve @p lp, ignoring integrality restrictions.
@@ -68,13 +83,28 @@ class SimplexSolver
      * @param bound_override optional per-column (lo, hi) replacing the
      *        model bounds — used by branch & bound. Must have size
      *        lp.numVariables() when provided.
+     * @param start optional starting basis (see Basis); empty or null
+     *        solves cold. A basis of the wrong size is ignored.
      */
     Solution solve(const LinearProgram& lp,
                    const std::vector<std::pair<double, double>>*
-                       bound_override = nullptr);
+                       bound_override = nullptr,
+                   const Basis* start = nullptr);
+
+    /**
+     * Warm solves that fell back to the cold path since construction:
+     * their start basis left a column with no finite opposite bound,
+     * stated or implied, on the wrong side of optimality.
+     */
+    std::int64_t coldFallbacks() const { return cold_fallbacks_; }
 
   private:
+    class Engine;
+
     Options options_;
+    std::int64_t cold_fallbacks_ = 0;
+    /** Matrix copies and work arrays, reused from solve to solve. */
+    std::unique_ptr<Engine> engine_;
 };
 
 }  // namespace proteus

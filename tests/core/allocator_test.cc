@@ -126,6 +126,35 @@ TEST(IlpAllocatorTest, BackoffFollowsPaperGrid)
     EXPECT_NEAR(plan.planned_fraction, expected, expected * 1e-9);
 }
 
+TEST(IlpAllocatorTest, BackoffReSolvesStartFromThePreviousBasis)
+{
+    // A feasible decision leaves a root basis; the next decision's
+    // demand overloads the cluster, and every backoff step re-optimises
+    // from the basis of the step before it (the dual simplex proves
+    // each infeasible root and keeps its basis), so the accepted plan's
+    // root is warm and nothing falls back to a cold solve. The plan is
+    // the same as a fresh allocator's.
+    World w = miniWorld(2, 1, 1);
+    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
+    AllocationInput in;
+    in.demand_qps = demandOf(w, {40.0, 20.0, 20.0});
+    alloc.allocate(in);
+    ASSERT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
+
+    in.demand_qps = demandOf(w, {2000.0, 800.0, 800.0});
+    Allocation plan = alloc.allocate(in);
+    const AllocatorSolveMeta meta = alloc.lastSolveMeta();
+    EXPECT_GT(meta.backoff_steps, 0);
+    EXPECT_TRUE(meta.warm_root);
+    EXPECT_EQ(meta.cold_fallbacks, 0);
+    EXPECT_EQ(meta.stop, SearchStop::Gap);
+
+    IlpAllocator fresh(&w.registry, &w.cluster, w.profiles.get());
+    Allocation ref = fresh.allocate(in);
+    EXPECT_EQ(fresh.lastSolveMeta().backoff_steps, meta.backoff_steps);
+    EXPECT_EQ(plan.planned_fraction, ref.planned_fraction);
+}
+
 TEST(IlpAllocatorTest, ZeroDemandHostsNothing)
 {
     World w = miniWorld();
@@ -247,12 +276,13 @@ TEST(IlpAllocatorTest, PaperScaleSolvesFast)
 
 TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
 {
-    // Branch & bound effort of two paper-zoo decisions as the
-    // full-row-elimination simplex and the separately solved hint LP
-    // produced them. The first ends at the root on the warm-start
-    // hint; the second, re-planning from the first plan with churn
-    // keep bonuses, branches. Optimisations that keep the pivot
-    // sequence and the hint must reproduce them exactly.
+    // Branch & bound effort of two paper-zoo decisions. The first is a
+    // cold solve that ends at the root on the warm-start hint; the
+    // second, re-planning from the first plan with churn keep bonuses,
+    // starts its root from the first decision's basis and branches,
+    // each child re-optimising from its parent's basis. Optimisations
+    // that keep the pivot sequence and the hint must reproduce them
+    // exactly.
     World w = paperWorld();
     IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
     AllocationInput in;
@@ -260,6 +290,7 @@ TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
     Allocation first = alloc.allocate(in);
     EXPECT_EQ(alloc.lastSolveMeta().nodes, 1);
     EXPECT_EQ(alloc.lastSolveMeta().simplex_iterations, 93);
+    EXPECT_FALSE(alloc.lastSolveMeta().warm_root);
     EXPECT_EQ(alloc.lastSolveMeta().gap, 0.0);
     EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
     EXPECT_EQ(first.expected_accuracy, 96.533333333333331);
@@ -269,7 +300,10 @@ TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
     in.current = &first;
     Allocation second = alloc.allocate(in);
     EXPECT_EQ(alloc.lastSolveMeta().nodes, 315);
-    EXPECT_EQ(alloc.lastSolveMeta().simplex_iterations, 72742);
+    EXPECT_EQ(alloc.lastSolveMeta().simplex_iterations, 3553);
+    EXPECT_TRUE(alloc.lastSolveMeta().warm_root);
+    EXPECT_EQ(alloc.lastSolveMeta().cold_fallbacks, 0);
+    EXPECT_EQ(alloc.lastSolveMeta().stop, SearchStop::Gap);
     EXPECT_EQ(alloc.lastSolveMeta().gap, 0.0);
     EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
     EXPECT_EQ(second.expected_accuracy, 90.102252387670788);

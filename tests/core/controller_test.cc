@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/metrics_registry.h"
 #include "sim/simulator.h"
 
 namespace proteus {
@@ -15,6 +16,8 @@ class FakeAllocator : public Allocator
 {
   public:
     explicit FakeAllocator(Duration delay = 0) : delay_(delay) {}
+
+    AllocatorSolveMeta lastSolveMeta() const override { return meta; }
 
     Allocation
     allocate(const AllocationInput& input) override
@@ -32,6 +35,7 @@ class FakeAllocator : public Allocator
     const char* name() const override { return "fake"; }
 
     int calls = 0;
+    AllocatorSolveMeta meta;
     std::vector<double> last_demand;
     std::vector<char> last_down;
 
@@ -261,6 +265,30 @@ TEST(ControllerTest, NoOverlappingDecisions)
     sim.scheduleAt(seconds(3.0), [&] { ctl.requestReallocation(); });
     sim.run(seconds(20.0));
     EXPECT_EQ(alloc.calls, 2);  // initial + one (others coalesced)
+}
+
+TEST(ControllerTest, SolveOutcomeFeedsTheRegistry)
+{
+    Simulator sim;
+    FakeAllocator alloc;
+    alloc.meta.backoff_steps = 3;
+    alloc.meta.gap = 0.004;
+    alloc.meta.warm_root = true;
+    alloc.meta.stop = SearchStop::WallClock;
+    obs::MetricsRegistry registry;
+    ControllerOptions opts;
+    opts.period = seconds(10.0);
+    Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
+                   [](const Allocation&) {}, opts);
+    ctl.setObs(nullptr, &registry);
+    ctl.start({1.0});
+    sim.run(seconds(15.0));
+    ASSERT_EQ(alloc.calls, 2);
+    EXPECT_EQ(registry.histogram("solver.backoff_steps")->count(), 2u);
+    EXPECT_DOUBLE_EQ(registry.histogram("solver.backoff_steps")->max(), 3.0);
+    EXPECT_DOUBLE_EQ(registry.histogram("solver.gap")->max(), 0.004);
+    EXPECT_EQ(registry.counter("solver.wall_limit_stops")->value(), 2u);
+    EXPECT_EQ(registry.counter("solver.warm_roots")->value(), 2u);
 }
 
 }  // namespace

@@ -167,5 +167,59 @@ TEST(ExperimentDeathTest, WorkBudgetRejectsOutOfRange)
                 "milp_work_budget must be an integer.*got 1e\\+30");
 }
 
+/** The small valid config with one top-level key added. */
+std::string
+configWith(const std::string& key, const std::string& value)
+{
+    return R"({"cluster": {"cpu": 2, "gtx1080ti": 1, "v100": 1},
+               "zoo": "mini",
+               "workload": {"kind": "steady", "duration_sec": 5,
+                            "qps": 20},
+               ")" +
+           key + "\": " + value + "}";
+}
+
+TEST(ExperimentDeathTest, SloMultiplierMustBePositive)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWith("slo_multiplier", "-1"))),
+                ::testing::ExitedWithCode(1),
+                "slo_multiplier must be a finite number > 0, got -1");
+}
+
+TEST(ExperimentDeathTest, ControlPeriodMustBePositive)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWith("control_period_sec", "0"))),
+        ::testing::ExitedWithCode(1),
+        "control_period_sec must be a finite number > 0, got 0");
+}
+
+TEST(ExperimentDeathTest, PlanningHeadroomMustBePositive)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWith("planning_headroom", "-1"))),
+        ::testing::ExitedWithCode(1),
+        "planning_headroom must be a finite number > 0, got -1");
+}
+
+TEST(ExperimentDeathTest, DiurnalBaseQpsMustNotBeNegative)
+{
+    const std::string config =
+        R"({"cluster": {"cpu": 2, "gtx1080ti": 1, "v100": 1},
+            "zoo": "mini",
+            "workload": {"kind": "diurnal", "duration_sec": 5,
+                         "base_qps": -50}})";
+    EXPECT_EXIT(loadExperiment(parse(config)),
+                ::testing::ExitedWithCode(1),
+                "base_qps must be a finite number >= 0, got -50");
+}
+
+TEST(ExperimentTest, ValidatedKeysAcceptGoodValues)
+{
+    const ExperimentSpec spec = loadExperiment(
+        parse(configWith("planning_headroom", "1.2")));
+    EXPECT_EQ(spec.config.planning_headroom, 1.2);
+}
+
 }  // namespace
 }  // namespace proteus

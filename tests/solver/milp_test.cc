@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -156,9 +157,10 @@ branchyKnapsack()
 
 TEST(MilpTest, AllocationShapedWorkIsPinned)
 {
-    // Nodes, LP solves and simplex iterations as the full-row-
-    // elimination simplex produced them: optimisations that keep the
-    // pivot sequence must reproduce them exactly.
+    // Nodes, LP solves and simplex iterations with children and the
+    // dive re-optimising from their parent's basis by the dual simplex
+    // (a cold solve per LP took 27 iterations): optimisations that
+    // keep the pivot sequence must reproduce them exactly.
     LinearProgram lp = allocationShaped();
     MilpSolver solver;
     Solution sol = solver.solve(lp);
@@ -167,7 +169,7 @@ TEST(MilpTest, AllocationShapedWorkIsPinned)
     EXPECT_EQ(sol.work, 3);
     EXPECT_EQ(solver.lastStats().nodes, 3);
     EXPECT_EQ(solver.lastStats().lp_solves, 5);
-    EXPECT_EQ(solver.lastStats().simplex_iterations, 27);
+    EXPECT_EQ(solver.lastStats().simplex_iterations, 12);
     EXPECT_EQ(solver.lastStats().incumbents, 1);
     EXPECT_EQ(solver.lastStats().gap, 0.0);
 }
@@ -339,6 +341,103 @@ TEST(MilpTest, WorkBudgetStopsSearchEarly)
     MilpSolver budgeted(opts);
     budgeted.solve(lp);
     EXPECT_LT(budgeted.lastStats().nodes, full_nodes);
+}
+
+/** Integer x, y in [0, 10]: max x + y, 2x + 2y <= 7, x - y >= 0.5. */
+LinearProgram
+cappedPair()
+{
+    LinearProgram lp;
+    int x = lp.addIntVariable(0.0, 10.0, 1.0, "x");
+    int y = lp.addIntVariable(0.0, 10.0, 1.0, "y");
+    lp.addConstraint({{x, 2.0}, {y, 2.0}}, RowSense::LessEqual, 7.0);
+    lp.addConstraint({{x, 1.0}, {y, -1.0}}, RowSense::GreaterEqual, 0.5);
+    return lp;
+}
+
+TEST(MilpTest, RootRelaxationAtIterationCapIsALimitNotInfeasible)
+{
+    LinearProgram lp = cappedPair();
+    for (std::int64_t cap : {1, 2, 3}) {
+        MilpSolver::Options opts;
+        opts.lp.max_iters = cap;
+        Solution sol = MilpSolver(opts).solve(lp);
+        EXPECT_EQ(sol.status, SolveStatus::IterLimit) << "cap " << cap;
+    }
+    MilpSolver::Options opts;
+    opts.lp.max_iters = 1000;
+    Solution sol = MilpSolver(opts).solve(lp);
+    ASSERT_EQ(sol.status, SolveStatus::Optimal);
+    EXPECT_NEAR(sol.objective, 3.0, 1e-9);
+}
+
+TEST(MilpTest, ChildRelaxationAtIterationCapKeepsItsParentBound)
+{
+    // The root starts from its own optimal basis, so it needs only the
+    // optimality check; every child needs a dual pivot beyond the cap.
+    LinearProgram lp = cappedPair();
+    Solution root = SimplexSolver().solve(lp);
+    ASSERT_EQ(root.status, SolveStatus::Optimal);
+    ASSERT_NEAR(root.objective, 3.5, 1e-9);
+    MilpSolver::Options opts;
+    opts.lp.max_iters = 1;
+    MilpSolver solver(opts);
+    auto hint = [](const std::vector<double>&) {
+        return std::vector<double>{2.0, 1.0};  // objective 3
+    };
+    Solution sol = solver.solve(lp, hint, &root.basis);
+    EXPECT_TRUE(solver.lastStats().warm_root);
+    EXPECT_GT(solver.lastStats().nodes, 1);
+    EXPECT_EQ(sol.status, SolveStatus::Feasible);
+    EXPECT_NEAR(sol.objective, 3.0, 1e-9);
+    EXPECT_NEAR(sol.bound, 3.5, 1e-9);
+    EXPECT_GT(solver.lastStats().gap, 0.1);
+}
+
+TEST(MilpTest, StatsNameTheConditionThatStoppedTheSearch)
+{
+    LinearProgram lp = branchyKnapsack();
+    MilpSolver free_solver;
+    free_solver.solve(lp);
+    EXPECT_EQ(free_solver.lastStats().stop, SearchStop::Gap);
+
+    MilpSolver::Options work;
+    work.work_limit_iters = 4;
+    MilpSolver budgeted(work);
+    budgeted.solve(lp);
+    EXPECT_EQ(budgeted.lastStats().stop, SearchStop::WorkBudget);
+
+    MilpSolver::Options nodes;
+    nodes.max_nodes = 2;
+    MilpSolver capped(nodes);
+    capped.solve(lp);
+    EXPECT_EQ(capped.lastStats().stop, SearchStop::NodeLimit);
+}
+
+TEST(MilpTest, RootBasisWarmStartsARelatedSolve)
+{
+    // Same MILP, then a tighter capacity: the second root re-optimises
+    // from the first root's basis and reaches the same optimum as a
+    // cold solve.
+    LinearProgram a = branchyKnapsack();
+    MilpSolver first;
+    Solution sa = first.solve(a);
+    ASSERT_EQ(sa.basis.size(), 9u);
+    EXPECT_FALSE(first.lastStats().warm_root);
+
+    LinearProgram b;
+    for (int j = 0; j < a.numVariables(); ++j) {
+        const auto& v = a.variable(j);
+        b.addIntVariable(v.lo, v.hi, v.obj);
+    }
+    b.addConstraint(a.row(0).coeffs, RowSense::LessEqual, 7.3);
+    MilpSolver warm;
+    Solution sw = warm.solve(b, nullptr, &sa.basis);
+    Solution sc = MilpSolver().solve(b);
+    EXPECT_TRUE(warm.lastStats().warm_root);
+    EXPECT_EQ(warm.lastStats().cold_fallbacks, 0);
+    ASSERT_EQ(sw.status, SolveStatus::Optimal);
+    EXPECT_NEAR(sw.objective, sc.objective, 1e-9);
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/rng.h"
 #include "solver/milp.h"
 #include "solver/simplex.h"
@@ -98,6 +101,50 @@ TEST_P(ParanoidBranchTest, BoundOverridesSurviveSelfCheck)
             EXPECT_LE(sol.x[j], bounds[j].second + 1e-6);
         }
         EXPECT_TRUE(lp.isFeasible(sol.x, 1e-6));
+    }
+}
+
+TEST_P(ParanoidBranchTest, WarmStartFromTheUnbranchedBasisSelfChecks)
+{
+    // As above, but the fixings re-optimise from the unbranched LP's
+    // basis: every dual pivot re-verifies A x = b and the nonbasic
+    // bounds, every reinversion that it reproduces B.
+    Rng rng(6000 + GetParam());
+    const int n = 6;
+    LinearProgram lp;
+    for (int j = 0; j < n; ++j)
+        lp.addVariable(0.0, 3.0, rng.uniform(-4.0, 6.0));
+    for (int i = 0; i < 4; ++i) {
+        std::vector<Coeff> coeffs;
+        for (int j = 0; j < n; ++j) {
+            if (rng.uniform() < 0.6)
+                coeffs.emplace_back(j, rng.uniform(-2.0, 4.0));
+        }
+        if (coeffs.empty())
+            coeffs.emplace_back(0, 1.0);
+        lp.addConstraint(std::move(coeffs), RowSense::LessEqual,
+                         rng.uniform(2.0, 10.0));
+    }
+    SimplexSolver solver = paranoidSolver();
+    Solution base = solver.solve(lp);
+    ASSERT_EQ(base.status, SolveStatus::Optimal);
+    Rng r2(GetParam() * 131 + 7);
+    std::vector<std::pair<double, double>> bounds(n, {0.0, 3.0});
+    for (int j = 0; j < n; ++j) {
+        int k = static_cast<int>(r2.uniformInt(0, 3));
+        if (k == 1)
+            bounds[j] = {0.0, 1.0};
+        else if (k == 2)
+            bounds[j] = {2.0, 2.0};
+    }
+    Solution warm = solver.solve(lp, &bounds, &base.basis);
+    Solution cold = SimplexSolver().solve(lp, &bounds);
+    EXPECT_EQ(solver.coldFallbacks(), 0);
+    ASSERT_EQ(warm.status, cold.status);
+    if (warm.status == SolveStatus::Optimal) {
+        EXPECT_NEAR(warm.objective, cold.objective,
+                    1e-7 * std::max(1.0, std::abs(cold.objective)));
+        EXPECT_TRUE(lp.isFeasible(warm.x, 1e-6));
     }
 }
 

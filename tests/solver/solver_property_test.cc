@@ -153,11 +153,11 @@ bruteForceBinary(const LinearProgram& lp, bool* feasible)
     return best;
 }
 
-class RandomMilpTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(RandomMilpTest, MatchesBruteForceOnBinaries)
+/** Random pure-binary MILP with <= rows; rhs scaled by @p rhs_scale. */
+LinearProgram
+randomBinaryMilp(int seed, double rhs_scale = 1.0)
 {
-    Rng rng(3000 + GetParam());
+    Rng rng(3000 + seed);
     const int n = 8;
     LinearProgram lp;
     for (int j = 0; j < n; ++j)
@@ -171,12 +171,42 @@ TEST_P(RandomMilpTest, MatchesBruteForceOnBinaries)
         if (coeffs.empty())
             coeffs.emplace_back(0, 1.0);
         lp.addConstraint(std::move(coeffs), RowSense::LessEqual,
-                         rng.uniform(1.0, 8.0));
+                         rhs_scale * rng.uniform(1.0, 8.0));
     }
+    return lp;
+}
+
+class RandomMilpTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomMilpTest, MatchesBruteForceOnBinaries)
+{
+    LinearProgram lp = randomBinaryMilp(GetParam());
     bool feasible = false;
     double brute = bruteForceBinary(lp, &feasible);
     Solution sol = MilpSolver().solve(lp);
     ASSERT_TRUE(feasible);  // all-zero is feasible given rhs >= 1
+    ASSERT_EQ(sol.status, SolveStatus::Optimal) << "seed " << GetParam();
+    EXPECT_NEAR(sol.objective, brute, 1e-5) << "seed " << GetParam();
+    EXPECT_TRUE(lp.isFeasible(sol.x, 1e-6));
+    for (int j : lp.integerVariables())
+        EXPECT_NEAR(sol.x[j], std::round(sol.x[j]), 1e-6);
+}
+
+TEST_P(RandomMilpTest, WarmStartedSearchMatchesBruteForce)
+{
+    // The root starts from the root basis of the same MILP with every
+    // capacity scaled down, as the allocator's next decision starts
+    // from the previous one; every child starts from its parent's.
+    LinearProgram lp = randomBinaryMilp(GetParam());
+    Solution previous = MilpSolver().solve(randomBinaryMilp(GetParam(), 0.6));
+    ASSERT_EQ(previous.basis.size(), 12u);
+    bool feasible = false;
+    double brute = bruteForceBinary(lp, &feasible);
+    MilpSolver solver;
+    Solution sol = solver.solve(lp, nullptr, &previous.basis);
+    EXPECT_TRUE(solver.lastStats().warm_root);
+    EXPECT_EQ(solver.lastStats().cold_fallbacks, 0);
+    ASSERT_TRUE(feasible);
     ASSERT_EQ(sol.status, SolveStatus::Optimal) << "seed " << GetParam();
     EXPECT_NEAR(sol.objective, brute, 1e-5) << "seed " << GetParam();
     EXPECT_TRUE(lp.isFeasible(sol.x, 1e-6));
