@@ -1,8 +1,7 @@
 /**
  * @file
  * Exact evaluation of a fixed integer hosting plan, the inner loop of
- * the MILP allocator's warm start (local search) and of its plan
- * hysteresis check.
+ * the local search in the MILP allocator's warm start.
  *
  * Given per-(type, variant) device counts, the optimal served-QPS
  * assignment fills each family's demand onto its highest-accuracy

@@ -286,25 +286,21 @@ loadExperiment(const JsonValue& json)
             o.numberOr("ring_capacity",
                        static_cast<double>(
                            spec.config.obs.ring_capacity)));
-        spec.config.obs.sample_interval = seconds(o.numberOr(
-            "sample_interval_sec",
-            toSeconds(spec.config.obs.sample_interval)));
+        const double interval = positiveFromJson(
+            o, "sample_interval_sec",
+            toSeconds(spec.config.obs.sample_interval));
+        const double window = positiveFromJson(
+            o, "slo_window_sec", toSeconds(spec.config.obs.slo_window));
+        if (window < interval) {
+            PROTEUS_FATAL("slo_window_sec must be >= sample_interval_sec (",
+                          interval, "), got ", window);
+        }
+        spec.config.obs.sample_interval = seconds(interval);
+        spec.config.obs.slo_window = seconds(window);
         spec.config.obs.timeseries_capacity = static_cast<std::size_t>(
             o.numberOr("timeseries_capacity",
                        static_cast<double>(
                            spec.config.obs.timeseries_capacity)));
-        spec.config.obs.slo_window = seconds(o.numberOr(
-            "slo_window_sec", toSeconds(spec.config.obs.slo_window)));
-        spec.config.obs.slo_budget =
-            o.numberOr("slo_budget", spec.config.obs.slo_budget);
-        spec.config.obs.slo_burn_high =
-            o.numberOr("slo_burn_high", spec.config.obs.slo_burn_high);
-        spec.config.obs.slo_burn_low =
-            o.numberOr("slo_burn_low", spec.config.obs.slo_burn_low);
-        spec.config.obs.slo_min_count = static_cast<std::uint64_t>(
-            o.numberOr("slo_min_count",
-                       static_cast<double>(
-                           spec.config.obs.slo_min_count)));
         spec.trace_path = o.stringOr("trace_file", "");
         spec.metrics_path = o.stringOr("metrics_file", "");
         spec.timeline_csv_path = o.stringOr("timeline_csv", "");

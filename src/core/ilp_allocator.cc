@@ -22,10 +22,6 @@ constexpr int kMaxBackoffSteps = 200;
  * the LP-rounding + local-search warm start usually reaches at once.
  */
 constexpr double kMilpGap = 5e-3;
-/** Keep the current hosting when within 0.3% of the fresh optimum. */
-constexpr double kKeepPlanHysteresis = 3e-3;
-/** Scale on the reload-forfeit keep bonus; 1 prices it exactly. */
-constexpr double kChurnDamping = 1.0;
 /** Control period the swap cost is amortized over (seconds). */
 constexpr double kChurnPeriodSec = 30.0;
 /** Model load time that prices churn: a flat estimate (seconds). */
@@ -197,8 +193,8 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                     profiles_->get(static_cast<VariantId>(m),
                                    static_cast<DeviceTypeId>(t))
                         .peak_qps;
-                double bonus = kChurnDamping * 100.0 * peak *
-                               kLoadTimeSec / kChurnPeriodSec;
+                double bonus =
+                    100.0 * peak * kLoadTimeSec / kChurnPeriodSec;
                 if (bonus <= 0.0)
                     continue;
                 keep_bonus[t][m] = bonus;
@@ -308,7 +304,11 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     out.count.assign(T, std::vector<int>(M, 0));
     out.qps.assign(T, std::vector<double>(M, 0.0));
     if (!any_demand) {
-        out.feasible = true;  // nothing to serve
+        // Nothing to serve: keep whatever is hosted now (reloading
+        // would buy nothing) and route no family.
+        out.feasible = true;
+        if (cur)
+            out.count = *cur;
         return out;
     }
 
@@ -758,50 +758,6 @@ IlpAllocator::allocate(const AllocationInput& input)
         }
         for (auto& d : demand)
             d /= kBackoffBeta;
-    }
-
-    // Plan hysteresis: if the hosting currently in force can still
-    // serve the (possibly backed-off) demand within a sliver of the
-    // fresh optimum, keep it — swapping models costs load time and
-    // transient SLO violations that a fraction of a percent of
-    // accuracy cannot repay. Routing weights are still refreshed for
-    // the new demand.
-    if (sol.feasible && have_cur) {
-        const std::size_t T = cluster_->numTypes();
-        CountsContext ctx;
-        ctx.registry = registry_;
-        ctx.profiles = profiles_;
-        ctx.replica_penalty = 0.0;
-        ctx.by_acc_desc = &by_acc_desc_;
-        // Families with no usable variant anywhere are shed by every
-        // plan; exclude them from the feasibility check.
-        std::vector<double> check = demand;
-        for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
-            bool servable = false;
-            for (VariantId m : registry_->variantsOf(f)) {
-                for (DeviceTypeId t = 0; t < T; ++t)
-                    servable |= profiles_->get(m, t).usable();
-            }
-            if (!servable)
-                check[f] = 0.0;
-        }
-        CountsEvaluator kept_plan(ctx, cur_counts, check);
-        const CountsEval& cur_eval = kept_plan.eval();
-        if (cur_eval.feasible &&
-            cur_eval.objective >=
-                sol.objective * (1.0 - kKeepPlanHysteresis)) {
-            TypeSolution kept;
-            kept.count = cur_counts;
-            kept.qps = kept_plan.greedyFill();
-            kept.objective = cur_eval.objective;
-            kept.feasible = true;
-            kept.nodes = sol.nodes;
-            kept.simplex_iters = sol.simplex_iters;
-            kept.gap = sol.gap;
-            kept.stop = sol.stop;
-            kept.warm_root = sol.warm_root;
-            sol = std::move(kept);
-        }
     }
 
     Allocation plan = expand(sol, demand, input.demand_qps,

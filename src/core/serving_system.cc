@@ -1,6 +1,7 @@
 #include "core/serving_system.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -88,24 +89,15 @@ ServingSystem::ServingSystem(const Cluster* cluster,
 
     // Observability: one tracer for the whole system, created only
     // when enabled so every hook below degrades to a null-pointer
-    // test on the hot path. The SLO monitor and time-series recorder
-    // are strictly passive (they observe, never steer), so the
-    // simulated results are identical with observability on or off.
+    // test on the hot path. The time-series recorder, SLO alarm
+    // included, is strictly passive (it observes, never steers), so
+    // the simulated results are identical with observability on or
+    // off.
     if (config_.obs.enabled) {
         tracer_ = std::make_unique<obs::Tracer>(config_.obs.ring_capacity,
                                                 config_.obs.link_capacity);
         tail_reservoir_ = std::make_unique<obs::TailReservoir>(
             config_.obs.tail_exemplars, config_.seed);
-        obs::SloMonitorOptions slo_opts;
-        slo_opts.window = config_.obs.slo_window;
-        slo_opts.buckets = config_.obs.slo_buckets;
-        slo_opts.budget = config_.obs.slo_budget;
-        slo_opts.burn_high = config_.obs.slo_burn_high;
-        slo_opts.burn_low = config_.obs.slo_burn_low;
-        slo_opts.min_count = config_.obs.slo_min_count;
-        slo_monitor_ = std::make_unique<obs::SloMonitor>(&sim_, slo_opts);
-        slo_monitor_->setTracer(tracer_.get());
-        slo_monitor_->setRegistry(&obs_registry_);
         obs::TimeSeriesOptions ts_opts;
         ts_opts.sample_interval = config_.obs.sample_interval;
         ts_opts.capacity = config_.obs.timeseries_capacity;
@@ -232,6 +224,13 @@ ServingSystem::registerTimeSeriesChannels()
         });
     }
 
+    // Every family's SLO window spans the same whole number of ticks;
+    // the alarm counters exist (at zero) from the start.
+    const std::size_t slo_ticks = static_cast<std::size_t>(
+        config_.obs.slo_window / config_.obs.sample_interval);
+    obs_registry_.counter("slo.alarms_raised");
+    obs_registry_.counter("slo.alarms_cleared");
+
     // Per-family rates derived from the collector's live cumulative
     // counters, plus instantaneous depth/quality probes.
     for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
@@ -296,11 +295,19 @@ ServingSystem::registerTimeSeriesChannels()
             *acc_last = {sum, done};
             return ddone > 0.0 ? dsum / ddone : 0.0;
         });
-        obs::SloMonitor* slo = slo_monitor_.get();
-        ts->addProbe(prefix + "violation_ratio_w",
-                     [slo, f] { return slo->violationRatio(f); });
+        // Trailing-window violation ratio and burn-rate alarm over the
+        // collector's totals, advanced here at each tick; burn_rate is
+        // registered next, so it reads the window this tick just left.
+        auto slo = std::make_shared<obs::SloBurnWindow>(slo_ticks);
+        ts->addProbe(prefix + "violation_ratio_w", [this, mc, f, slo] {
+            const IntervalCounters& t = mc->familyTotals()[f];
+            if (slo->tick(t.completed() + t.dropped, t.violations()) !=
+                obs::SloBurnWindow::Crossing::None)
+                recordSloAlarm(f, *slo);
+            return slo->ratio();
+        });
         ts->addProbe(prefix + "burn_rate",
-                     [slo, f] { return slo->burnRate(f); });
+                     [slo] { return slo->burnRate(); });
     }
 
     // Cluster health and solver budget consumption. The solver gauges
@@ -364,6 +371,25 @@ ServingSystem::registerTimeSeriesChannels()
             }
         }
     }
+}
+
+void
+ServingSystem::recordSloAlarm(FamilyId family,
+                              const obs::SloBurnWindow& window)
+{
+    obs::Counter* raised = obs_registry_.counter("slo.alarms_raised");
+    obs::Counter* cleared = obs_registry_.counter("slo.alarms_cleared");
+    (window.alarm() ? raised : cleared)->inc();
+    obs::SpanRecord span;
+    span.kind = obs::SpanKind::SloAlarm;
+    span.start = sim_.now();
+    span.end = span.start;
+    span.id = raised->value() + cleared->value();
+    span.a = family;
+    span.v0 = window.alarm() ? 1 : 0;
+    span.v1 = std::lround(window.burnRate() * 1000.0);
+    span.v2 = static_cast<std::int64_t>(window.windowFinished());
+    tracer_->record(span);
 }
 
 std::unique_ptr<BatchingPolicy>
@@ -444,18 +470,13 @@ ServingSystem::applyPlan(const Allocation& plan)
         workers_[d]->hostVariant(plan.hosting[d], first_apply_);
     }
 
-    // Decision boundary: everything staged for the previous epoch is
-    // dead, so the frame arena resets wholesale and the share lists
-    // below reuse its high-water blocks.
-    epoch_arena_.reset();
-
     // ... then the query-assignment policy for every application.
+    // setRouting copies the shares, so one reused list stages them all.
     for (FamilyId f = 0; f < balancers_.size(); ++f) {
-        alloc::ArenaVector<LoadBalancer::WorkerShare> shares(
-            &epoch_arena_);
+        share_scratch_.clear();
         for (const DeviceShare& s : plan.routing[f])
-            shares.push_back({workers_[s.device].get(), s.weight});
-        balancers_[f]->setRouting(shares.begin(), shares.size());
+            share_scratch_.push_back({workers_[s.device].get(), s.weight});
+        balancers_[f]->setRouting(share_scratch_.view());
         // Burst alarms compare observed demand against the demand the
         // plan was sized for, so the controller reacts before the
         // provisioned headroom is exhausted.
@@ -543,14 +564,10 @@ ServingSystem::onFinished(const Query& query)
         return;
     }
     metrics_.onFinished(*q);
-    if (slo_monitor_) {
-        // A pipeline query is terminal and remapped to its entry
-        // family by now, so the monitor and the tail reservoir see
-        // end-to-end outcomes only.
-        const bool violated = q->violatedSlo();
-        slo_monitor_->onOutcome(q->family, violated);
-        tail_reservoir_->offer(q->id, violated);
-    }
+    // A pipeline query is terminal and remapped to its entry family
+    // by now, so the tail reservoir sees end-to-end outcomes only.
+    if (tail_reservoir_)
+        tail_reservoir_->offer(q->id, q->violatedSlo());
     // After every sink has seen the outcome the slot is recycled; this
     // is what keeps memory bounded on long traces.
     query_pool_.release(q);
@@ -709,8 +726,6 @@ ServingSystem::finishRun()
     result.fault_windows = metrics_.faultWindows();
     if (injector_)
         result.faults_injected = injector_->injected();
-    if (slo_monitor_)
-        result.slo_alarms = slo_monitor_->alarmsRaised();
     if (stage_router_) {
         result.forwarded = stage_router_->forwarded();
         for (PipelineId p = 0; p < pipelines_.size(); ++p) {

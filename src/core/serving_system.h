@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "cluster/device.h"
-#include "common/alloc/frame_arena.h"
 #include "common/alloc/object_pool.h"
 #include "common/alloc/scratch_vector.h"
 #include "core/allocation.h"
@@ -50,7 +49,6 @@
 #include "obs/metrics_registry.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/stage_router.h"
-#include "obs/slo_monitor.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
@@ -74,8 +72,6 @@ struct RunResult {
     std::vector<FaultWindow> fault_windows;
     /** Fault events actually applied by the injector. */
     int faults_injected = 0;
-    /** SLO burn-rate alarms raised (0 with observability off). */
-    std::uint64_t slo_alarms = 0;
     /** Stage completions forwarded between pipeline stages. */
     std::uint64_t forwarded = 0;
     /** Per-pipeline e2e counters (empty without pipelines). */
@@ -184,9 +180,6 @@ class ServingSystem : private QueryObserver
         return timeseries_.get();
     }
 
-    /** @return the SLO monitor, or nullptr when observability is off. */
-    obs::SloMonitor* sloMonitor() { return slo_monitor_.get(); }
-
     /** @return the tail-exemplar reservoir (nullptr when obs is off). */
     const obs::TailReservoir* tailReservoir() const
     {
@@ -204,6 +197,8 @@ class ServingSystem : private QueryObserver
     void injectArrivals();
     void forwardQuery(Query* query);
     void registerTimeSeriesChannels();
+    /** Count and trace the alarm crossing @p window just made. */
+    void recordSloAlarm(FamilyId family, const obs::SloBurnWindow& window);
     std::unique_ptr<BatchingPolicy> makeBatchingPolicy() const;
     std::unique_ptr<Allocator> makeAllocator();
     std::vector<double> demandEstimate() const;
@@ -221,7 +216,6 @@ class ServingSystem : private QueryObserver
     obs::MetricsRegistry obs_registry_;
     std::unique_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::TimeSeriesRecorder> timeseries_;
-    std::unique_ptr<obs::SloMonitor> slo_monitor_;
     /** Seeded reservoir of SLO-violating query ids (tail exemplars). */
     std::unique_ptr<obs::TailReservoir> tail_reservoir_;
     /** Pipeline stage step of onFinished (null without pipelines). */
@@ -239,8 +233,8 @@ class ServingSystem : private QueryObserver
      *  monotonic via next_query_id_ (byte-identical to the deque). */
     alloc::ObjectPool<Query> query_pool_;
     QueryId next_query_id_ = 0;
-    /** Per-epoch staging (routing share lists); reset in applyPlan. */
-    alloc::FrameArena epoch_arena_;
+    /** Per-family routing share list staging in applyPlan. */
+    alloc::ScratchVector<LoadBalancer::WorkerShare> share_scratch_;
     /** Horizon-drain staging (collect → sort by id → finish). */
     alloc::ScratchVector<Query*> drain_scratch_;
 

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/logging.h"
+
 namespace proteus {
 namespace obs {
 
@@ -22,8 +24,9 @@ TimeSeriesRecorder::TimeSeriesRecorder(Simulator* sim,
                                        TimeSeriesOptions options)
     : sim_(sim), options_(options)
 {
-    if (options_.sample_interval <= 0)
-        options_.sample_interval = seconds(1.0);
+    PROTEUS_ASSERT(options_.sample_interval > 0,
+                   "time-series sample interval must be positive, got ",
+                   options_.sample_interval, " us");
     times_.reserve(options_.capacity);
 }
 
@@ -196,6 +199,52 @@ TimeSeriesRecorder::writeJson(const std::string& path) const
     const std::string body = toJson();
     f.write(body.data(), static_cast<std::streamsize>(body.size()));
     return static_cast<bool>(f);
+}
+
+SloBurnWindow::SloBurnWindow(std::size_t ticks) : ring_(ticks + 1)
+{
+    PROTEUS_ASSERT(ticks >= 1,
+                   "an SLO window spans at least one sample interval");
+}
+
+const SloBurnWindow::Totals&
+SloBurnWindow::oldest() const
+{
+    return ring_[(head_ + 1) % ring_.size()];
+}
+
+SloBurnWindow::Crossing
+SloBurnWindow::tick(std::uint64_t finished, std::uint64_t violated)
+{
+    head_ = (head_ + 1) % ring_.size();
+    ring_[head_] = {finished, violated};
+    const double burn = burnRate();
+    if (!alarm_ && burn >= kBurnHigh && windowFinished() >= kMinCount) {
+        alarm_ = true;
+        return Crossing::Raised;
+    }
+    if (alarm_ && burn < kBurnLow) {
+        alarm_ = false;
+        return Crossing::Cleared;
+    }
+    return Crossing::None;
+}
+
+std::uint64_t
+SloBurnWindow::windowFinished() const
+{
+    return ring_[head_].finished - oldest().finished;
+}
+
+double
+SloBurnWindow::ratio() const
+{
+    const std::uint64_t finished = windowFinished();
+    if (finished == 0)
+        return 0.0;
+    return static_cast<double>(ring_[head_].violated -
+                               oldest().violated) /
+           static_cast<double>(finished);
 }
 
 }  // namespace obs

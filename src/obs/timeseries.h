@@ -128,6 +128,67 @@ class TimeSeriesRecorder
     bool started_ = false;
 };
 
+/**
+ * One family's trailing-window SLO violation ratio and burn-rate
+ * alarm, advanced once per sampling tick from the cumulative
+ * finished/violated totals the metrics collector already keeps.
+ *
+ * A ring of `ticks + 1` cumulative snapshots makes the window exactly
+ * the last `ticks` sampling intervals; the ring starts at zero, as the
+ * totals do when sampling starts. The burn rate is the window ratio
+ * divided by the error budget. The alarm raises at kBurnHigh once the
+ * window holds kMinCount finished queries and clears below kBurnLow,
+ * so a burn rate hovering between the two cannot flap.
+ */
+class SloBurnWindow
+{
+  public:
+    /** Error budget: the tolerated violation ratio. */
+    static constexpr double kBudget = 0.02;
+    /** Burn rate at or above which the alarm raises. */
+    static constexpr double kBurnHigh = 1.0;
+    /** Burn rate below which a raised alarm clears. */
+    static constexpr double kBurnLow = 0.5;
+    /** Finished queries the window must hold before it may raise. */
+    static constexpr std::uint64_t kMinCount = 20;
+
+    /** What one tick did to the alarm. */
+    enum class Crossing { None, Raised, Cleared };
+
+    /** A window of @p ticks sampling intervals (at least one). */
+    explicit SloBurnWindow(std::size_t ticks);
+
+    /**
+     * Push one tick's cumulative totals: queries finished (served,
+     * late or dropped) and SLO violations among them.
+     */
+    Crossing tick(std::uint64_t finished, std::uint64_t violated);
+
+    /** @return violations / finished inside the window (0 if none). */
+    double ratio() const;
+
+    /** @return ratio() divided by the error budget. */
+    double burnRate() const { return ratio() / kBudget; }
+
+    /** @return true while the alarm is raised. */
+    bool alarm() const { return alarm_; }
+
+    /** @return queries finished inside the window. */
+    std::uint64_t windowFinished() const;
+
+  private:
+    struct Totals {
+        std::uint64_t finished = 0;
+        std::uint64_t violated = 0;
+    };
+
+    const Totals& oldest() const;
+
+    std::vector<Totals> ring_;
+    std::size_t head_ = 0;
+    bool alarm_ = false;
+};
+
 }  // namespace obs
 }  // namespace proteus
 

@@ -52,18 +52,11 @@ struct ObsOptions {
     /** Preallocated samples per time-series channel. */
     std::size_t timeseries_capacity = 1 << 12;
 
-    /** SLO monitor sliding-window length. */
+    /**
+     * Trailing window of the per-family SLO violation ratio and burn-
+     * rate alarm; rounded down to whole sample intervals (at least one).
+     */
     Duration slo_window = seconds(30.0);
-    /** Buckets the window is divided into (eviction granularity). */
-    std::size_t slo_buckets = 30;
-    /** Error budget: tolerated violation ratio within the window. */
-    double slo_budget = 0.02;
-    /** Burn rate at/above which an alarm is raised. */
-    double slo_burn_high = 1.0;
-    /** Burn rate below which a raised alarm clears (hysteresis). */
-    double slo_burn_low = 0.5;
-    /** Minimum completions in the window before alarms may raise. */
-    std::uint64_t slo_min_count = 20;
 };
 
 /**

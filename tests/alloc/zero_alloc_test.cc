@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/alloc/alloc_counter.h"
-#include "common/alloc/frame_arena.h"
 #include "common/alloc/object_pool.h"
 #include "common/alloc/ring_queue.h"
 #include "core/serving_system.h"
@@ -85,21 +84,6 @@ TEST(ZeroAllocTest, WarmObjectPoolServesWithoutHeapTraffic)
         int* b = pool.acquire();
         pool.release(a);
         pool.release(b);
-    }
-    EXPECT_EQ(tally.count(), 0u);
-}
-
-TEST(ZeroAllocTest, WarmFrameArenaRunsFramesWithoutHeapTraffic)
-{
-    alloc::FrameArena arena(4096);
-    for (int i = 0; i < 8; ++i)
-        arena.allocate(512);  // warm the block chain
-    arena.reset();
-    alloc::ScopedHeapTally tally;
-    for (int frame = 0; frame < 1000; ++frame) {
-        for (int i = 0; i < 8; ++i)
-            arena.allocate(512);
-        arena.reset();
     }
     EXPECT_EQ(tally.count(), 0u);
 }

@@ -166,6 +166,31 @@ TEST(IlpAllocatorTest, ZeroDemandHostsNothing)
         EXPECT_FALSE(h.has_value());
 }
 
+TEST(IlpAllocatorTest, ZeroDemandKeepsCurrentHosting)
+{
+    World w = miniWorld(4, 2, 2);
+    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
+    AllocationInput in;
+    in.demand_qps = demandOf(w, {100.0, 40.0, 30.0});
+    const Allocation first = alloc.allocate(in);
+
+    // Demand vanishes: nothing is worth a reload, and nothing routes.
+    AllocationInput idle;
+    idle.demand_qps = demandOf(w, {0.0, 0.0, 0.0});
+    idle.current = &first;
+    const Allocation second = alloc.allocate(idle);
+    int hosted = 0;
+    for (DeviceId d = 0; d < w.cluster.numDevices(); ++d) {
+        if (first.hosting[d]) {
+            ++hosted;
+            EXPECT_EQ(second.hosting[d], first.hosting[d]) << "device " << d;
+        }
+    }
+    EXPECT_GT(hosted, 0);
+    for (FamilyId f = 0; f < w.registry.numFamilies(); ++f)
+        EXPECT_TRUE(second.routing[f].empty()) << "family " << f;
+}
+
 TEST(IlpAllocatorTest, ChurnMinimizingExpansionKeepsDevices)
 {
     World w = miniWorld(4, 2, 2);

@@ -214,11 +214,36 @@ TEST(ExperimentDeathTest, DiurnalBaseQpsMustNotBeNegative)
                 "base_qps must be a finite number >= 0, got -50");
 }
 
+TEST(ExperimentDeathTest, SampleIntervalMustBePositive)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWith(
+            "observability", R"({"sample_interval_sec": 0})"))),
+        ::testing::ExitedWithCode(1),
+        "sample_interval_sec must be a finite number > 0, got 0");
+}
+
+TEST(ExperimentDeathTest, SloWindowMustCoverOneSampleInterval)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWith(
+            "observability",
+            R"({"sample_interval_sec": 2, "slo_window_sec": 1.5})"))),
+        ::testing::ExitedWithCode(1),
+        "slo_window_sec must be >= sample_interval_sec \\(2\\), got 1\\.5");
+}
+
 TEST(ExperimentTest, ValidatedKeysAcceptGoodValues)
 {
     const ExperimentSpec spec = loadExperiment(
         parse(configWith("planning_headroom", "1.2")));
     EXPECT_EQ(spec.config.planning_headroom, 1.2);
+
+    const ExperimentSpec obs = loadExperiment(parse(configWith(
+        "observability",
+        R"({"sample_interval_sec": 0.5, "slo_window_sec": 20})")));
+    EXPECT_EQ(obs.config.obs.sample_interval, seconds(0.5));
+    EXPECT_EQ(obs.config.obs.slo_window, seconds(20.0));
 }
 
 }  // namespace

@@ -640,7 +640,7 @@ checkTokens(const std::string& path, const Scan& scan,
             if (alloc_new) {
                 add(t, "A1",
                     "heap 'new' in hot-path file; use "
-                    "alloc::ObjectPool/FrameArena/ScratchVector (or "
+                    "alloc::ObjectPool/ScratchVector (or "
                     "placement new into pooled storage)");
                 continue;
             }
@@ -648,7 +648,7 @@ checkTokens(const std::string& path, const Scan& scan,
                 add(t, "A1",
                     "std::" + id +
                         " in hot-path file; hot-path objects come from "
-                        "alloc::ObjectPool/FrameArena, not the heap");
+                        "alloc::ObjectPool, not the heap");
                 continue;
             }
             if (id == "function" && prevText(i) == "::") {
