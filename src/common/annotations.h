@@ -10,17 +10,13 @@
  *
  * The annotations carry the locking discipline in the type system:
  * which mutex guards which data (PROTEUS_GUARDED_BY), which functions
- * must — or must not — be entered with a lock held (PROTEUS_REQUIRES,
- * PROTEUS_EXCLUDES), and which types are lock capabilities or RAII
- * scopes (PROTEUS_CAPABILITY, PROTEUS_SCOPED_CAPABILITY). They are
- * checked twice:
- *
- *  - statically by Clang's `-Wthread-safety` analysis over the whole
- *    tree (promoted to an error in CI), and
- *  - structurally by `proteus_lint` rule C3, which requires every
- *    non-const global or static reachable from sweep worker threads
- *    to be `std::atomic`, const, or carry a PROTEUS_GUARDED_BY naming
- *    a mutex the linter can resolve.
+ * must be entered with a lock held (PROTEUS_REQUIRES), and which types
+ * are lock capabilities or RAII scopes (PROTEUS_CAPABILITY, PROTEUS_SCOPED_CAPABILITY). They are
+ * checked statically by Clang's `-Wthread-safety` analysis over the
+ * whole tree (promoted to an error in CI), which also rejects a
+ * PROTEUS_GUARDED_BY naming no real mutex. What the annotations cannot
+ * express — lock order, and shared state nobody annotated — the
+ * ThreadSanitizer pass (`tools/check.sh tsan`) checks at run time.
  *
  * Standard library types (std::mutex, std::lock_guard) are not
  * annotated on libstdc++, so annotated code uses the proteus::Mutex /
@@ -50,16 +46,9 @@
 /** Data member / global readable-writable only with @p x held. */
 #define PROTEUS_GUARDED_BY(x) PROTEUS_THREAD_ANNOTATION_(guarded_by(x))
 
-/** Pointer whose pointee is guarded by @p x (the pointer itself is not). */
-#define PROTEUS_PT_GUARDED_BY(x) PROTEUS_THREAD_ANNOTATION_(pt_guarded_by(x))
-
 /** Function that must be called with the listed capabilities held. */
 #define PROTEUS_REQUIRES(...) \
     PROTEUS_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-
-/** Function that must NOT be called with the listed capabilities held. */
-#define PROTEUS_EXCLUDES(...) \
-    PROTEUS_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 
 /** Function that acquires the listed capabilities and does not release. */
 #define PROTEUS_ACQUIRE(...) \
@@ -68,21 +57,5 @@
 /** Function that releases the listed capabilities. */
 #define PROTEUS_RELEASE(...) \
     PROTEUS_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-
-/** try_lock-style function: acquires when returning @p result. */
-#define PROTEUS_TRY_ACQUIRE(...) \
-    PROTEUS_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-
-/** Returns a reference to the capability guarding something else. */
-#define PROTEUS_RETURN_CAPABILITY(x) \
-    PROTEUS_THREAD_ANNOTATION_(lock_returned(x))
-
-/**
- * Escape hatch: disables the analysis inside one function. Every use
- * must carry a comment saying why the access pattern is safe (e.g.
- * quiescent single-threaded export after all workers joined).
- */
-#define PROTEUS_NO_THREAD_SAFETY_ANALYSIS \
-    PROTEUS_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 #endif  // PROTEUS_COMMON_ANNOTATIONS_H_

@@ -8,18 +8,16 @@
  * guarded by PROTEUS_GUARDED_BY must lock through these types for the
  * `-Wthread-safety` analysis to see the acquisition.
  *
- * Policy (enforced by proteus_lint):
+ * Policy, and the gate that enforces each part:
  *
  *  - Mutex-protected state is annotated PROTEUS_GUARDED_BY(mu) and
- *    locked via the RAII MutexLock; rule C1 forbids raw
- *    mutex.lock()/unlock() calls everywhere outside this one audited
- *    file (the wrapper bodies below are the single sanctioned raw
- *    call site, exactly like common/clock.h is for wall-clock reads).
- *  - Lock acquisition order is global: rule C2 derives a lock-order
- *    graph from guard nesting across all translation units and flags
- *    any cycle as deadlock risk.
- *  - Non-const globals/statics in thread-reachable code must be
- *    std::atomic, const, or PROTEUS_GUARDED_BY a mutex (rule C3).
+ *    locked via the RAII MutexLock. Mutex::lock()/unlock() are
+ *    private to MutexLock, so a raw call does not compile; proteus_lint
+ *    rule C1 bans the unannotated std mutex and guard types in src/
+ *    outside this file, the only other way to lock by hand.
+ *  - A guard naming no real mutex fails clang -Wthread-safety.
+ *  - Lock-order inversions and unguarded shared globals are reported
+ *    by the ThreadSanitizer pass (tools/check.sh tsan).
  *
  * Everything here is header-only and trivially inlinable: under gcc
  * the wrappers compile to exactly the std::mutex / std::lock_guard
@@ -46,23 +44,18 @@ class PROTEUS_CAPABILITY("mutex") Mutex
     Mutex(const Mutex&) = delete;
     Mutex& operator=(const Mutex&) = delete;
 
-    /** Acquire exclusively; prefer MutexLock (rule C1). */
-    void lock() PROTEUS_ACQUIRE() { mu_.lock(); }
+  private:
+    friend class MutexLock;
 
-    /** Release; prefer MutexLock (rule C1). */
+    void lock() PROTEUS_ACQUIRE() { mu_.lock(); }
     void unlock() PROTEUS_RELEASE() { mu_.unlock(); }
 
-    /** @return true when the lock was acquired without blocking. */
-    bool try_lock() PROTEUS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  private:
     std::mutex mu_;
 };
 
 /**
  * RAII guard over a Mutex: acquires at construction, releases at
- * scope exit. The only lint-sanctioned way to lock a Mutex outside
- * this header.
+ * scope exit. The only way to lock a Mutex.
  */
 class PROTEUS_SCOPED_CAPABILITY MutexLock
 {

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/exporter.h"
@@ -64,6 +66,40 @@ positiveFromJson(const JsonValue& json, const char* key, double fallback,
     return v;
 }
 
+/** The largest integer a JSON double holds exactly. */
+constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+
+/**
+ * @return json[@p key], or @p fallback when absent, after checking it
+ * is an integer in [@p lo, @p hi]. The range keeps the caller's cast to
+ * its integer type defined: a fraction would be truncated and a
+ * negative value would wrap an unsigned count.
+ */
+double
+integerFromJson(const JsonValue& json, const char* key, double fallback,
+                double lo, double hi = kMaxExactInteger)
+{
+    const double v = json.numberOr(key, fallback);
+    if (!(v >= lo && v <= hi && v == std::floor(v))) {
+        const std::string top =
+            hi == kMaxExactInteger
+                ? "2^53"
+                : std::to_string(static_cast<std::int64_t>(hi));
+        PROTEUS_FATAL(key, " must be an integer in [",
+                      static_cast<std::int64_t>(lo), ", ", top, "], got ",
+                      v);
+    }
+    return v;
+}
+
+/** A device count: an integer in [0, INT_MAX]. */
+int
+deviceCountFromJson(const JsonValue& cluster, const char* key)
+{
+    return static_cast<int>(integerFromJson(
+        cluster, key, 0.0, 0.0, std::numeric_limits<int>::max()));
+}
+
 Cluster
 clusterFromJson(const JsonValue& json)
 {
@@ -76,12 +112,10 @@ clusterFromJson(const JsonValue& json)
         return cluster;
     }
     const JsonValue& c = json.at("cluster");
-    cluster.addDevices(types.cpu,
-                       static_cast<int>(c.numberOr("cpu", 0)));
+    cluster.addDevices(types.cpu, deviceCountFromJson(c, "cpu"));
     cluster.addDevices(types.gtx1080ti,
-                       static_cast<int>(c.numberOr("gtx1080ti", 0)));
-    cluster.addDevices(types.v100,
-                       static_cast<int>(c.numberOr("v100", 0)));
+                       deviceCountFromJson(c, "gtx1080ti"));
+    cluster.addDevices(types.v100, deviceCountFromJson(c, "v100"));
     if (cluster.numDevices() == 0)
         PROTEUS_FATAL("config cluster has no devices");
     return cluster;
@@ -144,9 +178,9 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
         PROTEUS_FATAL("config is missing the \"workload\" object");
     const JsonValue& w = json.at("workload");
     std::string kind = w.stringOr("kind", "diurnal");
-    Duration duration = seconds(w.numberOr("duration_sec", 360.0));
+    Duration duration = seconds(positiveFromJson(w, "duration_sec", 360.0));
     std::uint64_t seed =
-        static_cast<std::uint64_t>(w.numberOr("seed", 42.0));
+        static_cast<std::uint64_t>(integerFromJson(w, "seed", 42.0, 0.0));
 
     if (kind == "diurnal") {
         DiurnalTraceConfig cfg;
@@ -177,7 +211,7 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
             p = ArrivalProcess::Gamma;
         else
             PROTEUS_FATAL("unknown arrival process: ", process);
-        return steadyTrace(num_families, w.numberOr("qps", 100.0),
+        return steadyTrace(num_families, positiveFromJson(w, "qps", 100.0),
                            duration, p, seed);
     }
     if (kind == "file") {
@@ -203,7 +237,7 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
         for (PipelineId p = 0; p < compiled.size(); ++p)
             entries.push_back(compiled.entryFamily(p));
         PipelineTraceConfig cfg;
-        cfg.qps = w.numberOr("qps", cfg.qps);
+        cfg.qps = positiveFromJson(w, "qps", cfg.qps);
         cfg.duration = duration;
         cfg.seed = seed;
         std::string process = w.stringOr("process", "poisson");
@@ -218,24 +252,6 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
         return pipelineTrace(entries, cfg);
     }
     PROTEUS_FATAL("unknown workload kind: ", kind);
-}
-
-/**
- * The MILP work budget in simplex iterations: an integer in [1, 2^53]
- * (every such count is exact in a JSON double). The solver reads a
- * budget <= 0 as "no limit", so zero, negative and fractional values
- * would silently leave only the wall-clock backstop.
- */
-std::int64_t
-workBudgetFromJson(const JsonValue& json, std::int64_t fallback)
-{
-    const double v =
-        json.numberOr("milp_work_budget", static_cast<double>(fallback));
-    if (!(v >= 1.0 && v <= 9007199254740992.0 && v == std::floor(v))) {
-        PROTEUS_FATAL("milp_work_budget must be an integer in [1, 2^53] ",
-                      "(simplex iterations), got ", v);
-    }
-    return static_cast<std::int64_t>(v);
 }
 
 }  // namespace
@@ -256,18 +272,29 @@ loadExperiment(const JsonValue& json)
         json, "planning_headroom", spec.config.planning_headroom);
     spec.config.burst_threshold =
         json.numberOr("burst_threshold", spec.config.burst_threshold);
-    spec.config.snapshot_interval = seconds(json.numberOr(
-        "snapshot_interval_sec",
+    spec.config.snapshot_interval = seconds(positiveFromJson(
+        json, "snapshot_interval_sec",
         toSeconds(spec.config.snapshot_interval)));
-    spec.config.ilp_decision_delay = seconds(json.numberOr(
-        "decision_delay_sec",
-        toSeconds(spec.config.ilp_decision_delay)));
-    spec.config.milp_work_budget = workBudgetFromJson(
-        json, spec.config.milp_work_budget);
-    spec.config.latency_jitter_frac = json.numberOr(
+    spec.config.ilp_decision_delay = seconds(positiveFromJson(
+        json, "decision_delay_sec",
+        toSeconds(spec.config.ilp_decision_delay), true));
+    // In simplex iterations. The solver reads a budget <= 0 as "no
+    // limit", so only the wall-clock backstop would be left.
+    spec.config.milp_work_budget =
+        static_cast<std::int64_t>(integerFromJson(
+            json, "milp_work_budget",
+            static_cast<double>(spec.config.milp_work_budget), 1.0));
+    // Each execution time is scaled by 1 + U(-j, j), which must stay
+    // positive.
+    const double jitter = json.numberOr(
         "latency_jitter", spec.config.latency_jitter_frac);
+    if (!(jitter >= 0.0 && jitter < 1.0)) {
+        PROTEUS_FATAL("latency_jitter must be a finite number in [0, 1), "
+                      "got ", jitter);
+    }
+    spec.config.latency_jitter_frac = jitter;
     spec.config.seed =
-        static_cast<std::uint64_t>(json.numberOr("seed", 1.0));
+        static_cast<std::uint64_t>(integerFromJson(json, "seed", 1.0, 0.0));
     spec.config.pipelines = pipelinesFromJson(json);
     const std::string planning =
         json.stringOr("pipeline_planning", "joint");
@@ -282,10 +309,10 @@ loadExperiment(const JsonValue& json)
     if (json.has("observability")) {
         const JsonValue& o = json.at("observability");
         spec.config.obs.enabled = o.boolOr("enabled", false);
-        spec.config.obs.ring_capacity = static_cast<std::size_t>(
-            o.numberOr("ring_capacity",
-                       static_cast<double>(
-                           spec.config.obs.ring_capacity)));
+        spec.config.obs.ring_capacity =
+            static_cast<std::size_t>(integerFromJson(
+                o, "ring_capacity",
+                static_cast<double>(spec.config.obs.ring_capacity), 1.0));
         const double interval = positiveFromJson(
             o, "sample_interval_sec",
             toSeconds(spec.config.obs.sample_interval));
@@ -297,10 +324,11 @@ loadExperiment(const JsonValue& json)
         }
         spec.config.obs.sample_interval = seconds(interval);
         spec.config.obs.slo_window = seconds(window);
-        spec.config.obs.timeseries_capacity = static_cast<std::size_t>(
-            o.numberOr("timeseries_capacity",
-                       static_cast<double>(
-                           spec.config.obs.timeseries_capacity)));
+        spec.config.obs.timeseries_capacity =
+            static_cast<std::size_t>(integerFromJson(
+                o, "timeseries_capacity",
+                static_cast<double>(spec.config.obs.timeseries_capacity),
+                1.0));
         spec.trace_path = o.stringOr("trace_file", "");
         spec.metrics_path = o.stringOr("metrics_file", "");
         spec.timeline_csv_path = o.stringOr("timeline_csv", "");

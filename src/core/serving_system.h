@@ -10,9 +10,9 @@
  * and load balancer reports to. Arrivals go straight to the metrics
  * collector. A terminal outcome takes one fixed route: the pipeline
  * stage step (an intermediate hop is forwarded to the next stage and
- * goes no further), then the metrics collector, then the SLO monitor
- * and tail reservoir when observability is on, and finally the
- * query's pool slot is released.
+ * goes no further), then the metrics collector, then the tail
+ * reservoir when observability is on, and finally the query's pool
+ * slot is released.
  *
  * Usage:
  *   Cluster cluster = paperCluster();

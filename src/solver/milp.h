@@ -8,8 +8,10 @@
  * heuristic re-optimise from it after their bound change instead of
  * solving from the slack basis. The root itself starts from a
  * caller-supplied basis when one is given (the previous control
- * epoch's, in the Proteus allocator). Most-fractional branching and a
- * rounding-and-repair primal heuristic produce incumbents early.
+ * epoch's, in the Proteus allocator). Most-fractional branching and
+ * two primal heuristics produce incumbents early: a fractional dive
+ * (fix the least fractional integer, re-solve, repeat) and a
+ * round-all-integers-and-re-solve rounding step.
  * Supports relative gap, node and wall-clock limits; within the limits
  * the returned solution is globally optimal, matching the paper's use
  * of an exact MILP (§4, "Solving the MILP"). A relaxation stopped by
@@ -59,7 +61,9 @@ class MilpSolver
          * truncation (DESIGN.md, "Static analysis").
          */
         double time_limit_sec = 60.0;
-        /** Run the rounding heuristic every this many nodes. */
+        /** Primal heuristic cadence: the dive runs at the root and
+         *  every 8 x this many nodes, rounding at the other multiples
+         *  of it. */
         int heuristic_period = 16;
         /** Options forwarded to the LP relaxation solver. */
         SimplexSolver::Options lp;

@@ -233,11 +233,130 @@ TEST(ExperimentDeathTest, SloWindowMustCoverOneSampleInterval)
         "slo_window_sec must be >= sample_interval_sec \\(2\\), got 1\\.5");
 }
 
+TEST(ExperimentDeathTest, LatencyJitterMustBeBelowOne)
+{
+    // 1 + U(-1.5, 1.5) can scale an execution time below zero.
+    EXPECT_EXIT(loadExperiment(parse(configWith("latency_jitter", "1.5"))),
+                ::testing::ExitedWithCode(1),
+                "latency_jitter must be a finite number in \\[0, 1\\), "
+                "got 1\\.5");
+}
+
+TEST(ExperimentDeathTest, SnapshotIntervalMustBePositive)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWith("snapshot_interval_sec", "0"))),
+        ::testing::ExitedWithCode(1),
+        "snapshot_interval_sec must be a finite number > 0, got 0");
+}
+
+TEST(ExperimentDeathTest, DecisionDelayMustNotBeNegative)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWith("decision_delay_sec", "-1"))),
+        ::testing::ExitedWithCode(1),
+        "decision_delay_sec must be a finite number >= 0, got -1");
+}
+
+TEST(ExperimentDeathTest, SeedMustBeANonNegativeInteger)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWith("seed", "-3"))),
+                ::testing::ExitedWithCode(1),
+                "seed must be an integer in \\[0, 2\\^53\\], got -3");
+}
+
+TEST(ExperimentDeathTest, RingCapacityMustBeAPositiveInteger)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWith(
+                    "observability", R"({"ring_capacity": 0})"))),
+                ::testing::ExitedWithCode(1),
+                "ring_capacity must be an integer in \\[1, 2\\^53\\], "
+                "got 0");
+}
+
+TEST(ExperimentDeathTest, TimeseriesCapacityMustBeAPositiveInteger)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWith(
+                    "observability", R"({"timeseries_capacity": 2.5})"))),
+                ::testing::ExitedWithCode(1),
+                "timeseries_capacity must be an integer in "
+                "\\[1, 2\\^53\\], got 2\\.5");
+}
+
+/** The small valid config with @p cluster and @p workload swapped in. */
+std::string
+configWithParts(const std::string& cluster, const std::string& workload)
+{
+    return R"({"zoo": "mini", "cluster": )" + cluster +
+           R"(, "workload": )" + workload + "}";
+}
+
+const char* const kSteadyWorkload =
+    R"({"kind": "steady", "duration_sec": 5, "qps": 20})";
+
+TEST(ExperimentDeathTest, DeviceCountMustBeANonNegativeInteger)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithParts(
+                    R"({"cpu": -2, "v100": 1})", kSteadyWorkload))),
+                ::testing::ExitedWithCode(1),
+                "cpu must be an integer in \\[0, 2147483647\\], got -2");
+}
+
+TEST(ExperimentDeathTest, WorkloadQpsMustBePositive)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWithParts(
+            R"({"cpu": 2})",
+            R"({"kind": "steady", "duration_sec": 5, "qps": -10})"))),
+        ::testing::ExitedWithCode(1),
+        "qps must be a finite number > 0, got -10");
+}
+
+TEST(ExperimentDeathTest, WorkloadDurationMustBePositive)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWithParts(
+            R"({"cpu": 2})",
+            R"({"kind": "steady", "duration_sec": -5, "qps": 20})"))),
+        ::testing::ExitedWithCode(1),
+        "duration_sec must be a finite number > 0, got -5");
+}
+
+TEST(ExperimentDeathTest, WorkloadSeedMustBeANonNegativeInteger)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(configWithParts(
+            R"({"cpu": 2})",
+            R"({"kind": "steady", "duration_sec": 5, "qps": 20,
+                "seed": 0.5})"))),
+        ::testing::ExitedWithCode(1),
+        "seed must be an integer in \\[0, 2\\^53\\], got 0\\.5");
+}
+
 TEST(ExperimentTest, ValidatedKeysAcceptGoodValues)
 {
     const ExperimentSpec spec = loadExperiment(
         parse(configWith("planning_headroom", "1.2")));
     EXPECT_EQ(spec.config.planning_headroom, 1.2);
+
+    // Boundary values: no jitter, no delay, seed 0, one-slot rings and
+    // a device type with no devices.
+    EXPECT_EQ(loadExperiment(parse(configWith("latency_jitter", "0")))
+                  .config.latency_jitter_frac,
+              0.0);
+    EXPECT_EQ(loadExperiment(parse(configWith("decision_delay_sec", "0")))
+                  .config.ilp_decision_delay,
+              0);
+    EXPECT_EQ(loadExperiment(parse(configWith("seed", "0"))).config.seed,
+              0u);
+    const ExperimentSpec rings = loadExperiment(parse(configWith(
+        "observability", R"({"ring_capacity": 1, "timeseries_capacity": 1})")));
+    EXPECT_EQ(rings.config.obs.ring_capacity, 1u);
+    EXPECT_EQ(rings.config.obs.timeseries_capacity, 1u);
+    const ExperimentSpec no_cpu = loadExperiment(parse(configWithParts(
+        R"({"cpu": 0, "v100": 1})",
+        R"({"kind": "steady", "duration_sec": 5, "qps": 20, "seed": 0})")));
+    EXPECT_EQ(no_cpu.cluster.numDevices(), 1u);
 
     const ExperimentSpec obs = loadExperiment(parse(configWith(
         "observability",

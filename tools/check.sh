@@ -30,8 +30,8 @@ modes:
   asan    build + ctest under ASan+UBSan (build-asan/)
   tsan    build + `ctest -L threads` under ThreadSanitizer, then the
           4-thread sweep smoke, in build-tsan/ (PROTEUS_SANITIZE=thread;
-          includes the WILL_FAIL racy-counter fixture proving the
-          sanitizer fires)
+          includes the WILL_FAIL data-race and lock-order-inversion
+          fixtures proving the sanitizer fires)
   tsa     clang -Wthread-safety (as errors) build in build-tsa/
           (PROTEUS_THREAD_SAFETY=ON; requires clang++)
   lint    proteus_lint over the tree + clang-tidy (if installed)
@@ -163,8 +163,7 @@ lint_pass() {
     echo "=== lint: build proteus_lint ==="
     mkdir -p build-lint
     "${cxx[@]}" -std=c++20 -O2 -Wall -Wextra \
-        tools/lint/lint.cc tools/lint/index.cc \
-        tools/lint/concurrency.cc tools/lint/proteus_lint.cc \
+        tools/lint/lint.cc tools/lint/proteus_lint.cc \
         -o build-lint/proteus_lint
     echo "=== lint: proteus_lint (src bench tools tests) ==="
     build-lint/proteus_lint
@@ -192,7 +191,7 @@ strict_pass() {
 tsan_pass() {
     # ThreadSanitizer over the threaded suites (labeled "threads" in
     # tests/CMakeLists.txt: the seed-sweep harness users plus the sweep
-    # runner) and the deliberately-racy WILL_FAIL fixture, then the
+    # runner) and the WILL_FAIL fixtures under tests/tsan/, then the
     # 4-thread sweep smoke under instrumentation. Full per-test ctest
     # under tsan would multiply process spawns for suites that never
     # touch a thread; -L threads spends the sanitizer budget where the

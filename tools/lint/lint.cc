@@ -7,15 +7,34 @@
 #include <fstream>
 #include <sstream>
 
-#include "scan.h"
+namespace proteus::lint {
 
-namespace proteus::lint::detail {
+namespace {
 
 // ---------------------------------------------------------------------------
 // Tokenizer
 // ---------------------------------------------------------------------------
 
-namespace {
+enum class TokKind { Ident, Number, Punct };
+
+struct Token {
+    TokKind kind;
+    std::string text;
+    int line;
+    int col;
+};
+
+/** A comment with the line span it occupies (block comments span). */
+struct Comment {
+    std::string text;
+    int line;
+    int end_line;
+};
+
+struct Scan {
+    std::vector<Token> tokens;
+    std::vector<Comment> comments;
+};
 
 bool
 isIdentChar(char c)
@@ -29,8 +48,12 @@ isIdentStart(char c)
     return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-}  // namespace
-
+/**
+ * Single-pass scanner. Strings, char literals and raw strings are
+ * consumed without emitting tokens (rule matching must never fire on
+ * literal text); comments are collected separately for suppression
+ * parsing and the comment-based rules (S2, D3's det-order).
+ */
 Scan
 scanSource(const std::string& text)
 {
@@ -209,6 +232,19 @@ scanSource(const std::string& text)
 // Suppressions
 // ---------------------------------------------------------------------------
 
+/** One parsed suppression marker (see the forms in lint.h). */
+struct Suppression {
+    std::set<std::string> rules;  ///< empty when all == true
+    bool all = false;             ///< "*" form
+    std::string reason;
+    int applies_to_line = 0;  ///< line whose findings it covers
+};
+
+struct SuppressionScan {
+    std::vector<Suppression> suppressions;
+    std::vector<Finding> malformed;  ///< S3 findings
+};
+
 std::string
 trim(const std::string& s)
 {
@@ -219,6 +255,12 @@ trim(const std::string& s)
     return s.substr(b, e - b + 1);
 }
 
+/**
+ * Parse all suppression markers (same-line and next-line forms) in
+ * one comment. Syntax: MARKER(rule[,rule...]): reason. Malformed
+ * markers become S3 findings rather than silently suppressing
+ * nothing.
+ */
 void
 parseSuppressions(const std::string& path, const Comment& comment,
                   SuppressionScan* out)
@@ -330,26 +372,28 @@ parseSuppressions(const std::string& path, const Comment& comment,
     }
 }
 
+/** Mark a finding suppressed when one of @p sups covers its line and
+ *  rule. */
 void
-applySuppressions(std::vector<Suppression>& sups,
+applySuppressions(const std::vector<Suppression>& sups,
                   std::vector<Finding>* findings)
 {
     for (Finding& f : *findings) {
         if (f.suppressed)
             continue;
-        for (Suppression& s : sups) {
+        for (const Suppression& s : sups) {
             if (s.applies_to_line != f.line)
                 continue;
             if (!s.all && s.rules.count(f.rule) == 0)
                 continue;
             f.suppressed = true;
             f.suppress_reason = s.reason;
-            s.used = true;
             break;
         }
     }
 }
 
+/** Stable finding order: (line, col, rule) within one file. */
 void
 sortFindings(std::vector<Finding>* findings)
 {
@@ -388,26 +432,6 @@ endsWith(const std::string& s, const std::string& suffix)
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-}  // namespace proteus::lint::detail
-
-namespace proteus::lint {
-
-namespace {
-
-using detail::Comment;
-using detail::Scan;
-using detail::SuppressionScan;
-using detail::TokKind;
-using detail::Token;
-using detail::endsWith;
-using detail::pathHas;
-
-bool
-isIdentChar(char c)
-{
-    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
 /** D1 scope: the deterministic decision path. */
 bool
 isDecisionPath(const std::string& path)
@@ -432,6 +456,14 @@ isClockShim(const std::string& path)
     return endsWith(path, "src/common/clock.h") ||
            path == "common/clock.h" || path == "clock.h" ||
            endsWith(path, "src/sweep/sweep_clock.h");
+}
+
+/** C1 scope: the annotated wrapper is the one file that may hold a
+ *  std mutex. */
+bool
+isSyncShim(const std::string& path)
+{
+    return endsWith(path, "src/common/sync.h");
 }
 
 /** D4 scope: raw stdout/stderr output is fine in bench and tools. */
@@ -466,6 +498,15 @@ isClockIdent(const std::string& id)
     static const std::string suffix = "_clock";
     return id == "steady" + suffix || id == "system" + suffix ||
            id == "high_resolution" + suffix;
+}
+
+/** C1: std locking types, invisible to clang -Wthread-safety. */
+bool
+isStdLockType(const std::string& id)
+{
+    return id == "mutex" || id == "recursive_mutex" ||
+           id == "shared_mutex" || id == "lock_guard" ||
+           id == "unique_lock" || id == "scoped_lock";
 }
 
 bool
@@ -545,6 +586,7 @@ checkTokens(const std::string& path, const Scan& scan,
     const bool clock_ok = isClockShim(path);
     const bool output_ok = isOutputAllowed(path);
     const bool in_src = pathHas(path, "src/");
+    const bool std_locks_banned = in_src && !isSyncShim(path);
     const bool hot = isHotPath(path);
 
     const std::vector<Token>& toks = scan.tokens;
@@ -579,6 +621,16 @@ checkTokens(const std::string& path, const Scan& scan,
                     "' in deterministic decision path; iteration order "
                     "is unspecified — use std::map/std::set or an "
                     "insertion-ordered wrapper");
+            continue;
+        }
+
+        if (std_locks_banned && isStdLockType(id) && prevText(i) == "::" &&
+            i >= 2 && toks[i - 2].text == "std") {
+            add(t, "C1",
+                "std::" + id +
+                    " in src/; lock through proteus::Mutex and MutexLock "
+                    "(common/sync.h) so -Wthread-safety sees the "
+                    "acquisition");
             continue;
         }
 
@@ -785,17 +837,10 @@ ruleRegistry()
         {"S2", "no TODO/FIXME without an issue reference TODO(#N)"},
         {"S3", "every NOLINT-PROTEUS names known rules and carries a "
                "non-empty reason"},
-        {"C1", "no raw mutex .lock()/.unlock() calls; hold locks through "
-               "RAII guards (MutexLock, lock_guard, scoped_lock, "
-               "unique_lock) — the only sanctioned raw-lock site is "
-               "src/common/sync.h"},
-        {"C2", "globally consistent lock-acquisition order: a cycle in "
-               "the cross-TU held-before-acquired graph is a deadlock "
-               "risk"},
-        {"C3", "non-const globals/statics in thread-reachable code "
-               "(src/sweep + its include closure) must be std::atomic, "
-               "const, thread_local or PROTEUS_GUARDED_BY a resolvable "
-               "mutex"},
+        {"C1", "no std::mutex / recursive_mutex / shared_mutex / "
+               "lock_guard / unique_lock / scoped_lock in src/ outside "
+               "src/common/sync.h (lock through proteus::Mutex + "
+               "MutexLock)"},
     };
     return kRules;
 }
@@ -814,12 +859,12 @@ std::vector<Finding>
 lintSource(const std::string& path, const std::string& text,
            const LintOptions& options)
 {
-    const std::string norm = detail::normalizePath(path);
-    const Scan scan = detail::scanSource(text);
+    const std::string norm = normalizePath(path);
+    const Scan scan = scanSource(text);
 
     SuppressionScan sups;
     for (const Comment& c : scan.comments)
-        detail::parseSuppressions(norm, c, &sups);
+        parseSuppressions(norm, c, &sups);
 
     std::vector<Finding> findings;
     checkTokens(norm, scan, &findings);
@@ -827,7 +872,7 @@ lintSource(const std::string& path, const std::string& text,
     for (Finding& f : sups.malformed)
         findings.push_back(std::move(f));
 
-    detail::applySuppressions(sups.suppressions, &findings);
+    applySuppressions(sups.suppressions, &findings);
 
     if (!options.rules.empty()) {
         findings.erase(std::remove_if(findings.begin(), findings.end(),
@@ -837,26 +882,8 @@ lintSource(const std::string& path, const std::string& text,
                        findings.end());
     }
 
-    detail::sortFindings(&findings);
+    sortFindings(&findings);
     return findings;
-}
-
-std::vector<Finding>
-lintFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        Finding f;
-        f.file = path;
-        f.line = 0;
-        f.col = 0;
-        f.rule = "IO";
-        f.message = "cannot open file";
-        return {f};
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return lintSource(path, ss.str());
 }
 
 Analysis
@@ -867,20 +894,12 @@ analyzeSources(
     Analysis out;
     out.files_scanned = sources.size();
 
-    std::vector<FileIndex> indexes;
-    indexes.reserve(sources.size());
     for (const auto& [path, text] : sources) {
         std::vector<Finding> per_file = lintSource(path, text, options);
         out.findings.insert(out.findings.end(),
                             std::make_move_iterator(per_file.begin()),
                             std::make_move_iterator(per_file.end()));
-        indexes.push_back(indexSource(path, text));
     }
-
-    std::vector<Finding> cross = lintCrossFile(indexes, options);
-    out.findings.insert(out.findings.end(),
-                        std::make_move_iterator(cross.begin()),
-                        std::make_move_iterator(cross.end()));
 
     std::sort(out.findings.begin(), out.findings.end(),
               [](const Finding& a, const Finding& b) {
@@ -944,7 +963,7 @@ collectFiles(const std::vector<std::string>& roots, bool skip_fixtures)
     for (const std::string& root : roots) {
         std::error_code ec;
         if (fs::is_regular_file(root, ec)) {
-            files.push_back(detail::normalizePath(root));
+            files.push_back(normalizePath(root));
             continue;
         }
         fs::recursive_directory_iterator it(root, ec);
@@ -955,7 +974,7 @@ collectFiles(const std::vector<std::string>& roots, bool skip_fixtures)
             if (!entry.is_regular_file() || !wanted(entry.path()))
                 continue;
             std::string p =
-                detail::normalizePath(entry.path().generic_string());
+                normalizePath(entry.path().generic_string());
             if (skip_fixtures && pathHas(p, "tests/lint/fixtures"))
                 continue;
             files.push_back(std::move(p));

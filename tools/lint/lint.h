@@ -2,16 +2,11 @@
  * @file
  * proteus_lint — determinism-and-safety static analysis for the tree.
  *
- * The linter runs in two passes. Pass 1 tokenizes each translation
- * unit (comments, string/char/raw-string literals, identifiers,
- * numbers, punctuation), applies the per-file rules, and builds a
- * lightweight symbol index: namespace/class scopes, function
- * definitions, namespace-scope and static-local variables, mutex
- * declarations, lock-acquisition sites with the set of locks held at
- * each, and #include edges. Pass 2 merges the per-TU indexes and runs
- * the cross-file concurrency rules over the whole program.
+ * Each file is linted on its own: a tokenizer (comments, string/char/
+ * raw-string literals, identifiers, numbers, punctuation) feeds the
+ * token and comment rules below, then suppressions apply.
  *
- * Per-file rules (see ruleRegistry() for the authoritative table):
+ * Rules (see ruleRegistry() for the authoritative table):
  *   D1  no unordered_map/unordered_set in solver/controller/router/sim
  *       code (src/solver/, src/core/, src/sim/) — iteration order is
  *       unspecified and has leaked into decisions in other systems.
@@ -24,36 +19,27 @@
  *       "det-order:" comment justifying the summation order.
  *   D4  no std::cout / raw printf-family output outside bench/ and
  *       tools/ — library code must use common/logging.
+ *   A1  no heap allocation or std::function in hot-path files.
  *   S1  no const_cast / reinterpret_cast in src/.
  *   S2  stale-marker comments must carry an issue reference, i.e.
  *       the TODO(#123) form.
  *   S3  suppression hygiene: every suppression marker names known
  *       rule ids and carries a non-empty reason.
+ *   C1  no std::mutex / recursive_mutex / shared_mutex / lock_guard /
+ *       unique_lock / scoped_lock in src/ outside src/common/sync.h.
+ *       proteus::Mutex keeps lock()/unlock() private to MutexLock, so
+ *       an unannotated std mutex is the only way left to lock by hand,
+ *       and clang -Wthread-safety cannot see it.
  *
- * Cross-file concurrency rules (pass 2):
- *   C1  no raw mutex .lock()/.unlock()/.try_lock() calls on objects
- *       the index resolves to mutexes — hold locks through RAII
- *       guards (proteus::MutexLock, std::lock_guard, std::scoped_lock,
- *       std::unique_lock). The single sanctioned raw-lock site is
- *       src/common/sync.h, the annotated wrapper itself.
- *   C2  globally consistent lock-acquisition order: every guard
- *       nesting contributes a held-before-acquired edge; a cycle in
- *       the merged graph (e.g. TU a locks A then B, TU b locks B then
- *       A) is a deadlock risk and is flagged at each offending edge.
- *   C3  non-const namespace-scope / static-local variables in
- *       thread-reachable code (src/sweep plus its transitive include
- *       closure) must be std::atomic, const/constexpr, thread_local,
- *       or carry a PROTEUS_GUARDED_BY(mutex) annotation naming a
- *       mutex the index can resolve. Annotated class members are
- *       verified the same way everywhere in src/.
+ * Lock ordering and unguarded shared state are not lint rules: the
+ * ThreadSanitizer pass (tools/check.sh tsan) reports lock-order
+ * inversions and data races at run time, and clang -Wthread-safety
+ * rejects a PROTEUS_GUARDED_BY that names no real mutex.
  *
  * Suppressions:
  *   code();  // NOLINT-PROTEUS(D2): reason why this is safe
  *   // NOLINTNEXTLINE-PROTEUS(D1,D3): reason covering the next line
  *   // NOLINT-PROTEUS(*): reason — suppress every rule on this line
- * Cross-file findings are suppressed at the line they anchor to (the
- * acquisition site / variable declaration), which may live in a
- * different file than the rule's cause.
  */
 
 #ifndef PROTEUS_TOOLS_LINT_LINT_H_
@@ -76,15 +62,6 @@ struct Finding {
     std::string message;        ///< human-readable explanation
     bool suppressed = false;    ///< true when a suppression covers it
     std::string suppress_reason;  ///< the suppression's reason text
-};
-
-/** One parsed suppression marker (see the forms in @file). */
-struct Suppression {
-    std::set<std::string> rules;  ///< empty when all == true
-    bool all = false;             ///< "*" form
-    std::string reason;
-    int applies_to_line = 0;  ///< line whose findings it covers
-    bool used = false;
 };
 
 /** Registry entry describing one rule. */
@@ -112,112 +89,38 @@ struct LintOptions {
 };
 
 // ---------------------------------------------------------------------------
-// Pass 1: per-TU symbol index
-// ---------------------------------------------------------------------------
-
-/** A mutex declaration (std::mutex family or proteus::Mutex). */
-struct MutexDecl {
-    std::string name;
-    std::string scope_class;  ///< owning class; empty at namespace scope
-    std::string function;     ///< set for function-local mutexes
-    int line = 0;
-    int col = 0;
-};
-
-/** A namespace-scope variable or function-local static (C3 universe). */
-struct VarDecl {
-    std::string name;
-    int line = 0;
-    int col = 0;
-    bool is_const = false;   ///< const/constexpr/constinit pointee
-    bool is_atomic = false;
-    bool is_mutex = false;
-    bool is_extern = false;  ///< declaration only; definition is checked
-    bool is_thread_local = false;
-    bool is_function_local = false;  ///< static local inside a function
-    bool annotated = false;  ///< PROTEUS_GUARDED_BY present
-    std::string guard;       ///< mutex named by the annotation
-};
-
-/** An annotated class member; its guard must resolve (C3). */
-struct AnnotatedMember {
-    std::string name;
-    std::string guard;
-    std::string scope_class;
-    int line = 0;
-    int col = 0;
-};
-
-/** One lock acquisition or release, with the locks held at the site. */
-struct LockSite {
-    std::string object;       ///< mutex expression's last identifier
-    std::string owner_class;  ///< enclosing/qualifying class, may be ""
-    std::string function;     ///< enclosing function (Class::name form)
-    bool raw = false;         ///< .lock()/.unlock() call, not a guard
-    bool unlock = false;      ///< raw .unlock()
-    int line = 0;
-    int col = 0;
-    std::vector<std::string> held;  ///< objects already held here
-};
-
-/** The pass-1 product for one translation unit. */
-struct FileIndex {
-    std::string path;                   ///< normalized path
-    std::vector<std::string> includes;  ///< #include operands, verbatim
-    std::vector<MutexDecl> mutexes;
-    std::vector<VarDecl> globals;
-    std::vector<AnnotatedMember> annotated_members;
-    std::vector<LockSite> locks;
-    std::vector<Suppression> suppressions;
-};
-
-/** Build the symbol index of one translation unit. */
-FileIndex indexSource(const std::string& path, const std::string& text);
-
-/**
- * Pass 2: run the cross-file concurrency rules (C1..C3) over the
- * merged indexes. Findings anchor at their acquisition/declaration
- * site; suppressions from the anchoring file are applied.
- */
-std::vector<Finding> lintCrossFile(const std::vector<FileIndex>& indexes,
-                                   const LintOptions& options = {});
-
-// ---------------------------------------------------------------------------
 // Whole-analysis drivers
 // ---------------------------------------------------------------------------
 
-/** The combined result of both passes over a set of sources. */
+/** The combined result of linting a set of sources. */
 struct Analysis {
     std::vector<Finding> findings;  ///< sorted by (file, line, col, rule)
     std::size_t files_scanned = 0;
 };
 
 /**
- * Run both passes over in-memory (path, text) pairs. The CLI and the
- * golden test share this entry point so their outputs are
- * byte-identical for the same inputs.
+ * Lint in-memory (path, text) pairs and merge the findings in
+ * (file, line, col, rule) order. The CLI and the golden test share
+ * this entry point so their outputs are byte-identical for the same
+ * inputs.
  */
 Analysis analyzeSources(
     const std::vector<std::pair<std::string, std::string>>& sources,
     const LintOptions& options = {});
 
-/** Read @p files and run both passes. IO errors become "IO" findings. */
+/** Read @p files and lint them. IO errors become "IO" findings. */
 Analysis analyzeFiles(const std::vector<std::string>& files,
                       const LintOptions& options = {});
 
 /**
- * Lint one translation unit with the per-file rules only (pass 1
- * without indexing; cross-file rules need analyzeSources). @p path is
- * used both for reporting and for directory-scoped rule applicability
- * (substring match on "src/solver/", "bench/", ... so fixture trees
- * that mirror the layout exercise the same scoping).
+ * Lint one translation unit. @p path is used both for reporting and
+ * for directory-scoped rule applicability (substring match on
+ * "src/solver/", "bench/", ... so fixture trees that mirror the
+ * layout exercise the same scoping).
  */
 std::vector<Finding> lintSource(const std::string& path,
                                 const std::string& text,
                                 const LintOptions& options = {});
-
-/** Read @p path and lint it. IO errors produce a "IO" finding. */
-std::vector<Finding> lintFile(const std::string& path);
 
 /**
  * Recursively collect .cc/.cpp/.h/.hpp files under @p roots, sorted

@@ -8,10 +8,7 @@
  *   proteus_lint path...          # scan explicit files/dirs (keeps
  *                                 # lint fixtures, used by the tests)
  *   proteus_lint --list-rules     # print the rule registry
- *   proteus_lint --rule C1,C3     # run only the named rules
- *
- * The scan runs both passes: the per-file rules, then the cross-file
- * concurrency rules over the merged symbol index of every input.
+ *   proteus_lint --rule D1,C1     # run only the named rules
  *
  * Exit status: 0 clean, 1 unsuppressed findings, 2 usage/IO error.
  */
