@@ -9,8 +9,7 @@
  * annotated code compiles unchanged under gcc.
  *
  * The annotations carry the locking discipline in the type system:
- * which mutex guards which data (PROTEUS_GUARDED_BY), which functions
- * must be entered with a lock held (PROTEUS_REQUIRES), and which types
+ * which mutex guards which data (PROTEUS_GUARDED_BY), and which types
  * are lock capabilities or RAII scopes (PROTEUS_CAPABILITY, PROTEUS_SCOPED_CAPABILITY). They are
  * checked statically by Clang's `-Wthread-safety` analysis over the
  * whole tree (promoted to an error in CI), which also rejects a
@@ -45,10 +44,6 @@
 
 /** Data member / global readable-writable only with @p x held. */
 #define PROTEUS_GUARDED_BY(x) PROTEUS_THREAD_ANNOTATION_(guarded_by(x))
-
-/** Function that must be called with the listed capabilities held. */
-#define PROTEUS_REQUIRES(...) \
-    PROTEUS_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 
 /** Function that acquires the listed capabilities and does not release. */
 #define PROTEUS_ACQUIRE(...) \

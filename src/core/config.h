@@ -51,10 +51,6 @@ struct SystemConfig {
 
     /** SLO = multiplier x (fastest variant, CPU, batch 1); §6.1.2. */
     double slo_multiplier = 2.0;
-    /** Device type anchoring the SLO (kInvalidId = slowest type). */
-    DeviceTypeId slo_anchor_type = kInvalidId;
-    /** Upper cap on batch sizes considered by the profiler. */
-    int max_batch_cap = 64;
 
     /** Periodic re-allocation interval (paper: 30 s). */
     Duration control_period = seconds(30.0);
@@ -62,13 +58,9 @@ struct SystemConfig {
     double planning_headroom = 1.35;
     /** Monitor burst alarm threshold over planned capacity. */
     double burst_threshold = 1.2;
-    /** Demand-estimation window of the monitoring daemons. */
-    Duration monitor_window = seconds(2.0);
     /** Metrics snapshot interval (timeseries granularity). */
     Duration snapshot_interval = seconds(10.0);
 
-    /** Simulated MILP decision latency for Proteus (§6.8: ~4.2 s). */
-    Duration ilp_decision_delay = seconds(4.2);
     /**
      * Deterministic work budget per MILP solve (simplex iterations;
      * 0 disables). Binds before the wall clock so truncated solves

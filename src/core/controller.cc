@@ -4,6 +4,13 @@
 
 namespace proteus {
 
+namespace {
+
+/** Minimum spacing between a decision and the next burst-triggered one. */
+constexpr Duration kMinBurstInterval = seconds(5.0);
+
+}  // namespace
+
 Controller::Controller(Simulator* sim, Allocator* allocator,
                        DemandFn demand, ApplyFn apply,
                        ControllerOptions options)
@@ -27,7 +34,7 @@ Controller::setObs(obs::Tracer* tracer, obs::MetricsRegistry* registry)
         last_iters_ = registry->gauge("solver.last_simplex_iters");
         work_frac_ = registry->gauge("solver.work_frac");
         backoff_steps_ = registry->histogram("solver.backoff_steps");
-        gap_ = registry->histogram("solver.gap");
+        gap_ppm_ = registry->histogram("solver.gap_ppm");
         wall_limit_stops_ = registry->counter("solver.wall_limit_stops");
         warm_roots_ = registry->counter("solver.warm_roots");
     }
@@ -58,8 +65,8 @@ Controller::noteSolve(const AllocatorSolveMeta& meta)
     }
     if (backoff_steps_)
         backoff_steps_->record(static_cast<double>(meta.backoff_steps));
-    if (gap_)
-        gap_->record(meta.gap);
+    if (gap_ppm_)
+        gap_ppm_->record(meta.gap * 1e6);
     if (wall_limit_stops_ && meta.stop == SearchStop::WallClock)
         wall_limit_stops_->inc();
     if (warm_roots_ && meta.warm_root)
@@ -123,7 +130,7 @@ Controller::requestReallocation()
     if (decision_pending_)
         return;
     if (last_start_ != kNoTime &&
-        sim_->now() - last_start_ < options_.min_interval) {
+        sim_->now() - last_start_ < kMinBurstInterval) {
         return;
     }
     reallocate(false);

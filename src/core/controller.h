@@ -29,8 +29,6 @@ namespace proteus {
 struct ControllerOptions {
     /** Periodic re-allocation interval (paper: 30 s). */
     Duration period = seconds(30.0);
-    /** Minimum spacing between consecutive re-allocations. */
-    Duration min_interval = seconds(5.0);
 };
 
 /** Periodic + alarm-triggered resource-management loop. */
@@ -56,14 +54,17 @@ class Controller
      */
     void start(const std::vector<double>& initial_demand);
 
-    /** Burst alarm entry point (debounced by min_interval). */
+    /**
+     * Burst alarm entry point, debounced: ignored within 5 s of the
+     * previous decision's start.
+     */
     void requestReallocation();
 
     /**
      * Failure alarm entry point: capacity changed (device crash or
      * recovery), the plan in force references hardware that no longer
-     * matches reality. Unlike burst alarms this is NOT debounced by
-     * min_interval — stale capacity must be replanned immediately.
+     * matches reality. Unlike burst alarms this is NOT debounced —
+     * stale capacity must be replanned immediately.
      * If a decision is already pending, a fresh solve is queued to run
      * right after that plan applies (the pending plan was computed
      * against the old cluster and may be infeasible on the survivors).
@@ -131,7 +132,8 @@ class Controller
     /** Last solve's simplex iterations over its work budget (0..1+). */
     obs::Gauge* work_frac_ = nullptr;
     obs::Histogram* backoff_steps_ = nullptr;
-    obs::Histogram* gap_ = nullptr;
+    /** Final relative gap in ppm, the unit of the Solve span's v2. */
+    obs::Histogram* gap_ppm_ = nullptr;
     /** Decisions whose search ended on the wall clock (nondeterministic). */
     obs::Counter* wall_limit_stops_ = nullptr;
     /** Decisions whose root LP re-optimised from the previous basis. */

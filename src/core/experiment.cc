@@ -1,7 +1,9 @@
 #include "core/experiment.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <string>
 
@@ -46,6 +48,30 @@ batchingKindFromName(const std::string& name)
 }
 
 namespace {
+
+/**
+ * Exit 1 unless @p object is a JSON object whose every key is in
+ * @p known. The loader reads only the listed keys, so any other key
+ * (a typo such as "batchign", or a setting that no longer exists)
+ * would otherwise be dropped without a word. @p where names the
+ * object in the message.
+ */
+void
+rejectUnknownKeys(const JsonValue& object, const std::string& where,
+                  std::initializer_list<const char*> known)
+{
+    if (!object.isObject())
+        PROTEUS_FATAL(where, " must be a JSON object");
+    for (const std::string& key : object.keys()) {
+        if (std::find(known.begin(), known.end(), key) != known.end())
+            continue;
+        std::string accepted;
+        for (const char* k : known)
+            accepted += (accepted.empty() ? "" : ", ") + std::string(k);
+        PROTEUS_FATAL("unknown key \"", key, "\" in ", where,
+                      " (accepted: ", accepted, ")");
+    }
+}
 
 /**
  * @return json[@p key], or @p fallback when absent, after checking it
@@ -112,6 +138,7 @@ clusterFromJson(const JsonValue& json)
         return cluster;
     }
     const JsonValue& c = json.at("cluster");
+    rejectUnknownKeys(c, "\"cluster\"", {"cpu", "gtx1080ti", "v100"});
     cluster.addDevices(types.cpu, deviceCountFromJson(c, "cpu"));
     cluster.addDevices(types.gtx1080ti,
                        deviceCountFromJson(c, "gtx1080ti"));
@@ -145,16 +172,27 @@ pipelinesFromJson(const JsonValue& json)
     if (!json.has("pipelines"))
         return specs;
     for (const JsonValue& p : json.at("pipelines").asArray()) {
+        const std::string where =
+            "pipelines[" + std::to_string(specs.size()) + "]";
+        rejectUnknownKeys(p, where,
+                          {"name", "slo_sec", "slo_multiplier", "stages"});
         PipelineSpec spec;
         spec.name = p.stringOr("name", "");
         if (spec.name.empty())
             PROTEUS_FATAL("pipeline entry is missing \"name\"");
-        spec.slo = seconds(p.numberOr("slo_sec", 0.0));
-        spec.slo_multiplier = p.numberOr("slo_multiplier", 0.0);
+        // 0 (the default) derives the SLO from the multiplier, and a 0
+        // multiplier falls back to the top-level slo_multiplier.
+        spec.slo = seconds(positiveFromJson(p, "slo_sec", 0.0, true));
+        spec.slo_multiplier =
+            positiveFromJson(p, "slo_multiplier", 0.0, true);
         if (!p.has("stages"))
             PROTEUS_FATAL("pipeline \"", spec.name,
                           "\" is missing \"stages\"");
         for (const JsonValue& s : p.at("stages").asArray()) {
+            rejectUnknownKeys(s,
+                              where + ".stages[" +
+                                  std::to_string(spec.stages.size()) + "]",
+                              {"name", "family", "deps"});
             PipelineStageSpec stage;
             stage.name = s.stringOr("name", "");
             stage.family = s.stringOr("family", "");
@@ -169,6 +207,20 @@ pipelinesFromJson(const JsonValue& json)
     return specs;
 }
 
+/** @return the "process" key of @p w as an arrival process. */
+ArrivalProcess
+arrivalProcessFromJson(const JsonValue& w)
+{
+    const std::string process = w.stringOr("process", "poisson");
+    if (process == "uniform")
+        return ArrivalProcess::Uniform;
+    if (process == "poisson")
+        return ArrivalProcess::Poisson;
+    if (process == "gamma")
+        return ArrivalProcess::Gamma;
+    PROTEUS_FATAL("unknown arrival process: ", process);
+}
+
 Trace
 traceFromJson(const JsonValue& json, const ModelRegistry& registry,
               const std::vector<PipelineSpec>& pipelines)
@@ -177,44 +229,13 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     if (!json.has("workload"))
         PROTEUS_FATAL("config is missing the \"workload\" object");
     const JsonValue& w = json.at("workload");
-    std::string kind = w.stringOr("kind", "diurnal");
-    Duration duration = seconds(positiveFromJson(w, "duration_sec", 360.0));
-    std::uint64_t seed =
-        static_cast<std::uint64_t>(integerFromJson(w, "seed", 42.0, 0.0));
-
-    if (kind == "diurnal") {
-        DiurnalTraceConfig cfg;
-        cfg.duration = duration;
-        cfg.base_qps = positiveFromJson(w, "base_qps", 250.0, true);
-        cfg.diurnal_amplitude_qps = w.numberOr("amplitude_qps", 350.0);
-        cfg.cycles = w.numberOr("cycles", 2.0);
-        cfg.seed = seed;
-        return diurnalTrace(num_families, cfg);
-    }
-    if (kind == "burst") {
-        BurstTraceConfig cfg;
-        cfg.duration = duration;
-        cfg.low_qps = w.numberOr("low_qps", 150.0);
-        cfg.high_qps = w.numberOr("high_qps", 900.0);
-        cfg.phase = seconds(w.numberOr("phase_sec", 240.0));
-        cfg.seed = seed;
-        return burstTrace(num_families, cfg);
-    }
-    if (kind == "steady") {
-        std::string process = w.stringOr("process", "poisson");
-        ArrivalProcess p;
-        if (process == "uniform")
-            p = ArrivalProcess::Uniform;
-        else if (process == "poisson")
-            p = ArrivalProcess::Poisson;
-        else if (process == "gamma")
-            p = ArrivalProcess::Gamma;
-        else
-            PROTEUS_FATAL("unknown arrival process: ", process);
-        return steadyTrace(num_families, positiveFromJson(w, "qps", 100.0),
-                           duration, p, seed);
-    }
+    const std::string kind = w.stringOr("kind", "diurnal");
+    const std::string where = "\"workload\" (kind \"" + kind + "\")";
     if (kind == "file") {
+        // A trace file has no randomness; "seed" is accepted because a
+        // sweep's seed axis sets it on every job's workload.
+        rejectUnknownKeys(w, where, {"kind", "path", "seed"});
+        integerFromJson(w, "seed", 0.0, 0.0);
         std::string path = w.stringOr("path", "");
         if (path.empty())
             PROTEUS_FATAL("workload kind \"file\" needs \"path\"");
@@ -223,35 +244,69 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
             PROTEUS_FATAL("cannot open trace file: ", path);
         return Trace::readCsv(in);
     }
-    if (kind == "pipeline") {
-        if (pipelines.empty())
-            PROTEUS_FATAL("workload kind \"pipeline\" needs a "
-                          "\"pipelines\" array in the config");
-        // Compile here to resolve family names and topo order; the
-        // serving system recompiles identically from the same specs.
-        CompiledPipelines compiled;
-        std::string error;
-        if (!compilePipelines(pipelines, registry, &compiled, &error))
-            PROTEUS_FATAL("pipeline config error: ", error);
-        std::vector<FamilyId> entries;
-        for (PipelineId p = 0; p < compiled.size(); ++p)
-            entries.push_back(compiled.entryFamily(p));
-        PipelineTraceConfig cfg;
-        cfg.qps = positiveFromJson(w, "qps", cfg.qps);
-        cfg.duration = duration;
-        cfg.seed = seed;
-        std::string process = w.stringOr("process", "poisson");
-        if (process == "uniform")
-            cfg.process = ArrivalProcess::Uniform;
-        else if (process == "poisson")
-            cfg.process = ArrivalProcess::Poisson;
-        else if (process == "gamma")
-            cfg.process = ArrivalProcess::Gamma;
-        else
-            PROTEUS_FATAL("unknown arrival process: ", process);
-        return pipelineTrace(entries, cfg);
+    if (kind == "diurnal") {
+        rejectUnknownKeys(w, where,
+                          {"kind", "duration_sec", "seed", "base_qps",
+                           "amplitude_qps", "cycles"});
+    } else if (kind == "burst") {
+        rejectUnknownKeys(w, where,
+                          {"kind", "duration_sec", "seed", "low_qps",
+                           "high_qps", "phase_sec"});
+    } else if (kind == "steady" || kind == "pipeline") {
+        rejectUnknownKeys(w, where,
+                          {"kind", "duration_sec", "seed", "qps",
+                           "process"});
+    } else {
+        PROTEUS_FATAL("unknown workload kind: ", kind);
     }
-    PROTEUS_FATAL("unknown workload kind: ", kind);
+    Duration duration = seconds(positiveFromJson(w, "duration_sec", 360.0));
+    std::uint64_t seed =
+        static_cast<std::uint64_t>(integerFromJson(w, "seed", 42.0, 0.0));
+
+    if (kind == "diurnal") {
+        DiurnalTraceConfig cfg;
+        cfg.duration = duration;
+        cfg.base_qps = positiveFromJson(w, "base_qps", 250.0, true);
+        cfg.diurnal_amplitude_qps =
+            positiveFromJson(w, "amplitude_qps", 350.0, true);
+        cfg.cycles = positiveFromJson(w, "cycles", 2.0, true);
+        cfg.seed = seed;
+        return diurnalTrace(num_families, cfg);
+    }
+    if (kind == "burst") {
+        BurstTraceConfig cfg;
+        cfg.duration = duration;
+        cfg.low_qps = positiveFromJson(w, "low_qps", 150.0, true);
+        cfg.high_qps = positiveFromJson(w, "high_qps", 900.0, true);
+        cfg.phase = seconds(positiveFromJson(w, "phase_sec", 240.0));
+        if (cfg.phase <= 0)  // below the simulator's 1 us resolution
+            PROTEUS_FATAL("phase_sec must be at least 1e-6");
+        cfg.seed = seed;
+        return burstTrace(num_families, cfg);
+    }
+    if (kind == "steady") {
+        return steadyTrace(num_families, positiveFromJson(w, "qps", 100.0),
+                           duration, arrivalProcessFromJson(w), seed);
+    }
+    // kind == "pipeline"
+    if (pipelines.empty())
+        PROTEUS_FATAL("workload kind \"pipeline\" needs a "
+                      "\"pipelines\" array in the config");
+    // Compile here to resolve family names and topo order; the serving
+    // system recompiles identically from the same specs.
+    CompiledPipelines compiled;
+    std::string error;
+    if (!compilePipelines(pipelines, registry, &compiled, &error))
+        PROTEUS_FATAL("pipeline config error: ", error);
+    std::vector<FamilyId> entries;
+    for (PipelineId p = 0; p < compiled.size(); ++p)
+        entries.push_back(compiled.entryFamily(p));
+    PipelineTraceConfig cfg;
+    cfg.qps = positiveFromJson(w, "qps", cfg.qps);
+    cfg.duration = duration;
+    cfg.seed = seed;
+    cfg.process = arrivalProcessFromJson(w);
+    return pipelineTrace(entries, cfg);
 }
 
 }  // namespace
@@ -259,6 +314,13 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
 ExperimentSpec
 loadExperiment(const JsonValue& json)
 {
+    rejectUnknownKeys(
+        json, "the top-level config",
+        {"model_allocation", "batching", "slo_multiplier",
+         "control_period_sec", "planning_headroom", "burst_threshold",
+         "snapshot_interval_sec", "milp_work_budget", "latency_jitter",
+         "seed", "pipelines", "pipeline_planning", "observability",
+         "cluster", "zoo", "workload"});
     ExperimentSpec spec;
     spec.config.allocator = allocatorKindFromName(
         json.stringOr("model_allocation", "ilp"));
@@ -270,14 +332,11 @@ loadExperiment(const JsonValue& json)
         json, "control_period_sec", toSeconds(spec.config.control_period)));
     spec.config.planning_headroom = positiveFromJson(
         json, "planning_headroom", spec.config.planning_headroom);
-    spec.config.burst_threshold =
-        json.numberOr("burst_threshold", spec.config.burst_threshold);
+    spec.config.burst_threshold = positiveFromJson(
+        json, "burst_threshold", spec.config.burst_threshold);
     spec.config.snapshot_interval = seconds(positiveFromJson(
         json, "snapshot_interval_sec",
         toSeconds(spec.config.snapshot_interval)));
-    spec.config.ilp_decision_delay = seconds(positiveFromJson(
-        json, "decision_delay_sec",
-        toSeconds(spec.config.ilp_decision_delay), true));
     // In simplex iterations. The solver reads a budget <= 0 as "no
     // limit", so only the wall-clock backstop would be left.
     spec.config.milp_work_budget =
@@ -308,6 +367,10 @@ loadExperiment(const JsonValue& json)
 
     if (json.has("observability")) {
         const JsonValue& o = json.at("observability");
+        rejectUnknownKeys(o, "\"observability\"",
+                          {"enabled", "ring_capacity", "sample_interval_sec",
+                           "slo_window_sec", "trace_file", "metrics_file",
+                           "timeline_csv", "timeline_json"});
         spec.config.obs.enabled = o.boolOr("enabled", false);
         spec.config.obs.ring_capacity =
             static_cast<std::size_t>(integerFromJson(
@@ -324,11 +387,6 @@ loadExperiment(const JsonValue& json)
         }
         spec.config.obs.sample_interval = seconds(interval);
         spec.config.obs.slo_window = seconds(window);
-        spec.config.obs.timeseries_capacity =
-            static_cast<std::size_t>(integerFromJson(
-                o, "timeseries_capacity",
-                static_cast<double>(spec.config.obs.timeseries_capacity),
-                1.0));
         spec.trace_path = o.stringOr("trace_file", "");
         spec.metrics_path = o.stringOr("metrics_file", "");
         spec.timeline_csv_path = o.stringOr("timeline_csv", "");

@@ -60,8 +60,10 @@ struct ExperimentSpec {
 };
 
 /**
- * Build an ExperimentSpec from a parsed JSON config. Unknown
- * algorithm or workload names are fatal (user error).
+ * Build an ExperimentSpec from a parsed JSON config. Unknown keys (at
+ * every level), unknown algorithm or workload names and out-of-range
+ * values are fatal (user error): the message names the key and the
+ * object it appeared in, and the process exits 1.
  */
 ExperimentSpec loadExperiment(const JsonValue& json);
 

@@ -7,13 +7,19 @@
 
 namespace proteus {
 
+namespace {
+
+/** Demand-estimation window of the monitoring daemon. */
+constexpr Duration kMonitorWindow = seconds(2.0);
+
+}  // namespace
+
 LoadBalancer::LoadBalancer(Simulator* sim, FamilyId family,
-                           QueryObserver* observer,
-                           Duration monitor_window)
+                           QueryObserver* observer)
     : sim_(sim),
       family_(family),
       observer_(observer),
-      rate_(monitor_window)
+      rate_(kMonitorWindow)
 {}
 
 void

@@ -36,8 +36,7 @@ class LoadBalancer
     using BurstAlarmFn = std::function<void()>;
 
     LoadBalancer(Simulator* sim, FamilyId family,
-                 QueryObserver* observer,
-                 Duration monitor_window = seconds(2.0));
+                 QueryObserver* observer);
 
     LoadBalancer(const LoadBalancer&) = delete;
     LoadBalancer& operator=(const LoadBalancer&) = delete;
@@ -85,7 +84,7 @@ class LoadBalancer
      */
     void resubmit(Query* query);
 
-    /** @return demand estimate (QPS) over the monitor window. */
+    /** @return demand estimate (QPS) over the 2 s monitor window. */
     double windowQps() const;
 
     /** Set the alarm target and threshold for burst detection. */

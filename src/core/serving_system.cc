@@ -18,6 +18,13 @@
 
 namespace proteus {
 
+namespace {
+
+/** Size of the seeded reservoir of SLO-violating exemplar queries. */
+constexpr std::size_t kTailExemplars = 32;
+
+}  // namespace
+
 const char*
 toString(AllocatorKind kind)
 {
@@ -52,11 +59,8 @@ ServingSystem::ServingSystem(const Cluster* cluster,
       registry_(registry),
       config_(config),
       cost_(*cluster, *registry),
-      profiles_(profileModels(
-          *registry, *cluster, cost_,
-          ProfilerOptions{config.slo_multiplier,
-                          config.slo_anchor_type,
-                          config.max_batch_cap})),
+      profiles_(profileModels(*registry, *cluster, cost_,
+                              ProfilerOptions{config.slo_multiplier})),
       metrics_(&sim_, registry->numFamilies(),
                config.snapshot_interval),
       health_(cluster->numDevices())
@@ -72,15 +76,13 @@ ServingSystem::ServingSystem(const Cluster* cluster,
         }
         PipelinePlannerOptions popt;
         popt.slo_multiplier = config_.slo_multiplier;
-        popt.slo_anchor_type = config_.slo_anchor_type;
         popt.joint = config_.pipeline_joint_planning;
         planPipelineBudgets(&pipelines_, *registry_, *cluster_, cost_,
                             popt);
         for (const CompiledPipeline& pipe : pipelines_.pipelines()) {
             for (const CompiledStage& st : pipe.stages) {
                 reprofileFamilySlo(&profiles_, *registry_, *cluster_,
-                                   cost_, st.family, st.budget,
-                                   config_.max_batch_cap);
+                                   cost_, st.family, st.budget);
             }
         }
     }
@@ -97,10 +99,9 @@ ServingSystem::ServingSystem(const Cluster* cluster,
         tracer_ = std::make_unique<obs::Tracer>(config_.obs.ring_capacity,
                                                 config_.obs.link_capacity);
         tail_reservoir_ = std::make_unique<obs::TailReservoir>(
-            config_.obs.tail_exemplars, config_.seed);
+            kTailExemplars, config_.seed);
         obs::TimeSeriesOptions ts_opts;
         ts_opts.sample_interval = config_.obs.sample_interval;
-        ts_opts.capacity = config_.obs.timeseries_capacity;
         timeseries_ =
             std::make_unique<obs::TimeSeriesRecorder>(&sim_, ts_opts);
     }
@@ -147,8 +148,7 @@ ServingSystem::ServingSystem(const Cluster* cluster,
 
     // One load balancer per registered application (query type).
     for (FamilyId f = 0; f < registry_->numFamilies(); ++f) {
-        auto lb = std::make_unique<LoadBalancer>(
-            &sim_, f, sink, config_.monitor_window);
+        auto lb = std::make_unique<LoadBalancer>(&sim_, f, sink);
         lb->setTracer(tracer_.get());
         balancers_.push_back(std::move(lb));
     }
@@ -156,7 +156,7 @@ ServingSystem::ServingSystem(const Cluster* cluster,
     controller_ = std::make_unique<Controller>(
         &sim_, allocator_.get(), [this] { return demandEstimate(); },
         [this](const Allocation& plan) { applyPlan(plan); },
-        ControllerOptions{config_.control_period, seconds(5.0)});
+        ControllerOptions{config_.control_period});
 
     controller_->setAvailabilityProbe(
         [this] { return health_.downMask(); });
@@ -412,7 +412,6 @@ std::unique_ptr<Allocator>
 ServingSystem::makeAllocator()
 {
     IlpAllocatorOptions ilp;
-    ilp.decision_delay = config_.ilp_decision_delay;
     ilp.milp_work_budget = config_.milp_work_budget;
     ilp.milp_time_limit_sec = config_.milp_time_limit_sec;
     ilp.planning_headroom = config_.planning_headroom;

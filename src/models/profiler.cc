@@ -17,12 +17,11 @@ namespace {
  */
 void
 profileVariantType(BatchProfile* prof, const CostModel& cost,
-                   VariantId v, DeviceTypeId t, Duration budget,
-                   int max_batch_cap)
+                   VariantId v, DeviceTypeId t, Duration budget)
 {
     prof->latency.clear();
     const int mem_cap = cost.maxMemoryBatch(t, v);
-    const int cap = std::min(max_batch_cap, mem_cap);
+    const int cap = std::min(kMaxProfiledBatch, mem_cap);
     prof->latency.reserve(static_cast<std::size_t>(std::max(cap, 1)));
     int max_ok = 0;
     for (int b = 1; b <= std::max(cap, 1); ++b) {
@@ -43,13 +42,10 @@ profileVariantType(BatchProfile* prof, const CostModel& cost,
 
 Duration
 variantAnchorLatency(const Cluster& cluster, const CostModel& cost,
-                     VariantId v, DeviceTypeId anchor)
+                     VariantId v)
 {
-    if (anchor != kInvalidId)
-        return cost.latency(anchor, v, 1);
-    // No anchor type given: use the slowest device type for this
-    // variant, which matches "fastest variant that can run on a CPU"
-    // in spirit for CPU-less clusters.
+    // The slowest device type for this variant matches "fastest
+    // variant that can run on a CPU" in spirit for CPU-less clusters.
     Duration worst_type = 0;
     for (DeviceTypeId t = 0; t < cluster.numTypes(); ++t)
         worst_type = std::max(worst_type, cost.latency(t, v, 1));
@@ -76,13 +72,11 @@ variantFloorLatency(const Cluster& cluster, const CostModel& cost,
 Duration
 familyAnchorLatency(const ModelRegistry& registry,
                     const Cluster& cluster, const CostModel& cost,
-                    FamilyId f, DeviceTypeId anchor)
+                    FamilyId f)
 {
     Duration best = std::numeric_limits<Duration>::max();
-    for (VariantId v : registry.variantsOf(f)) {
-        best = std::min(best,
-                        variantAnchorLatency(cluster, cost, v, anchor));
-    }
+    for (VariantId v : registry.variantsOf(f))
+        best = std::min(best, variantAnchorLatency(cluster, cost, v));
     return best;
 }
 
@@ -91,14 +85,12 @@ profileModels(const ModelRegistry& registry, const Cluster& cluster,
               const CostModel& cost, const ProfilerOptions& options)
 {
     PROTEUS_ASSERT(options.slo_multiplier > 0.0, "bad SLO multiplier");
-    PROTEUS_ASSERT(options.max_batch_cap >= 1, "bad batch cap");
 
     ProfileStore store(registry.numVariants(), cluster.numTypes());
 
     std::vector<Duration> slos(registry.numFamilies());
     for (FamilyId f = 0; f < registry.numFamilies(); ++f) {
-        Duration anchor = familyAnchorLatency(registry, cluster, cost,
-                                              f, options.slo_anchor_type);
+        Duration anchor = familyAnchorLatency(registry, cluster, cost, f);
         slos[f] = static_cast<Duration>(
             static_cast<double>(anchor) * options.slo_multiplier);
     }
@@ -109,7 +101,7 @@ profileModels(const ModelRegistry& registry, const Cluster& cluster,
         const Duration budget = store.slo(f) / 2;  // Nexus half-SLO rule
         for (DeviceTypeId t = 0; t < cluster.numTypes(); ++t) {
             profileVariantType(&store.mutableGet(v, t), cost, v, t,
-                               budget, options.max_batch_cap);
+                               budget);
         }
     }
     return store;
@@ -118,16 +110,15 @@ profileModels(const ModelRegistry& registry, const Cluster& cluster,
 void
 reprofileFamilySlo(ProfileStore* store, const ModelRegistry& registry,
                    const Cluster& cluster, const CostModel& cost,
-                   FamilyId family, Duration slo, int max_batch_cap)
+                   FamilyId family, Duration slo)
 {
     PROTEUS_ASSERT(slo > 0, "bad SLO for family ", family);
-    PROTEUS_ASSERT(max_batch_cap >= 1, "bad batch cap");
     store->setSlo(family, slo);
     const Duration budget = slo / 2;  // Nexus half-SLO rule
     for (VariantId v : registry.variantsOf(family)) {
         for (DeviceTypeId t = 0; t < cluster.numTypes(); ++t) {
             profileVariantType(&store->mutableGet(v, t), cost, v, t,
-                               budget, max_batch_cap);
+                               budget);
         }
     }
 }

@@ -103,15 +103,10 @@ struct ProfilerOptions {
      * §6.1.2 uses 2x; §6.6 sweeps 1x..3.5x).
      */
     double slo_multiplier = 2.0;
-    /**
-     * Device type whose batch-1 latency anchors the SLO. The paper
-     * anchors on the CPU; kInvalidId means "slowest type for that
-     * variant".
-     */
-    DeviceTypeId slo_anchor_type = kInvalidId;
-    /** Upper cap on considered batch sizes. */
-    int max_batch_cap = 64;
 };
+
+/** Largest batch size the profiler considers on any device. */
+inline constexpr int kMaxProfiledBatch = 64;
 
 /**
  * Build the complete profile store for @p registry on @p cluster.
@@ -123,18 +118,13 @@ ProfileStore profileModels(const ModelRegistry& registry,
                            const ProfilerOptions& options = {});
 
 /**
- * Batch-1 latency of variant @p v on the anchor device type, or on
- * its slowest type when @p anchor is kInvalidId. The quantity SLOs
- * are multiples of; the pipeline planner prices variants with it.
+ * Batch-1 latency of variant @p v on its slowest device type: the
+ * paper anchors SLOs on the CPU, and the slowest type is the CPU
+ * wherever a cluster has one.
  */
 Duration variantAnchorLatency(const Cluster& cluster,
-                              const CostModel& cost, VariantId v,
-                              DeviceTypeId anchor);
+                              const CostModel& cost, VariantId v);
 
-/**
- * Anchor latency of family @p f: the minimum variantAnchorLatency()
- * over its variants (the single-family SLO is a multiple of this).
- */
 /**
  * @return the batch-1 latency of @p v on its BEST device type (among
  * types whose memory fits the weights): the smallest stage budget for
@@ -145,10 +135,13 @@ Duration variantAnchorLatency(const Cluster& cluster,
 Duration variantFloorLatency(const Cluster& cluster,
                              const CostModel& cost, VariantId v);
 
+/**
+ * Anchor latency of family @p f: the minimum variantAnchorLatency()
+ * over its variants (the single-family SLO is a multiple of this).
+ */
 Duration familyAnchorLatency(const ModelRegistry& registry,
                              const Cluster& cluster,
-                             const CostModel& cost, FamilyId f,
-                             DeviceTypeId anchor);
+                             const CostModel& cost, FamilyId f);
 
 /**
  * Re-derive @p family's profiles under a new SLO @p slo: the batching
@@ -160,8 +153,7 @@ Duration familyAnchorLatency(const ModelRegistry& registry,
 void reprofileFamilySlo(ProfileStore* store,
                         const ModelRegistry& registry,
                         const Cluster& cluster, const CostModel& cost,
-                        FamilyId family, Duration slo,
-                        int max_batch_cap);
+                        FamilyId family, Duration slo);
 
 }  // namespace proteus
 

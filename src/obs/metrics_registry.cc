@@ -84,7 +84,6 @@ Histogram::percentile(double p) const
 Counter*
 MetricsRegistry::counter(const std::string& name)
 {
-    const MutexLock lock(mu_);
     auto& slot = counters_[name];
     if (!slot)
         slot = std::make_unique<Counter>();
@@ -94,7 +93,6 @@ MetricsRegistry::counter(const std::string& name)
 Gauge*
 MetricsRegistry::gauge(const std::string& name)
 {
-    const MutexLock lock(mu_);
     auto& slot = gauges_[name];
     if (!slot)
         slot = std::make_unique<Gauge>();
@@ -105,7 +103,6 @@ Histogram*
 MetricsRegistry::histogram(const std::string& name,
                            Histogram::Options options)
 {
-    const MutexLock lock(mu_);
     auto& slot = histograms_[name];
     if (!slot)
         slot = std::make_unique<Histogram>(options);

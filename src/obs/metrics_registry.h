@@ -18,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sync.h"
-
 namespace proteus {
 namespace obs {
 
@@ -128,16 +126,9 @@ class Histogram
  * Named metric store. Metrics are created on first access and live as
  * long as the registry; returned pointers are stable.
  *
- * Thread contract: creation (counter/gauge/histogram) is mutex-
- * guarded, so concurrent components may resolve metrics while the
- * registry is shared — e.g. per-shard controller threads registering
- * their channels. *Updates* through the returned pointers are
- * intentionally unsynchronised plain arithmetic: a metric object is
- * owned by exactly one thread (the component that resolved it), which
- * is what keeps the instrumented hot path allocation- and lock-free.
- * The export accessors return references into guarded state and are
- * only meaningful once writers have quiesced (end of run, after
- * worker joins).
+ * Not thread-safe: each ServingSystem owns its registry and uses it
+ * from its one simulation thread, so neither creation nor updates
+ * take a lock.
  */
 class MetricsRegistry
 {
@@ -159,38 +150,30 @@ class MetricsRegistry
     Histogram* histogram(const std::string& name,
                          Histogram::Options options = {});
 
-    /** @return all counters in name order (export; writers quiesced). */
+    /** @return all counters in name order (export). */
     const std::map<std::string, std::unique_ptr<Counter>>&
     counters() const
     {
-        const MutexLock lock(mu_);
         return counters_;
     }
 
-    /** @return all gauges in name order (export; writers quiesced). */
+    /** @return all gauges in name order (export). */
     const std::map<std::string, std::unique_ptr<Gauge>>& gauges() const
     {
-        const MutexLock lock(mu_);
         return gauges_;
     }
 
-    /** @return all histograms in name order (export; writers
-     *  quiesced). */
+    /** @return all histograms in name order (export). */
     const std::map<std::string, std::unique_ptr<Histogram>>&
     histograms() const
     {
-        const MutexLock lock(mu_);
         return histograms_;
     }
 
   private:
-    mutable Mutex mu_;
-    std::map<std::string, std::unique_ptr<Counter>> counters_
-        PROTEUS_GUARDED_BY(mu_);
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_
-        PROTEUS_GUARDED_BY(mu_);
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_
-        PROTEUS_GUARDED_BY(mu_);
+    std::map<std::string, std::unique_ptr<Counter>> counters_;
+    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace obs

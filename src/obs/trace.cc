@@ -41,7 +41,6 @@ Tracer::Tracer(std::size_t capacity, std::size_t link_capacity)
       link_capacity_(link_capacity == 0 ? capacity : link_capacity)
 {
     PROTEUS_ASSERT(capacity >= 1, "tracer capacity must be >= 1");
-    const MutexLock lock(mu_);
     ring_.resize(capacity);
     links_.resize(link_capacity_);
 }
@@ -49,15 +48,13 @@ Tracer::Tracer(std::size_t capacity, std::size_t link_capacity)
 std::vector<SpanRecord>
 Tracer::spans() const
 {
-    const MutexLock lock(mu_);
     std::vector<SpanRecord> out;
-    out.reserve(sizeLocked());
     if (recorded_ <= ring_.size()) {
         out.assign(ring_.begin(),
-                   ring_.begin() +
-                       static_cast<std::ptrdiff_t>(sizeLocked()));
+                   ring_.begin() + static_cast<std::ptrdiff_t>(recorded_));
         return out;
     }
+    out.reserve(ring_.size());
     // Full ring: oldest span sits at the next write position.
     out.insert(out.end(),
                ring_.begin() + static_cast<std::ptrdiff_t>(next_),
@@ -70,15 +67,14 @@ Tracer::spans() const
 std::vector<LinkRecord>
 Tracer::links() const
 {
-    const MutexLock lock(mu_);
     std::vector<LinkRecord> out;
-    out.reserve(linkSizeLocked());
     if (links_recorded_ <= links_.size()) {
         out.assign(links_.begin(),
                    links_.begin() +
-                       static_cast<std::ptrdiff_t>(linkSizeLocked()));
+                       static_cast<std::ptrdiff_t>(links_recorded_));
         return out;
     }
+    out.reserve(links_.size());
     // Full ring: oldest link sits at the next write position.
     out.insert(out.end(),
                links_.begin() + static_cast<std::ptrdiff_t>(link_next_),

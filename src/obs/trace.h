@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sync.h"
 #include "common/types.h"
 
 namespace proteus {
@@ -44,13 +43,9 @@ struct ObsOptions {
     std::size_t ring_capacity = 1 << 16;
     /** Lineage link ring capacity (0 = same as ring_capacity). */
     std::size_t link_capacity = 0;
-    /** Tail-exemplar reservoir size (seeded; SLO-violating queries). */
-    std::size_t tail_exemplars = 32;
 
     /** Time-series sampling period on the simulated clock. */
     Duration sample_interval = seconds(1.0);
-    /** Preallocated samples per time-series channel. */
-    std::size_t timeseries_capacity = 1 << 12;
 
     /**
      * Trailing window of the per-family SLO violation ratio and burn-
@@ -149,11 +144,8 @@ struct SpanRecord {
  * overwritten and counted as dropped. Span ids keep counting across
  * wraparound, so retained spans keep their stable ids.
  *
- * The rings are mutex-guarded so per-shard controller threads (and
- * the sweep worker pool) can share one tracer: record() takes one
- * uncontended lock, still no allocation. Records carry simulated
- * time, so interleaving across threads never changes exported bytes —
- * the exporters sort by timeline, not arrival.
+ * Not thread-safe: each ServingSystem owns its tracer and drives it
+ * from its one simulation thread, so recording takes no lock.
  */
 class Tracer
 {
@@ -174,7 +166,6 @@ class Tracer
     void
     record(const SpanRecord& span)
     {
-        const MutexLock lock(mu_);
         ring_[next_] = span;
         ring_[next_].span_id = ++recorded_;
         next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
@@ -184,7 +175,6 @@ class Tracer
     void
     recordLink(const LinkRecord& link)
     {
-        const MutexLock lock(mu_);
         links_[link_next_] = link;
         link_next_ =
             link_next_ + 1 == links_.size() ? 0 : link_next_ + 1;
@@ -198,42 +188,31 @@ class Tracer
     std::vector<LinkRecord> links() const;
 
     /** @return total record() calls over the tracer's lifetime. */
-    std::uint64_t
-    recorded() const
-    {
-        const MutexLock lock(mu_);
-        return recorded_;
-    }
+    std::uint64_t recorded() const { return recorded_; }
 
     /** @return spans lost to ring wraparound. */
     std::uint64_t
     dropped() const
     {
-        const MutexLock lock(mu_);
-        return droppedLocked();
+        return recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
     }
 
     /** @return spans currently retained. */
     std::size_t
     size() const
     {
-        const MutexLock lock(mu_);
-        return sizeLocked();
+        return recorded_ < ring_.size()
+                   ? static_cast<std::size_t>(recorded_)
+                   : ring_.size();
     }
 
     /** @return total recordLink() calls over the tracer's lifetime. */
-    std::uint64_t
-    linksRecorded() const
-    {
-        const MutexLock lock(mu_);
-        return links_recorded_;
-    }
+    std::uint64_t linksRecorded() const { return links_recorded_; }
 
     /** @return links lost to ring wraparound. */
     std::uint64_t
     linksDropped() const
     {
-        const MutexLock lock(mu_);
         return links_recorded_ > links_.size()
                    ? links_recorded_ - links_.size()
                    : 0;
@@ -246,37 +225,14 @@ class Tracer
     std::size_t linkCapacity() const { return link_capacity_; }
 
   private:
-    std::uint64_t
-    droppedLocked() const PROTEUS_REQUIRES(mu_)
-    {
-        return recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
-    }
-
-    std::size_t
-    sizeLocked() const PROTEUS_REQUIRES(mu_)
-    {
-        return recorded_ < ring_.size()
-                   ? static_cast<std::size_t>(recorded_)
-                   : ring_.size();
-    }
-
-    std::size_t
-    linkSizeLocked() const PROTEUS_REQUIRES(mu_)
-    {
-        return links_recorded_ < links_.size()
-                   ? static_cast<std::size_t>(links_recorded_)
-                   : links_.size();
-    }
-
-    mutable Mutex mu_;
     std::size_t capacity_ = 0;
     std::size_t link_capacity_ = 0;
-    std::vector<SpanRecord> ring_ PROTEUS_GUARDED_BY(mu_);
-    std::size_t next_ PROTEUS_GUARDED_BY(mu_) = 0;
-    std::uint64_t recorded_ PROTEUS_GUARDED_BY(mu_) = 0;
-    std::vector<LinkRecord> links_ PROTEUS_GUARDED_BY(mu_);
-    std::size_t link_next_ PROTEUS_GUARDED_BY(mu_) = 0;
-    std::uint64_t links_recorded_ PROTEUS_GUARDED_BY(mu_) = 0;
+    std::vector<SpanRecord> ring_;
+    std::size_t next_ = 0;
+    std::uint64_t recorded_ = 0;
+    std::vector<LinkRecord> links_;
+    std::size_t link_next_ = 0;
+    std::uint64_t links_recorded_ = 0;
 };
 
 }  // namespace obs

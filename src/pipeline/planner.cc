@@ -53,6 +53,9 @@ splitBudget(Duration total, const std::vector<Duration>& weights)
 
 namespace {
 
+/** Variant combinations enumerated before falling back to the min-r split. */
+constexpr std::size_t kMaxCombos = std::size_t{1} << 20u;
+
 /**
  * The smallest stage SLO under which @p v is usable at batch 1
  * anywhere in the cluster: the half-SLO batching rule requires
@@ -78,8 +81,7 @@ minStageSlo(const Cluster& cluster, const CostModel& cost, VariantId v)
 std::vector<Duration>
 enumerateCombos(const CompiledPipeline& pipe,
                 const ModelRegistry& registry, const Cluster& cluster,
-                const CostModel& cost,
-                const PipelinePlannerOptions& options)
+                const CostModel& cost)
 {
     const std::size_t n = pipe.stages.size();
     // Per-stage candidate lists: (min stage SLO, normalized accuracy).
@@ -95,7 +97,7 @@ enumerateCombos(const CompiledPipeline& pipe,
             stage_acc[s].push_back(registry.variant(v).accuracy /
                                    100.0);
         }
-        if (combos > options.max_combos / variants.size())
+        if (combos > kMaxCombos / variants.size())
             overflow = true;
         combos *= variants.size();
     }
@@ -182,9 +184,8 @@ planPipelineBudgets(CompiledPipelines* pipelines,
                               : options.slo_multiplier;
             Duration anchor_sum = 0;
             for (const CompiledStage& st : pipe.stages) {
-                anchor_sum += familyAnchorLatency(
-                    registry, cluster, cost, st.family,
-                    options.slo_anchor_type);
+                anchor_sum +=
+                    familyAnchorLatency(registry, cluster, cost, st.family);
             }
             pipe.slo = static_cast<Duration>(
                 static_cast<double>(anchor_sum) * mult);
@@ -194,8 +195,7 @@ planPipelineBudgets(CompiledPipelines* pipelines,
 
         std::vector<Duration> weights;
         if (options.joint) {
-            weights = enumerateCombos(pipe, registry, cluster, cost,
-                                      options);
+            weights = enumerateCombos(pipe, registry, cluster, cost);
         } else {
             // Per-stage-independent baseline: equal split.
             weights.assign(pipe.stages.size(), 1);

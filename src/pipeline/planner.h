@@ -51,15 +51,11 @@ namespace proteus {
 struct PipelinePlannerOptions {
     /** Fallback SLO multiplier for pipelines that do not set one. */
     double slo_multiplier = 2.0;
-    /** Device type anchoring latencies (kInvalidId = slowest type). */
-    DeviceTypeId slo_anchor_type = kInvalidId;
     /**
      * true: joint planning (enumerate combos, proportional split).
      * false: per-stage-independent baseline (equal split).
      */
     bool joint = true;
-    /** Combination cap before falling back to the min-r split. */
-    std::size_t max_combos = 1u << 20u;
 };
 
 /**

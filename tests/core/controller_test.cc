@@ -95,12 +95,11 @@ TEST(ControllerTest, BurstRequestDebounced)
     FakeAllocator alloc;
     ControllerOptions opts;
     opts.period = seconds(1000.0);
-    opts.min_interval = seconds(5.0);
     Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
                    [](const Allocation&) {}, opts);
     ctl.start({1.0});
-    // Ten alarms in two seconds: only the first may pass (and even it
-    // is within min_interval of the initial allocation).
+    // Ten alarms in two seconds: none passes, all fall within the 5 s
+    // debounce window of the initial allocation.
     for (int i = 0; i < 10; ++i) {
         sim.scheduleAt(millis(200 * i),
                        [&ctl] { ctl.requestReallocation(); });
@@ -135,12 +134,11 @@ TEST(ControllerTest, DebounceBoundaryIsExact)
     FakeAllocator alloc;
     ControllerOptions opts;
     opts.period = seconds(1000.0);
-    opts.min_interval = seconds(5.0);
     Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
                    [](const Allocation&) {}, opts);
     ctl.start({1.0});  // call 1 at t=0
     // Exactly at the boundary the alarm passes; just inside it does
-    // not (half-open window [last_start, last_start + min_interval)).
+    // not (half-open window [last_start, last_start + 5 s)).
     sim.scheduleAt(seconds(4.999999),
                    [&ctl] { ctl.requestReallocation(); });
     sim.scheduleAt(seconds(5.0), [&ctl] { ctl.requestReallocation(); });
@@ -154,7 +152,6 @@ TEST(ControllerTest, CapacityChangeBypassesDebounce)
     FakeAllocator alloc;
     ControllerOptions opts;
     opts.period = seconds(1000.0);
-    opts.min_interval = seconds(5.0);
     Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
                    [](const Allocation&) {}, opts);
     ctl.start({1.0});  // call 1 at t=0
@@ -173,22 +170,21 @@ TEST(ControllerTest, CapacityChangeWhileDecisionPendingResolvesAfter)
     std::vector<Time> applies;
     ControllerOptions opts;
     opts.period = seconds(1000.0);
-    opts.min_interval = seconds(0.0);
     Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
                    [&](const Allocation&) { applies.push_back(sim.now()); },
                    opts);
     ctl.start({1.0});  // call 1, applied instantly at t=0
-    // A solve starts at t=1 (applies at t=9). The crash at t=4 cannot
+    // A solve starts at t=6 (applies at t=14). The crash at t=9 cannot
     // abort it, but must queue a fresh solve right after the stale
-    // plan applies: calls at t=0, t=1 and t=9 -> applies 0, 9, 17.
-    sim.scheduleAt(seconds(1.0), [&ctl] { ctl.requestReallocation(); });
-    sim.scheduleAt(seconds(4.0), [&ctl] { ctl.notifyCapacityChange(); });
+    // plan applies: calls at t=0, t=6 and t=14 -> applies 0, 14, 22.
+    sim.scheduleAt(seconds(6.0), [&ctl] { ctl.requestReallocation(); });
+    sim.scheduleAt(seconds(9.0), [&ctl] { ctl.notifyCapacityChange(); });
     sim.run(seconds(30.0));
     EXPECT_EQ(alloc.calls, 3);
     ASSERT_EQ(applies.size(), 3u);
     EXPECT_EQ(applies[0], 0);
-    EXPECT_EQ(applies[1], seconds(9.0));
-    EXPECT_EQ(applies[2], seconds(17.0));
+    EXPECT_EQ(applies[1], seconds(14.0));
+    EXPECT_EQ(applies[2], seconds(22.0));
 }
 
 TEST(ControllerTest, BurstAlarmsWhilePendingCoalesceIntoNothing)
@@ -197,15 +193,15 @@ TEST(ControllerTest, BurstAlarmsWhilePendingCoalesceIntoNothing)
     FakeAllocator alloc(seconds(8.0));
     ControllerOptions opts;
     opts.period = seconds(1000.0);
-    opts.min_interval = seconds(0.0);
     Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
                    [](const Allocation&) {}, opts);
     ctl.start({1.0});
     // Unlike notifyCapacityChange, burst alarms during a pending
-    // decision are simply dropped (the fresh plan supersedes them).
-    sim.scheduleAt(seconds(1.0), [&ctl] { ctl.requestReallocation(); });
-    sim.scheduleAt(seconds(4.0), [&ctl] { ctl.requestReallocation(); });
-    sim.scheduleAt(seconds(5.0), [&ctl] { ctl.requestReallocation(); });
+    // decision are simply dropped (the fresh plan supersedes them),
+    // even once the 5 s debounce window has passed.
+    sim.scheduleAt(seconds(6.0), [&ctl] { ctl.requestReallocation(); });
+    sim.scheduleAt(seconds(11.0), [&ctl] { ctl.requestReallocation(); });
+    sim.scheduleAt(seconds(13.0), [&ctl] { ctl.requestReallocation(); });
     sim.run(seconds(30.0));
     EXPECT_EQ(alloc.calls, 2);
 }
@@ -233,7 +229,6 @@ TEST(ControllerTest, PlanApplyOrderingWithDelay)
     std::vector<int> applied_calls;
     ControllerOptions opts;
     opts.period = seconds(30.0);
-    opts.min_interval = seconds(0.0);
     Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
                    [&](const Allocation&) {
                        applied_calls.push_back(alloc.calls);
@@ -255,14 +250,14 @@ TEST(ControllerTest, NoOverlappingDecisions)
     FakeAllocator alloc(seconds(8.0));
     ControllerOptions opts;
     opts.period = seconds(1000.0);
-    opts.min_interval = seconds(0.0);
     Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
                    [](const Allocation&) {}, opts);
     ctl.start({1.0});
-    // Two requests while the first decision is still pending.
-    sim.scheduleAt(seconds(1.0), [&] { ctl.requestReallocation(); });
-    sim.scheduleAt(seconds(2.0), [&] { ctl.requestReallocation(); });
-    sim.scheduleAt(seconds(3.0), [&] { ctl.requestReallocation(); });
+    // Two requests while the first decision (t=6 to t=14) is still
+    // pending, both outside the debounce window of its start.
+    sim.scheduleAt(seconds(6.0), [&] { ctl.requestReallocation(); });
+    sim.scheduleAt(seconds(11.0), [&] { ctl.requestReallocation(); });
+    sim.scheduleAt(seconds(12.0), [&] { ctl.requestReallocation(); });
     sim.run(seconds(20.0));
     EXPECT_EQ(alloc.calls, 2);  // initial + one (others coalesced)
 }
@@ -286,9 +281,34 @@ TEST(ControllerTest, SolveOutcomeFeedsTheRegistry)
     ASSERT_EQ(alloc.calls, 2);
     EXPECT_EQ(registry.histogram("solver.backoff_steps")->count(), 2u);
     EXPECT_DOUBLE_EQ(registry.histogram("solver.backoff_steps")->max(), 3.0);
-    EXPECT_DOUBLE_EQ(registry.histogram("solver.gap")->max(), 0.004);
+    EXPECT_DOUBLE_EQ(registry.histogram("solver.gap_ppm")->max(), 4000.0);
     EXPECT_EQ(registry.counter("solver.wall_limit_stops")->value(), 2u);
     EXPECT_EQ(registry.counter("solver.warm_roots")->value(), 2u);
+}
+
+TEST(ControllerTest, GapPercentilesResolveInPpm)
+{
+    // Recorded as fractions, every gap fell below the histogram's 1.0
+    // lower edge and p50 read the maximum; in ppm they spread over
+    // distinct buckets.
+    Simulator sim;
+    FakeAllocator alloc;
+    obs::MetricsRegistry registry;
+    ControllerOptions opts;
+    opts.period = seconds(10.0);
+    Controller ctl(&sim, &alloc, [] { return std::vector<double>{1.0}; },
+                   [](const Allocation&) {}, opts);
+    ctl.setObs(nullptr, &registry);
+    alloc.meta.gap = 0.001;
+    ctl.start({1.0});
+    sim.scheduleAt(seconds(5.0), [&alloc] { alloc.meta.gap = 0.002; });
+    sim.scheduleAt(seconds(15.0), [&alloc] { alloc.meta.gap = 0.004; });
+    sim.run(seconds(25.0));
+    const obs::Histogram& gap = *registry.histogram("solver.gap_ppm");
+    ASSERT_EQ(gap.count(), 3u);
+    // Within one 25%-wide bucket of the middle gap, 2,000 ppm.
+    EXPECT_NEAR(gap.p50(), 2000.0, 0.25 * 2000.0);
+    EXPECT_LT(gap.p50(), gap.max());
 }
 
 }  // namespace

