@@ -66,12 +66,15 @@ enum class SpanKind : std::uint8_t {
     Queue,  ///< worker enqueue → batch formation (or drop); a=family, b=variant, v0=device
     Exec,   ///< batch start → completion, per query; a=family, b=variant, v0=device
     Batch,  ///< one executed batch; a=device, b=variant, v0=batch size
-    Load,   ///< model load on a device; a=device, b=variant
+    Load,   ///< model load on a device; id=load epoch, a=device, b=variant
     Solve,  ///< decision compute → plan ready; v0=B&B nodes, v1=simplex iters, v2=gap ppm
     Apply,  ///< instant: a plan took effect; v0=plans applied so far
     Alarm,  ///< instant: burst alarm raised by a monitor; a=family
-    SloAlarm,  ///< instant: SLO burn-rate threshold crossing; a=family, v0=raised(1)/cleared(0), v1=burn rate ×1000, v2=window completions
+    SloAlarm,  ///< instant: SLO burn-rate threshold crossing; id=crossing sequence, a=family, v0=raised(1)/cleared(0), v1=burn rate ×1000, v2=window completions
 };
+
+/** Number of SpanKind values. */
+inline constexpr std::size_t kNumSpanKinds = 10;
 
 /** @return a short stable name for @p kind ("query", "queue", ...). */
 const char* toString(SpanKind kind);
@@ -89,6 +92,9 @@ enum class LinkKind : std::uint8_t {
     StageHandoff,  ///< from=query id, to=next stage index; aux=pipeline
     QueuedBehind,  ///< from=query id, to=query immediately ahead; aux=device
 };
+
+/** Number of LinkKind values. */
+inline constexpr std::size_t kNumLinkKinds = 5;
 
 /** @return a short stable name ("query_in_batch", ...) for @p kind. */
 const char* toString(LinkKind kind);

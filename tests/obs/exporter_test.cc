@@ -2,15 +2,25 @@
  * @file
  * Exporters: the Chrome trace-event JSON and the metrics dump must be
  * well-formed (parseable by the in-tree JSON parser) and carry the
- * kind-specific fields.
+ * kind-specific fields; readChromeTrace must return exactly the
+ * records a traced run held, so offline lineage analysis agrees with
+ * in-process analysis, and must reject malformed documents.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/json.h"
+#include "core/serving_system.h"
+#include "models/model.h"
 #include "obs/exporter.h"
+#include "obs/lineage.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "testing/fixtures.h"
+#include "workload/generators.h"
 
 namespace proteus {
 namespace obs {
@@ -214,6 +224,252 @@ TEST(ChromeTraceExport, EscapesNameTableStringsAndRoundTrips)
     EXPECT_EQ(fams[1].asString(), "plain");
     EXPECT_EQ(doc.at("otherData").at("variants").asArray()[0].asString(),
               "slash/ok");
+}
+
+// ---------------------------------------------------------------------------
+// readChromeTrace: the exporter's inverse
+// ---------------------------------------------------------------------------
+
+void
+expectSameSpan(const SpanRecord& got, const SpanRecord& want)
+{
+    SCOPED_TRACE(std::string(toString(want.kind)) + " span " +
+                 std::to_string(want.span_id));
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.span_id, want.span_id);
+    EXPECT_EQ(got.parent_id, want.parent_id);
+    EXPECT_EQ(got.parent_kind, want.parent_kind);
+    EXPECT_EQ(got.v0, want.v0);
+    EXPECT_EQ(got.v1, want.v1);
+    EXPECT_EQ(got.v2, want.v2);
+    EXPECT_EQ(got.a, want.a);
+    EXPECT_EQ(got.b, want.b);
+}
+
+void
+expectSamePath(const CriticalPath& got, const CriticalPath& want)
+{
+    SCOPED_TRACE("query " + std::to_string(want.query));
+    EXPECT_EQ(got.query, want.query);
+    EXPECT_EQ(got.arrival, want.arrival);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.family, want.family);
+    EXPECT_EQ(got.variant, want.variant);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.pipeline, want.pipeline);
+    ASSERT_EQ(got.segments.size(), want.segments.size());
+    for (std::size_t i = 0; i < want.segments.size(); ++i) {
+        EXPECT_EQ(got.segments[i].start, want.segments[i].start);
+        EXPECT_EQ(got.segments[i].end, want.segments[i].end);
+        EXPECT_EQ(got.segments[i].device, want.segments[i].device);
+        EXPECT_EQ(got.segments[i].ref, want.segments[i].ref);
+        EXPECT_EQ(got.segments[i].kind, want.segments[i].kind);
+    }
+}
+
+/**
+ * Export @p system's trace, read it back, and check that the records,
+ * the name tables, the counters and the critical path of every traced
+ * query match the in-process ones.
+ */
+void
+expectRoundTrip(const ServingSystem& system)
+{
+    const Tracer& tracer = *system.tracer();
+    ASSERT_EQ(tracer.dropped(), 0u);
+    ASSERT_EQ(tracer.linksDropped(), 0u);
+    const TraceNameTables names = system.traceNames();
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(toChromeTraceJson(tracer, names), &doc, &error))
+        << error;
+    ChromeTrace back;
+    ASSERT_TRUE(readChromeTrace(doc, &back, &error)) << error;
+
+    const std::vector<SpanRecord> spans = tracer.spans();
+    ASSERT_EQ(back.spans.size(), spans.size());
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        expectSameSpan(back.spans[i], spans[i]);
+    const std::vector<LinkRecord> links = tracer.links();
+    ASSERT_EQ(back.links.size(), links.size());
+    for (std::size_t i = 0; i < links.size(); ++i) {
+        EXPECT_EQ(back.links[i].kind, links[i].kind) << "link " << i;
+        EXPECT_EQ(back.links[i].at, links[i].at) << "link " << i;
+        EXPECT_EQ(back.links[i].from, links[i].from) << "link " << i;
+        EXPECT_EQ(back.links[i].to, links[i].to) << "link " << i;
+        EXPECT_EQ(back.links[i].aux, links[i].aux) << "link " << i;
+    }
+    EXPECT_EQ(back.spans_recorded, tracer.recorded());
+    EXPECT_EQ(back.spans_dropped, 0u);
+    EXPECT_EQ(back.links_recorded, tracer.linksRecorded());
+    EXPECT_EQ(back.links_dropped, 0u);
+    EXPECT_EQ(back.names.families, names.families);
+    EXPECT_EQ(back.names.variants, names.variants);
+    EXPECT_EQ(back.names.tail_exemplars, names.tail_exemplars);
+    ASSERT_EQ(back.names.pipelines.size(), names.pipelines.size());
+    for (std::size_t p = 0; p < names.pipelines.size(); ++p) {
+        EXPECT_EQ(back.names.pipelines[p].name, names.pipelines[p].name);
+        EXPECT_EQ(back.names.pipelines[p].families,
+                  names.pipelines[p].families);
+        EXPECT_EQ(back.names.pipelines[p].stages,
+                  names.pipelines[p].stages);
+    }
+
+    const LineageIndex live(spans, links);
+    const LineageIndex offline(std::move(back.spans),
+                               std::move(back.links));
+    std::size_t compared = 0;
+    for (const SpanRecord& s : spans) {
+        if (s.kind != SpanKind::Query)
+            continue;
+        expectSamePath(offline.analyze(s.id), live.analyze(s.id));
+        ++compared;
+    }
+    EXPECT_GT(compared, 0u);
+}
+
+/** @return how many spans of @p kind @p tracer holds with id != 0. */
+std::size_t
+countWithId(const Tracer& tracer, SpanKind kind)
+{
+    std::size_t n = 0;
+    for (const SpanRecord& s : tracer.spans())
+        n += s.kind == kind && s.id != 0;
+    return n;
+}
+
+TEST(ChromeTraceRoundTrip, SingleFamilyRunWithLoadsAndSloAlarms)
+{
+    // Bursts overload the small cluster: the controller reallocates
+    // (model loads) and the SLO burn-rate alarm fires.
+    testing::World w = testing::miniWorld(2, 1, 1);
+    BurstTraceConfig burst;
+    burst.duration = seconds(60.0);
+    burst.low_qps = 100.0;
+    burst.high_qps = 900.0;
+    burst.phase = seconds(15.0);
+    burst.seed = 7;
+    SystemConfig cfg;
+    cfg.seed = 7;
+    cfg.obs.enabled = true;
+    cfg.obs.ring_capacity = 1 << 18;  // no wraparound in this run
+    cfg.obs.slo_window = seconds(10.0);
+    ServingSystem system(&w.cluster, &w.registry, cfg);
+    system.run(burstTrace(w.registry.numFamilies(), burst));
+    EXPECT_GT(countWithId(*system.tracer(), SpanKind::Load), 0u);
+    EXPECT_GT(countWithId(*system.tracer(), SpanKind::SloAlarm), 0u);
+    expectRoundTrip(system);
+}
+
+TEST(ChromeTraceRoundTrip, PipelineRun)
+{
+    testing::World w = testing::miniWorld(8, 4, 4);
+    PipelineSpec spec;
+    spec.name = "vision";
+    spec.slo = millis(60.0);
+    spec.stages.push_back({"detect", "resnet", {}});
+    spec.stages.push_back({"classify", "efficientnet", {"detect"}});
+    spec.stages.push_back({"annotate", "mobilenet", {"classify"}});
+    SystemConfig cfg;
+    cfg.seed = 7;
+    cfg.obs.enabled = true;
+    cfg.obs.ring_capacity = 1 << 18;  // no wraparound in this run
+    cfg.pipelines = {spec};
+    PipelineTraceConfig wl;
+    wl.qps = 80.0;
+    wl.duration = seconds(20.0);
+    wl.seed = 7;
+    ServingSystem system(&w.cluster, &w.registry, cfg);
+    system.run(pipelineTrace({0}, wl));
+    expectRoundTrip(system);
+}
+
+/** @return readChromeTrace's error for @p text (empty on success). */
+std::string
+readError(const std::string& text)
+{
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(parseJson(text, &doc, &error)) << error;
+    ChromeTrace trace;
+    if (readChromeTrace(doc, &trace, &error))
+        return "";
+    EXPECT_FALSE(error.empty());
+    return error;
+}
+
+/** A one-event document around @p event. */
+std::string
+oneEvent(const std::string& event)
+{
+    return R"({"traceEvents":[)" + event +
+           R"(],"links":[],"otherData":{"spans_recorded":1,)"
+           R"("spans_dropped":0,"links_recorded":0,"links_dropped":0}})";
+}
+
+TEST(ChromeTraceRead, AcceptsAWellFormedEvent)
+{
+    EXPECT_EQ(readError(oneEvent(
+                  R"({"name":"load","ts":5,"dur":2,)"
+                  R"("args":{"sid":1,"epoch":3,"device":0,"variant":1}})")),
+              "");
+}
+
+TEST(ChromeTraceRead, MalformedDocumentsReturnAnErrorNamingThePlace)
+{
+    EXPECT_NE(readError("[]").find("not a JSON object"), std::string::npos);
+    EXPECT_NE(readError(R"({"links":[],"otherData":{}})")
+                  .find("\"traceEvents\""),
+              std::string::npos);
+    // An event of an unknown kind.
+    EXPECT_NE(readError(oneEvent(R"({"name":"nap","ts":0,"dur":0,)"
+                                 R"("args":{"sid":1}})"))
+                  .find("traceEvents[0] has unknown kind \"nap\""),
+              std::string::npos);
+    // A load span written without its epoch.
+    EXPECT_NE(readError(oneEvent(R"({"name":"load","ts":0,"dur":1,)"
+                                 R"("args":{"sid":1,"device":0,)"
+                                 R"("variant":1}})"))
+                  .find("traceEvents[0] (load) has no \"epoch\""),
+              std::string::npos);
+    // A fractional, a string and an extra arg.
+    EXPECT_NE(readError(oneEvent(R"({"name":"alarm","ts":0,"dur":0,)"
+                                 R"("args":{"sid":1,"family":0.5}})"))
+                  .find("\"family\" that is not an integer"),
+              std::string::npos);
+    EXPECT_NE(readError(oneEvent(R"({"name":"alarm","ts":"0","dur":0,)"
+                                 R"("args":{"sid":1,"family":0}})"))
+                  .find("\"ts\" that is not an integer"),
+              std::string::npos);
+    EXPECT_NE(readError(oneEvent(R"({"name":"alarm","ts":0,"dur":0,)"
+                                 R"("args":{"sid":1,"family":0,"x":1}})"))
+                  .find("an arg its kind does not carry"),
+              std::string::npos);
+    // Out-of-range values for the field they land in.
+    EXPECT_NE(readError(oneEvent(R"({"name":"route","ts":0,"dur":0,)"
+                                 R"("args":{"sid":1,"qid":1,"family":0,)"
+                                 R"("stage":-2}})"))
+                  .find("negative \"stage\""),
+              std::string::npos);
+    EXPECT_NE(readError(oneEvent(R"({"name":"alarm","ts":0,"dur":0,)"
+                                 R"("args":{"sid":1,"pk":99,"pid":4,)"
+                                 R"("family":0}})"))
+                  .find("\"pk\" out of range"),
+              std::string::npos);
+    // A link of an unknown kind and a malformed name table.
+    EXPECT_NE(readError(R"({"traceEvents":[],"links":[{"k":"x","ts":0,)"
+                        R"("from":1,"to":2,"aux":0}],"otherData":{}})")
+                  .find("links[0] has unknown kind \"x\""),
+              std::string::npos);
+    EXPECT_NE(readError(R"({"traceEvents":[],"links":[],"otherData":)"
+                        R"({"spans_recorded":0,"spans_dropped":0,)"
+                        R"("links_recorded":0,"links_dropped":0,)"
+                        R"("families":[1]}})")
+                  .find("non-string in \"families\""),
+              std::string::npos);
 }
 
 TEST(MetricsExport, DumpsAllThreeMetricFamilies)
