@@ -341,6 +341,45 @@ TEST(LineageSystemTest, EveryTracedQueryPartitionsExactly)
     EXPECT_GT(joins, 0u);
 }
 
+TEST(LineageSystemTest, WorkerDropsExplainTheirQueueWait)
+{
+    // Bursts overload the small cluster, so the batching policy drops
+    // queries it can no longer serve in time. Each such drop records
+    // the query's Queue span, so the analyzer splits the wait by what
+    // the device did instead of calling it an unexplained stall.
+    testing::World w = testing::miniWorld(2, 1, 1);
+    BurstTraceConfig burst;
+    burst.duration = seconds(60.0);
+    burst.low_qps = 100.0;
+    burst.high_qps = 900.0;
+    burst.phase = seconds(15.0);
+    burst.seed = 7;
+    ServingSystem system(&w.cluster, &w.registry, tracedConfig(7));
+    system.run(burstTrace(w.registry.numFamilies(), burst));
+
+    std::uint64_t analyzed = 0;
+    const LineageIndex index =
+        expectAllQueriesExact(*system.tracer(), &analyzed);
+    std::uint64_t worker_drops = 0;
+    for (const SpanRecord& q : index.spans()) {
+        if (q.kind != SpanKind::Queue)
+            continue;
+        const SpanRecord* end = index.querySpan(q.id);
+        ASSERT_NE(end, nullptr) << "query " << q.id;
+        if (end->v0 != static_cast<std::int64_t>(QueryStatus::Dropped))
+            continue;
+        ++worker_drops;
+        EXPECT_EQ(q.end, end->end) << "query " << q.id;
+        for (const Segment& seg : index.analyze(q.id).segments) {
+            EXPECT_FALSE(seg.kind == SegmentKind::Stall &&
+                         seg.start < q.end && q.start < seg.end)
+                << "query " << q.id << " stalls in its queue wait ["
+                << q.start << ", " << q.end << ")";
+        }
+    }
+    EXPECT_GT(worker_drops, 0u);
+}
+
 TEST(LineageSystemTest, PipelineQueriesPartitionExactly)
 {
     // The fig12 vision chain (tests/pipeline/pipeline_system_test.cc):
