@@ -24,7 +24,6 @@
 #ifndef PROTEUS_CORE_BATCHING_H_
 #define PROTEUS_CORE_BATCHING_H_
 
-#include <functional>
 #include <memory>
 
 #include "common/alloc/ring_queue.h"
@@ -81,11 +80,6 @@ class BatchingPolicy
     /** Policy name for logs and reports. */
     virtual const char* name() const = 0;
 };
-
-/** Factory so each worker gets its own (stateful) policy instance. */
-using BatchingPolicyFactory =
-    // NOLINTNEXTLINE-PROTEUS(A1): construction-time factory, not per-query
-    std::function<std::unique_ptr<BatchingPolicy>()>;
 
 /**
  * Proteus adaptive batching (paper §5): proactive,

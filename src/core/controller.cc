@@ -120,7 +120,7 @@ Controller::start(const std::vector<double>& initial_demand)
     last_start_ = sim_->now();
 
     sim_->schedulePeriodic(options_.period, [this] {
-        reallocate(false);
+        reallocate();
     });
 }
 
@@ -133,7 +133,7 @@ Controller::requestReallocation()
         sim_->now() - last_start_ < kMinBurstInterval) {
         return;
     }
-    reallocate(false);
+    reallocate();
 }
 
 void
@@ -146,13 +146,12 @@ Controller::notifyCapacityChange()
         resolve_after_apply_ = true;
         return;
     }
-    reallocate(false);
+    reallocate();
 }
 
 void
-Controller::reallocate(bool initial)
+Controller::reallocate()
 {
-    (void)initial;
     if (decision_pending_)
         return;
     last_start_ = sim_->now();
@@ -203,7 +202,7 @@ Controller::applyPendingPlan()
         // Capacity changed while this decision was in flight:
         // solve again against the surviving hardware.
         resolve_after_apply_ = false;
-        reallocate(false);
+        reallocate();
     }
 }
 

@@ -104,7 +104,7 @@ class Controller
     std::uint64_t appliedDecision() const { return applied_decision_; }
 
   private:
-    void reallocate(bool initial);
+    void reallocate();
 
     /** Commit the delayed decision staged in the pending_* members. */
     void applyPendingPlan();

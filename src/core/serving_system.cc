@@ -711,10 +711,7 @@ ServingSystem::finishRun()
     std::uint64_t batches = 0, batched = 0;
     for (const auto& w : workers_) {
         batches += w->batches();
-        batched +=
-            static_cast<std::uint64_t>(w->meanBatchSize() *
-                                       static_cast<double>(w->batches()) +
-                                       0.5);
+        batched += w->batchedQueries();
     }
     result.mean_batch_size =
         batches ? static_cast<double>(batched) /

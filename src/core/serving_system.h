@@ -135,12 +135,6 @@ class ServingSystem : private QueryObserver
     /** @return the SLO of family @p f. */
     Duration slo(FamilyId f) const { return profiles_.slo(f); }
 
-    /** @return the compiled pipelines (empty without pipelines). */
-    const CompiledPipelines& compiledPipelines() const
-    {
-        return pipelines_;
-    }
-
     /**
      * @return name tables (families, variants, pipeline stage maps)
      * for the trace exporter, so offline tools can label raw ids.

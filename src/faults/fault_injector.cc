@@ -155,7 +155,6 @@ FaultInjector::fire(const FaultEvent& event)
         if (!health_->markDown(d))
             return;  // already down: redundant crash is a no-op
         ++injected_;
-        ++crashes_;
         if (hooks_.on_crash)
             hooks_.on_crash(d);
         if (event.downtime > 0) {

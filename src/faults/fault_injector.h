@@ -78,9 +78,6 @@ class FaultInjector
     /** @return events actually applied so far (no-ops excluded). */
     int injected() const { return injected_; }
 
-    /** @return crashes applied so far. */
-    int crashes() const { return crashes_; }
-
   private:
     void fire(const FaultEvent& event);
 
@@ -92,7 +89,6 @@ class FaultInjector
     std::vector<FaultEvent> schedule_;
     bool armed_ = false;
     int injected_ = 0;
-    int crashes_ = 0;
 };
 
 }  // namespace proteus

@@ -108,9 +108,6 @@ class Simulator
      */
     void reserveEvents(std::size_t n);
 
-    /** @return live slots + freelist capacity (alloc.pool gauges). */
-    std::size_t eventSlotCapacity() const { return slots_.size(); }
-
   private:
     /** Tag bit distinguishing periodic handles from event handles. */
     static constexpr EventId kPeriodicTag = EventId{1} << 63;

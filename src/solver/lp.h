@@ -81,9 +81,6 @@ class LinearProgram
     /** @return the optimization direction. */
     ObjSense objSense() const { return sense_; }
 
-    /** Set the optimization direction. */
-    void setObjSense(ObjSense sense) { sense_ = sense; }
-
     /** @return the number of variables (columns). */
     int numVariables() const { return static_cast<int>(vars_.size()); }
 
