@@ -1,6 +1,8 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -437,6 +439,98 @@ parseJsonFile(const std::string& path, JsonValue* out,
     std::ostringstream oss;
     oss << in.rdbuf();
     return parseJson(oss.str(), out, error);
+}
+
+void
+rejectUnknownKeys(const JsonValue& object, const std::string& where,
+                  std::initializer_list<const char*> known)
+{
+    if (!object.isObject())
+        PROTEUS_FATAL(where, " must be a JSON object");
+    for (const std::string& key : object.keys()) {
+        if (std::find(known.begin(), known.end(), key) != known.end())
+            continue;
+        std::string accepted;
+        for (const char* k : known)
+            accepted += (accepted.empty() ? "" : ", ") + std::string(k);
+        PROTEUS_FATAL("unknown key \"", key, "\" in ", where,
+                      " (accepted: ", accepted, ")");
+    }
+}
+
+const JsonValue*
+memberOfType(const JsonValue& json, const char* key, JsonValue::Type type)
+{
+    if (!json.has(key))
+        return nullptr;
+    const JsonValue& v = json.at(key);
+    if (v.type() != type) {
+        static const char* const kNames[] = {"null",   "a bool",
+                                             "a number", "a string",
+                                             "an array", "an object"};
+        PROTEUS_FATAL("\"", key, "\" must be ",
+                      kNames[static_cast<int>(type)], ", got ",
+                      kNames[static_cast<int>(v.type())]);
+    }
+    return &v;
+}
+
+double
+positiveFromJson(const JsonValue& json, const char* key, double fallback,
+                 bool zero_ok)
+{
+    const JsonValue* m = memberOfType(json, key, JsonValue::Type::Number);
+    const double v = m != nullptr ? m->asNumber() : fallback;
+    if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok)) {
+        PROTEUS_FATAL(key, zero_ok ? " must be a finite number >= 0"
+                                   : " must be a finite number > 0",
+                      ", got ", v);
+    }
+    return v;
+}
+
+double
+checkedInteger(const JsonValue& value, const std::string& name, double lo,
+               double hi)
+{
+    if (!value.isNumber())
+        PROTEUS_FATAL(name, " must be an integer, got a non-number");
+    const double v = value.asNumber();
+    if (!(v >= lo && v <= hi && v == std::floor(v))) {
+        const std::string top =
+            hi == kMaxExactInteger
+                ? "2^53"
+                : std::to_string(static_cast<std::int64_t>(hi));
+        PROTEUS_FATAL(name, " must be an integer in [",
+                      static_cast<std::int64_t>(lo), ", ", top, "], got ",
+                      v);
+    }
+    return v;
+}
+
+double
+integerFromJson(const JsonValue& json, const char* key, double fallback,
+                double lo, double hi)
+{
+    const JsonValue* m = memberOfType(json, key, JsonValue::Type::Number);
+    return checkedInteger(m != nullptr ? *m : JsonValue::makeNumber(fallback),
+                          key, lo, hi);
+}
+
+std::string
+stringFromJson(const JsonValue& json, const char* key,
+               const std::string& fallback)
+{
+    const JsonValue* m = memberOfType(json, key, JsonValue::Type::String);
+    return m != nullptr ? m->asString() : fallback;
+}
+
+const std::vector<JsonValue>&
+arrayFromJson(const JsonValue& json, const char* key)
+{
+    static const std::vector<JsonValue> kNone;
+    const JsonValue* m = memberOfType(json, key, JsonValue::Type::Array);
+    return m != nullptr ? m->asArray() : kNone;
 }
 
 }  // namespace proteus

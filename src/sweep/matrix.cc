@@ -1,5 +1,6 @@
 #include "sweep/matrix.h"
 
+#include <limits>
 #include <map>
 
 #include "common/logging.h"
@@ -39,23 +40,18 @@ std::vector<AxisEntry>
 axisFromJson(const JsonValue& json, const char* key)
 {
     std::vector<AxisEntry> axis;
-    if (!json.has(key))
-        return axis;
-    const JsonValue& arr = json.at(key);
-    if (!arr.isArray())
-        PROTEUS_FATAL("sweep spec \"", key, "\" must be an array");
-    for (const JsonValue& e : arr.asArray()) {
-        if (!e.isObject() || !e.has("name") || !e.at("name").isString())
-            PROTEUS_FATAL("sweep spec \"", key,
-                          "\" entries need a string \"name\"");
+    for (const JsonValue& e : arrayFromJson(json, key)) {
+        const std::string where = std::string("sweep \"") + key + "\"[" +
+                                  std::to_string(axis.size()) + "]";
+        rejectUnknownKeys(e, where, {"name", "overrides"});
         AxisEntry entry;
-        entry.name = e.at("name").asString();
-        entry.overrides = e.has("overrides")
-                              ? e.at("overrides")
-                              : JsonValue::makeObject({});
-        if (!entry.overrides.isObject())
-            PROTEUS_FATAL("sweep \"", key, "\" entry \"", entry.name,
-                          "\": \"overrides\" must be an object");
+        entry.name = stringFromJson(e, "name", "");
+        if (entry.name.empty())
+            PROTEUS_FATAL(where, " needs a \"name\"");
+        const JsonValue* overrides =
+            memberOfType(e, "overrides", JsonValue::Type::Object);
+        entry.overrides =
+            overrides != nullptr ? *overrides : JsonValue::makeObject({});
         for (const AxisEntry& prev : axis) {
             if (prev.name == entry.name)
                 PROTEUS_FATAL("sweep \"", key, "\" has duplicate name \"",
@@ -66,35 +62,32 @@ axisFromJson(const JsonValue& json, const char* key)
     return axis;
 }
 
+/** Seeds are integers in [0, 2^53]: a JSON number holds them exactly. */
 std::vector<std::uint64_t>
 seedsFromJson(const JsonValue& json)
 {
-    std::vector<std::uint64_t> seeds;
-    if (!json.has("seeds")) {
-        seeds.push_back(1);
-        return seeds;
-    }
+    if (!json.has("seeds"))
+        return {1};
     const JsonValue& s = json.at("seeds");
+    std::vector<std::uint64_t> seeds;
     if (s.isArray()) {
         for (const JsonValue& v : s.asArray()) {
-            if (!v.isNumber())
-                PROTEUS_FATAL("sweep \"seeds\" array must be numeric");
-            seeds.push_back(static_cast<std::uint64_t>(v.asNumber()));
+            seeds.push_back(static_cast<std::uint64_t>(
+                checkedInteger(v, "sweep \"seeds\" entry", 0.0)));
         }
-    } else if (s.isObject()) {
-        const std::uint64_t first =
-            static_cast<std::uint64_t>(s.numberOr("first", 1.0));
-        const int count = static_cast<int>(s.numberOr("count", 1.0));
-        if (count < 1)
-            PROTEUS_FATAL("sweep \"seeds\".count must be >= 1");
-        for (int i = 0; i < count; ++i)
-            seeds.push_back(first + static_cast<std::uint64_t>(i));
-    } else {
-        PROTEUS_FATAL("sweep \"seeds\" must be an array or "
-                      "{first, count} object");
+        if (seeds.empty())
+            PROTEUS_FATAL("sweep \"seeds\" expands to no seeds");
+        return seeds;
     }
-    if (seeds.empty())
-        PROTEUS_FATAL("sweep \"seeds\" expands to no seeds");
+    rejectUnknownKeys(s, "sweep \"seeds\" (an array or {first, count})",
+                      {"first", "count"});
+    const auto count = static_cast<int>(integerFromJson(
+        s, "count", 1.0, 1.0, std::numeric_limits<int>::max()));
+    // The last seed, first + count - 1, must stay within 2^53 too.
+    const auto first = static_cast<std::uint64_t>(integerFromJson(
+        s, "first", 1.0, 0.0, kMaxExactInteger - (count - 1)));
+    for (int i = 0; i < count; ++i)
+        seeds.push_back(first + static_cast<std::uint64_t>(i));
     return seeds;
 }
 
@@ -103,16 +96,18 @@ seedsFromJson(const JsonValue& json)
 SweepSpec
 loadSweepSpec(const JsonValue& json)
 {
+    rejectUnknownKeys(json, "the sweep spec",
+                      {"name", "base", "base_file", "configs", "scenarios",
+                       "seeds", "job_budget_ms"});
     SweepSpec spec;
-    spec.name = json.stringOr("name", "sweep");
-    if (json.has("base")) {
-        spec.base = json.at("base");
-        if (!spec.base.isObject())
-            PROTEUS_FATAL("sweep \"base\" must be an object");
-    } else if (json.has("base_file")) {
+    spec.name = stringFromJson(json, "name", "sweep");
+    const std::string base_file = stringFromJson(json, "base_file", "");
+    if (const JsonValue* base =
+            memberOfType(json, "base", JsonValue::Type::Object)) {
+        spec.base = *base;
+    } else if (!base_file.empty()) {
         std::string error;
-        if (!parseJsonFile(json.at("base_file").asString(), &spec.base,
-                           &error))
+        if (!parseJsonFile(base_file, &spec.base, &error))
             PROTEUS_FATAL("sweep base_file parse error: ", error);
     } else {
         PROTEUS_FATAL("sweep spec needs \"base\" or \"base_file\"");
@@ -125,7 +120,7 @@ loadSweepSpec(const JsonValue& json)
     if (spec.scenarios.empty())
         spec.scenarios.push_back({"base", JsonValue::makeObject({})});
     spec.seeds = seedsFromJson(json);
-    spec.job_budget_ms = json.numberOr("job_budget_ms", 0.0);
+    spec.job_budget_ms = positiveFromJson(json, "job_budget_ms", 0.0, true);
     return spec;
 }
 

@@ -74,7 +74,10 @@ struct JobSpec {
  */
 JsonValue jsonDeepMerge(const JsonValue& base, const JsonValue& overlay);
 
-/** Parse a sweep spec. Malformed specs are fatal (user error). */
+/**
+ * Parse a sweep spec. Malformed specs (an unknown key, a value of the
+ * wrong type or out of range) exit 1: they are user errors.
+ */
 SweepSpec loadSweepSpec(const JsonValue& json);
 
 /** Parse the JSON file at @p path and load it. */

@@ -162,6 +162,15 @@ SweepOutcome
 runSweep(const SweepSpec& spec, const RunnerOptions& options)
 {
     const std::vector<JobSpec> jobs = expandJobs(spec);
+    // A bad config exits 1 from the loader. Load one job of each
+    // (config, scenario) group here, on the calling thread, so it does
+    // so once and before any job runs; the seed axis sets only seeds,
+    // which loadSweepSpec has checked.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (i == 0 || jobs[i].config != jobs[i - 1].config ||
+            jobs[i].scenario != jobs[i - 1].scenario)
+            loadExperiment(jobs[i].experiment);
+    }
 
     StoreHeader header;
     header.sweep = spec.name;

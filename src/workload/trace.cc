@@ -1,6 +1,7 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -72,13 +73,30 @@ Trace::writeCsv(std::ostream& os) const
         os << e.at << "," << e.family << "\n";
 }
 
+namespace {
+
+/** Parse all of @p text as a decimal integer into @p out. */
+template <typename Int>
+bool
+parseWhole(const std::string& text, Int* out)
+{
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 Trace
-Trace::readCsv(std::istream& is)
+Trace::readCsv(std::istream& is, const std::string& path,
+               std::size_t num_families)
 {
     Trace trace;
     std::string line;
     bool first = true;
-    while (std::getline(is, line)) {
+    for (std::size_t line_no = 1; std::getline(is, line); ++line_no) {
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();  // CRLF line ends
         if (line.empty())
             continue;
         if (first && line.rfind("time_us", 0) == 0) {
@@ -86,12 +104,20 @@ Trace::readCsv(std::istream& is)
             continue;
         }
         first = false;
-        auto comma = line.find(',');
-        PROTEUS_ASSERT(comma != std::string::npos,
-                       "malformed trace row: ", line);
-        Time at = std::stoll(line.substr(0, comma));
-        FamilyId family = static_cast<FamilyId>(
-            std::stoul(line.substr(comma + 1)));
+        const std::size_t comma = line.find(',');
+        Time at = 0;
+        FamilyId family = 0;
+        if (comma == std::string::npos ||
+            !parseWhole(line.substr(0, comma), &at) || at < 0 ||
+            !parseWhole(line.substr(comma + 1), &family)) {
+            PROTEUS_FATAL(path, ":", line_no, ": malformed trace row \"",
+                          line, "\" (want time_us,family: two integers)");
+        }
+        if (family >= num_families) {
+            PROTEUS_FATAL(path, ":", line_no, ": family id ", family,
+                          " is out of range (", num_families,
+                          " families in the model zoo)");
+        }
         trace.append(at, family);
     }
     trace.sort();

@@ -8,6 +8,7 @@
 #define PROTEUS_WORKLOAD_TRACE_H_
 
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -62,9 +63,12 @@ class Trace
 
     /**
      * Parse a trace from CSV as produced by writeCsv() (an optional
-     * "time_us,family" header is skipped). Panics on malformed rows.
+     * "time_us,family" header is skipped). A malformed row, or a
+     * family id not below @p num_families, exits 1 with a message
+     * naming @p path and the line.
      */
-    static Trace readCsv(std::istream& is);
+    static Trace readCsv(std::istream& is, const std::string& path,
+                         std::size_t num_families);
 
   private:
     std::vector<TraceEvent> events_;

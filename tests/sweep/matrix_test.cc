@@ -83,6 +83,68 @@ TEST(SweepSpecTest, SeedsAcceptBothListAndRangeForms)
     EXPECT_EQ(range.seeds.back(), 8u);
 }
 
+TEST(SweepSpecDeathTest, UnknownTopLevelKeyIsRejected)
+{
+    EXPECT_EXIT(loadSweepSpec(parse(R"({"base": {}, "sceanrios": []})")),
+                ::testing::ExitedWithCode(1),
+                "unknown key \"sceanrios\" in the sweep spec");
+}
+
+TEST(SweepSpecDeathTest, UnknownAxisEntryKeyIsRejected)
+{
+    EXPECT_EXIT(loadSweepSpec(parse(R"({"base": {},
+                    "configs": [{"name": "a", "overide": {}}]})")),
+                ::testing::ExitedWithCode(1),
+                "unknown key \"overide\" in sweep \"configs\"\\[0\\]");
+}
+
+TEST(SweepSpecDeathTest, UnknownSeedsKeyIsRejected)
+{
+    EXPECT_EXIT(loadSweepSpec(parse(
+                    R"({"base": {}, "seeds": {"first": 1, "cnt": 3}})")),
+                ::testing::ExitedWithCode(1),
+                "unknown key \"cnt\" in sweep \"seeds\"");
+}
+
+TEST(SweepSpecDeathTest, NegativeSeedIsRejected)
+{
+    EXPECT_EXIT(loadSweepSpec(parse(R"({"base": {}, "seeds": [-1]})")),
+                ::testing::ExitedWithCode(1),
+                "sweep \"seeds\" entry must be an integer in "
+                "\\[0, 2\\^53\\], got -1");
+}
+
+TEST(SweepSpecDeathTest, SeedRangeMustEndWithin2To53)
+{
+    EXPECT_EXIT(loadSweepSpec(parse(R"({"base": {},
+                    "seeds": {"first": 9007199254740992, "count": 2}})")),
+                ::testing::ExitedWithCode(1),
+                "first must be an integer in \\[0, 9007199254740991\\]");
+}
+
+TEST(SweepSpecDeathTest, SeedCountMustBeAtLeastOne)
+{
+    EXPECT_EXIT(loadSweepSpec(parse(
+                    R"({"base": {}, "seeds": {"first": 1, "count": 0}})")),
+                ::testing::ExitedWithCode(1),
+                "count must be an integer in \\[1, 2147483647\\], got 0");
+}
+
+TEST(SweepSpecDeathTest, SeedCountMustFitAnInt)
+{
+    EXPECT_EXIT(loadSweepSpec(parse(R"({"base": {},
+                    "seeds": {"first": 1, "count": 4294967297}})")),
+                ::testing::ExitedWithCode(1),
+                "count must be an integer in \\[1, 2147483647\\]");
+}
+
+TEST(SweepSpecDeathTest, JobBudgetMustNotBeNegative)
+{
+    EXPECT_EXIT(loadSweepSpec(parse(R"({"base": {}, "job_budget_ms": -5})")),
+                ::testing::ExitedWithCode(1),
+                "job_budget_ms must be a finite number >= 0, got -5");
+}
+
 TEST(ExpandJobsTest, NestingOrderIsConfigsScenariosSeeds)
 {
     const SweepSpec spec = loadSweepSpec(parse(R"({

@@ -10,6 +10,7 @@
 #include "sweep/runner.h"
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
@@ -218,6 +219,26 @@ TEST(RunSweepTest, SpecBudgetAppliesWhenOptionsLeaveItUnset)
     EXPECT_EQ(outcome.failed, 4u);
     for (const SweepRow& row : outcome.rows)
         EXPECT_EQ(row.status, JobStatus::Budget) << "job " << row.job;
+}
+
+TEST(RunSweepDeathTest, BadOverrideExitsBeforeAnyJobRuns)
+{
+    // The second config's override carries an unknown key. The check
+    // runs on the calling thread before the pool starts: one message,
+    // exit 1, and no job has opened the journal.
+    SweepSpec spec = miniSweepSpec();
+    spec.configs[1].overrides = JsonValue::makeObject(
+        {{"batchign", JsonValue::makeString("aimd")}});
+    const std::filesystem::path journal =
+        std::filesystem::temp_directory_path() /
+        "proteus_bad_override_journal.jsonl";
+    std::filesystem::remove(journal);
+    RunnerOptions options;
+    options.threads = 4;
+    options.journal_path = journal.string();
+    EXPECT_EXIT(runSweep(spec, options), ::testing::ExitedWithCode(1),
+                "unknown key \"batchign\" in the top-level config");
+    EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
 }  // namespace
