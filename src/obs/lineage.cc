@@ -204,7 +204,7 @@ LineageIndex::analyze(std::uint64_t query) const
             const SpanRecord& h = spans_[idx];
             if (h.start > cursor) {
                 // Interval no hop span explains: requeue back-off,
-                // drop wait, or spans lost to ring wraparound.
+                // or spans lost to ring wraparound.
                 const Time ge = std::min(h.start, path.end);
                 if (ge > cursor) {
                     path.segments.push_back(

@@ -39,7 +39,7 @@ namespace obs {
  * Route/StageHandoff/Execution come straight from hop spans;
  * QueueBehindBatch/EpochStall/BatchFormation split the queue wait by
  * what the device was doing; Stall covers every interval no span
- * explains (requeue back-off, drop wait, spans lost to ring wrap).
+ * explains (requeue back-off, spans lost to ring wrap).
  */
 enum class SegmentKind : std::uint8_t {
     Route,  ///< router admission work
@@ -48,7 +48,7 @@ enum class SegmentKind : std::uint8_t {
     EpochStall,  ///< queued while the device loaded a model
     BatchFormation,  ///< queued while the device was idle (batching wait)
     Execution,  ///< inside the executed batch
-    Stall,  ///< unexplained wait (requeue back-off, drop wait, lost spans)
+    Stall,  ///< unexplained wait (requeue back-off, lost spans)
 };
 
 /** Number of SegmentKind values (blame-table row width). */

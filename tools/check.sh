@@ -97,13 +97,17 @@ trace_smoke() {
     # attributed (a zero table means the lineage graph fell apart).
     grep -q '"by_family":{"' "${dir}/blame_smoke.json"
     grep -q '"execution_us":' "${dir}/blame_smoke.json"
-    echo "=== obs smoke: observability config + proteus_report ==="
+    echo "=== obs smoke: observability config + critical path + proteus_report ==="
+    # This trace carries model loads and SLO alarms, so the critical
+    # path reads back every span kind; an inexact partition exits 1.
     (cd "${dir}" &&
          ./tools/proteus_sim ../config/observability.json --quiet \
              > /dev/null &&
+         ./tools/proteus_trace observability_trace.json --critical-path \
+             --blame-json observability_blame.json > /dev/null &&
          ./tools/proteus_report observability_timeline.json \
              --trace observability_trace.json \
-             --blame blame_smoke.json \
+             --blame observability_blame.json \
              --out observability_report.html > /dev/null)
     echo "=== obs smoke: bench_diff self-compare ==="
     "${dir}/tools/bench_diff" "${dir}/BENCH_fig05_bursty.json" \
