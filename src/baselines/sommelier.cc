@@ -30,8 +30,7 @@ SommelierAllocator::allocate(const AllocationInput& input)
             lock[d] = f;
             ++quota[cluster_->device(d).type][f];
         }
-        mutableOptions().family_quota = std::move(quota);
-        mutableOptions().device_family_lock = std::move(lock);
+        freezePlacement(std::move(quota), std::move(lock));
         frozen_ = true;
     }
     return plan;

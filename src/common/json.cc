@@ -458,8 +458,41 @@ rejectUnknownKeys(const JsonValue& object, const std::string& where,
     }
 }
 
+namespace {
+
+/** " (in where)", or nothing for an empty @p where. */
+std::string
+inWhere(const std::string& where)
+{
+    return where.empty() ? "" : " (in " + where + ")";
+}
+
+/** checkedInteger, naming @p where too. */
+double
+checkIntegerIn(const JsonValue& value, const std::string& name,
+               const std::string& where, double lo, double hi)
+{
+    if (!value.isNumber())
+        PROTEUS_FATAL(name, " must be an integer, got a non-number",
+                      inWhere(where));
+    const double v = value.asNumber();
+    if (!(v >= lo && v <= hi && v == std::floor(v))) {
+        const std::string top =
+            hi == kMaxExactInteger
+                ? "2^53"
+                : std::to_string(static_cast<std::int64_t>(hi));
+        PROTEUS_FATAL(name, " must be an integer in [",
+                      static_cast<std::int64_t>(lo), ", ", top, "], got ",
+                      v, inWhere(where));
+    }
+    return v;
+}
+
+}  // namespace
+
 const JsonValue*
-memberOfType(const JsonValue& json, const char* key, JsonValue::Type type)
+memberOfType(const JsonValue& json, const std::string& where,
+             const char* key, JsonValue::Type type)
 {
     if (!json.has(key))
         return nullptr;
@@ -470,21 +503,22 @@ memberOfType(const JsonValue& json, const char* key, JsonValue::Type type)
                                              "an array", "an object"};
         PROTEUS_FATAL("\"", key, "\" must be ",
                       kNames[static_cast<int>(type)], ", got ",
-                      kNames[static_cast<int>(v.type())]);
+                      kNames[static_cast<int>(v.type())], inWhere(where));
     }
     return &v;
 }
 
 double
-positiveFromJson(const JsonValue& json, const char* key, double fallback,
-                 bool zero_ok)
+positiveFromJson(const JsonValue& json, const std::string& where,
+                 const char* key, double fallback, bool zero_ok)
 {
-    const JsonValue* m = memberOfType(json, key, JsonValue::Type::Number);
+    const JsonValue* m =
+        memberOfType(json, where, key, JsonValue::Type::Number);
     const double v = m != nullptr ? m->asNumber() : fallback;
     if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok)) {
         PROTEUS_FATAL(key, zero_ok ? " must be a finite number >= 0"
                                    : " must be a finite number > 0",
-                      ", got ", v);
+                      ", got ", v, inWhere(where));
     }
     return v;
 }
@@ -493,43 +527,36 @@ double
 checkedInteger(const JsonValue& value, const std::string& name, double lo,
                double hi)
 {
-    if (!value.isNumber())
-        PROTEUS_FATAL(name, " must be an integer, got a non-number");
-    const double v = value.asNumber();
-    if (!(v >= lo && v <= hi && v == std::floor(v))) {
-        const std::string top =
-            hi == kMaxExactInteger
-                ? "2^53"
-                : std::to_string(static_cast<std::int64_t>(hi));
-        PROTEUS_FATAL(name, " must be an integer in [",
-                      static_cast<std::int64_t>(lo), ", ", top, "], got ",
-                      v);
-    }
-    return v;
+    return checkIntegerIn(value, name, "", lo, hi);
 }
 
 double
-integerFromJson(const JsonValue& json, const char* key, double fallback,
-                double lo, double hi)
+integerFromJson(const JsonValue& json, const std::string& where,
+                const char* key, double fallback, double lo, double hi)
 {
-    const JsonValue* m = memberOfType(json, key, JsonValue::Type::Number);
-    return checkedInteger(m != nullptr ? *m : JsonValue::makeNumber(fallback),
-                          key, lo, hi);
+    const JsonValue* m =
+        memberOfType(json, where, key, JsonValue::Type::Number);
+    return checkIntegerIn(
+        m != nullptr ? *m : JsonValue::makeNumber(fallback), key, where,
+        lo, hi);
 }
 
 std::string
-stringFromJson(const JsonValue& json, const char* key,
-               const std::string& fallback)
+stringFromJson(const JsonValue& json, const std::string& where,
+               const char* key, const std::string& fallback)
 {
-    const JsonValue* m = memberOfType(json, key, JsonValue::Type::String);
+    const JsonValue* m =
+        memberOfType(json, where, key, JsonValue::Type::String);
     return m != nullptr ? m->asString() : fallback;
 }
 
 const std::vector<JsonValue>&
-arrayFromJson(const JsonValue& json, const char* key)
+arrayFromJson(const JsonValue& json, const std::string& where,
+              const char* key)
 {
     static const std::vector<JsonValue> kNone;
-    const JsonValue* m = memberOfType(json, key, JsonValue::Type::Array);
+    const JsonValue* m =
+        memberOfType(json, where, key, JsonValue::Type::Array);
     return m != nullptr ? m->asArray() : kNone;
 }
 

@@ -100,9 +100,11 @@ bool parseJsonFile(const std::string& path, JsonValue* out,
 
 /*
  * Checked readers for configuration files. A value of the wrong JSON
- * type or out of range exits 1 with a message naming the key: a bad
- * config is a user error, so it must neither trip an assert nor run
- * silently with a meaningless value.
+ * type or out of range exits 1 with a message naming the key and, as
+ * @p where, the object it sits in (the same string rejectUnknownKeys
+ * gets, such as "pipelines[0].stages[1]"): a bad config is a user
+ * error, so it must neither trip an assert nor run silently with a
+ * meaningless value.
  */
 
 /**
@@ -118,15 +120,17 @@ void rejectUnknownKeys(const JsonValue& object, const std::string& where,
  * @return member @p key of @p json, or nullptr when absent. Exits 1
  * when the member is not of type @p type.
  */
-const JsonValue* memberOfType(const JsonValue& json, const char* key,
+const JsonValue* memberOfType(const JsonValue& json,
+                              const std::string& where, const char* key,
                               JsonValue::Type type);
 
 /**
  * @return json[@p key], or @p fallback when absent, after checking it
  * is a finite number above zero (or at least zero with @p zero_ok).
  */
-double positiveFromJson(const JsonValue& json, const char* key,
-                        double fallback, bool zero_ok = false);
+double positiveFromJson(const JsonValue& json, const std::string& where,
+                        const char* key, double fallback,
+                        bool zero_ok = false);
 
 /**
  * @return @p value after checking it is an integer in [@p lo, @p hi];
@@ -138,16 +142,17 @@ double checkedInteger(const JsonValue& value, const std::string& name,
                       double lo, double hi = kMaxExactInteger);
 
 /** @return json[@p key], or @p fallback when absent, checked as above. */
-double integerFromJson(const JsonValue& json, const char* key,
-                       double fallback, double lo,
+double integerFromJson(const JsonValue& json, const std::string& where,
+                       const char* key, double fallback, double lo,
                        double hi = kMaxExactInteger);
 
 /** @return string member @p key, or @p fallback when absent. */
-std::string stringFromJson(const JsonValue& json, const char* key,
-                           const std::string& fallback);
+std::string stringFromJson(const JsonValue& json, const std::string& where,
+                           const char* key, const std::string& fallback);
 
 /** @return the elements of array member @p key (none when absent). */
 const std::vector<JsonValue>& arrayFromJson(const JsonValue& json,
+                                            const std::string& where,
                                             const char* key);
 
 }  // namespace proteus

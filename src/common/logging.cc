@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
 #include "common/sync.h"
 
@@ -21,7 +22,18 @@ LogLevel g_level PROTEUS_GUARDED_BY(g_mu) = LogLevel::Warn;
 const void* g_time_owner PROTEUS_GUARDED_BY(g_mu) = nullptr;
 double (*g_time_fn)(const void*) PROTEUS_GUARDED_BY(g_mu) = nullptr;
 
+/** The innermost live FatalContext of this thread, or null. */
+thread_local const std::string* t_fatal_context = nullptr;
+
 }  // namespace
+
+FatalContext::FatalContext(std::string what)
+    : what_(std::move(what)), outer_(t_fatal_context)
+{
+    t_fatal_context = &what_;
+}
+
+FatalContext::~FatalContext() { t_fatal_context = outer_; }
 
 void
 setLogLevel(LogLevel level)
@@ -83,7 +95,10 @@ panicImpl(const char* file, int line, const std::string& msg)
 void
 fatalImpl(const std::string& msg)
 {
-    std::cerr << "fatal: " << msg << "\n";
+    std::cerr << "fatal: ";
+    if (t_fatal_context)
+        std::cerr << *t_fatal_context << ": ";
+    std::cerr << msg << "\n";
     std::exit(1);
 }
 

@@ -40,6 +40,25 @@ void setLogTimeSource(const void* owner, double (*fn)(const void*));
  */
 void clearLogTimeSource(const void* owner);
 
+/**
+ * While alive, names what is being loaded in every fatal() message
+ * raised on the constructing thread: "fatal: <what>: <message>". A
+ * loader that cannot know where its input came from (a sweep entry's
+ * merged config, say) stays as it is; its caller says where.
+ */
+class FatalContext
+{
+  public:
+    explicit FatalContext(std::string what);
+    ~FatalContext();
+    FatalContext(const FatalContext&) = delete;
+    FatalContext& operator=(const FatalContext&) = delete;
+
+  private:
+    std::string what_;
+    const std::string* outer_;
+};
+
 namespace detail {
 
 void emit(LogLevel level, const std::string& tag, const std::string& msg);

@@ -1,6 +1,7 @@
 #include "core/counts_evaluator.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace proteus {
 
@@ -18,155 +19,221 @@ variantsByAccuracyDesc(const ModelRegistry& registry)
 CountsEvaluator::CountsEvaluator(const CountsContext& ctx,
                                  std::vector<std::vector<int>> count,
                                  const std::vector<double>& demand)
-    : ctx_(ctx),
-      count_(std::move(count)),
+    : count_(std::move(count)),
       demand_(demand),
-      family_value_(demand.size(), 0.0),
-      family_ok_(demand.size(), 1)
+      num_types_(count_.size()),
+      replica_penalty_(ctx.replica_penalty),
+      by_acc_desc_(ctx.by_acc_desc),
+      score_(demand.size()),
+      family_term_(demand.size(), kNoTerm),
+      version_(demand.size(), 1)
 {
-    for (std::size_t f = 0; f < demand_.size(); ++f)
-        scoreFamily(static_cast<FamilyId>(f));
+    const std::size_t M = ctx.registry->numVariants();
+    accuracy_.resize(M);
+    family_.resize(M);
+    peak_.resize(M * num_types_);
+    for (std::size_t m = 0; m < M; ++m) {
+        const auto v = static_cast<VariantId>(m);
+        accuracy_[m] = ctx.registry->variant(v).accuracy;
+        family_[m] = ctx.registry->familyOf(v);
+        for (std::size_t t = 0; t < num_types_; ++t) {
+            peak_[m * num_types_ + t] =
+                ctx.profiles->get(v, static_cast<DeviceTypeId>(t))
+                    .peak_qps;
+        }
+    }
+    memo_.resize(num_types_ * M * 2);
+
+    for (std::size_t f = 0; f < demand_.size(); ++f) {
+        score_[f] = scoreFamily(static_cast<FamilyId>(f), 0, kIdle, kIdle);
+        short_families_ += score_[f].ok ? 0 : 1;
+        if (demand_[f] > 0.0) {
+            family_term_[f] = terms_.size();
+            terms_.push_back(score_[f].value);
+        }
+    }
     for (const auto& row : count_)
         for (int c : row)
             replicas_ += c;
-    if (ctx_.keep_bonus && ctx_.cur_counts) {
-        for (std::size_t t = 0; t < count_.size(); ++t) {
-            for (std::size_t m = 0; m < count_[t].size(); ++m) {
-                if ((*ctx_.cur_counts)[t][m] > 0)
-                    keepers_.emplace_back(t, m);
+    penalty_term_ = terms_.size();
+    terms_.push_back(-(replica_penalty_ * replicas_));
+    keeper_of_.assign(num_types_ * M, kNoTerm);
+    if (ctx.keep_bonus && ctx.cur_counts) {
+        for (std::size_t t = 0; t < num_types_; ++t) {
+            for (std::size_t m = 0; m < M; ++m) {
+                const int cur = (*ctx.cur_counts)[t][m];
+                if (cur <= 0)
+                    continue;
+                keeper_of_[t * M + m] = keepers_.size();
+                keepers_.push_back(Keeper{cur, (*ctx.keep_bonus)[t][m]});
+                terms_.push_back(keepTerm(keepers_.back(), count_[t][m]));
             }
         }
     }
-    total();
+    eval_.feasible = short_families_ == 0;
+    eval_.objective = sumWith(nullptr, 0);
 }
 
-void
-CountsEvaluator::scoreFamily(FamilyId f)
+CountsEvaluator::Score
+CountsEvaluator::scoreFamily(FamilyId f, std::size_t t, std::size_t src,
+                             std::size_t dst) const
 {
+    Score out;
     const double demand = demand_[f];
     if (demand <= 0.0)
-        return;
+        return out;
     double remaining = demand;
-    double value = 0.0;
-    for (VariantId m : (*ctx_.by_acc_desc)[f]) {
+    for (VariantId m : (*by_acc_desc_)[f]) {
         if (remaining <= 1e-9)
             break;
-        double acc = ctx_.registry->variant(m).accuracy;
-        for (std::size_t t = 0; t < count_.size(); ++t) {
-            if (count_[t][m] <= 0)
+        const double acc = accuracy_[m];
+        for (std::size_t tt = 0; tt < num_types_; ++tt) {
+            int c = count_[tt][m];
+            if (tt == t)
+                c += (m == dst ? 1 : 0) - (m == src ? 1 : 0);
+            if (c <= 0)
                 continue;
-            double cap =
-                ctx_.profiles->get(m, static_cast<DeviceTypeId>(t))
-                    .peak_qps *
-                count_[t][m];
-            double used = std::min(cap, remaining);
-            value += acc * used;
+            const double cap = peak(m, tt) * c;
+            const double used = std::min(cap, remaining);
+            out.value += acc * used;
             remaining -= used;
             if (remaining <= 1e-9)
                 break;
         }
     }
-    family_value_[f] = value;
-    family_ok_[f] = remaining <= 1e-6 * std::max(1.0, demand);
+    out.ok = remaining <= 1e-6 * std::max(1.0, demand);
+    return out;
 }
 
-void
-CountsEvaluator::total()
+const CountsEvaluator::Score&
+CountsEvaluator::shifted(std::size_t t, std::size_t m, bool add)
 {
-    eval_.feasible = true;
-    eval_.objective = 0.0;
-    for (std::size_t f = 0; f < demand_.size(); ++f) {
-        if (demand_[f] <= 0.0)
-            continue;
-        eval_.objective += family_value_[f];
-        eval_.feasible &= family_ok_[f] != 0;
+    const FamilyId f = family_[m];
+    Memo& memo = memo_[(t * family_.size() + m) * 2 + (add ? 1 : 0)];
+    if (memo.version != version_[f]) {
+        memo.score = add ? scoreFamily(f, t, kIdle, m)
+                         : scoreFamily(f, t, m, kIdle);
+        memo.version = version_[f];
     }
-    eval_.objective -= ctx_.replica_penalty * replicas_;
-    for (const auto& [t, m] : keepers_) {
-        int kept = std::min(count_[t][m], (*ctx_.cur_counts)[t][m]);
-        if (kept > 0)
-            eval_.objective += (*ctx_.keep_bonus)[t][m] * kept;
-    }
+    return memo.score;
 }
 
-const CountsEval&
-CountsEvaluator::move(std::size_t t, std::size_t src, std::size_t dst)
+double
+CountsEvaluator::keepTerm(const Keeper& k, int count) const
 {
-    undo_.t = t;
-    undo_.src = src;
-    undo_.dst = dst;
-    undo_.eval = eval_;
-    undo_.families = 0;
-    auto touch = [&](std::size_t m) {
-        FamilyId f = ctx_.registry->familyOf(static_cast<VariantId>(m));
-        if (undo_.families == 1 && undo_.family[0] == f)
-            return;
-        undo_.family[undo_.families] = f;
-        undo_.value[undo_.families] = family_value_[f];
-        undo_.ok[undo_.families] = family_ok_[f];
-        ++undo_.families;
+    const int kept = std::min(count, k.cur);
+    return kept > 0 ? k.bonus * kept : 0.0;
+}
+
+double
+CountsEvaluator::sumWith(const Term* changed, int n) const
+{
+    // The running sum starts at +0, so it is never -0 and adding a +0
+    // term leaves its bits as they are: a keeper that keeps nothing
+    // may stay in terms_ as 0 where a from-scratch sum skips it.
+    double obj = 0.0;
+    std::size_t at = 0;
+    for (int i = 0; i < n; ++i) {
+        for (; at < changed[i].pos; ++at)
+            obj += terms_[at];
+        obj += changed[i].value;
+        ++at;
+    }
+    for (; at < terms_.size(); ++at)
+        obj += terms_[at];
+    return obj;
+}
+
+bool
+CountsEvaluator::improve(std::size_t t, std::size_t src, std::size_t dst)
+{
+    // The touched families and their scores after the move.
+    FamilyId fam[2];
+    Score next[2];
+    int touched = 0;
+    const FamilyId df = family_[dst];
+    if (src != kIdle && family_[src] == df) {
+        fam[touched] = df;
+        next[touched++] = scoreFamily(df, t, src, dst);
+    } else {
+        if (src != kIdle) {
+            fam[touched] = family_[src];
+            next[touched++] = shifted(t, src, false);
+        }
+        fam[touched] = df;
+        next[touched++] = shifted(t, dst, true);
+    }
+
+    int short_families = short_families_;
+    for (int k = 0; k < touched; ++k) {
+        short_families += (next[k].ok ? 0 : 1) -
+                          (score_[fam[k]].ok ? 0 : 1);
+    }
+    const bool feasible = short_families == 0;
+    if (eval_.feasible && !feasible)
+        return false;
+
+    // The terms the move changes, kept in ascending position.
+    Term changed[5];
+    int n = 0;
+    auto add = [&](std::size_t pos, double value) {
+        int i = n++;
+        changed[i] = Term{pos, value};
+        for (; i > 0 && changed[i - 1].pos > pos; --i)
+            std::swap(changed[i - 1], changed[i]);
     };
-    if (src != kNone) {
-        --count_[t][src];
-        --replicas_;
-        touch(src);
+    for (int k = 0; k < touched; ++k) {
+        if (family_term_[fam[k]] != kNoTerm)
+            add(family_term_[fam[k]], next[k].value);
     }
+    if (src == kIdle)
+        add(penalty_term_, -(replica_penalty_ * (replicas_ + 1)));
+    const std::size_t M = family_.size();
+    for (std::size_t m : {src, dst}) {
+        if (m == kIdle || keeper_of_[t * M + m] == kNoTerm)
+            continue;
+        const std::size_t k = keeper_of_[t * M + m];
+        const int c = count_[t][m] + (m == dst ? 1 : -1);
+        add(penalty_term_ + 1 + k, keepTerm(keepers_[k], c));
+    }
+    const double obj = sumWith(changed, n);
+    const bool better = (feasible && !eval_.feasible) ||
+                        (feasible == eval_.feasible &&
+                         obj > eval_.objective + 1e-9);
+    if (!better)
+        return false;
+
     ++count_[t][dst];
-    ++replicas_;
-    touch(dst);
-    for (int k = 0; k < undo_.families; ++k)
-        scoreFamily(undo_.family[k]);
-    total();
-    return eval_;
-}
-
-const CountsEval&
-CountsEvaluator::tryAdd(std::size_t t, std::size_t dst)
-{
-    return move(t, kNone, dst);
-}
-
-const CountsEval&
-CountsEvaluator::tryRepurpose(std::size_t t, std::size_t src,
-                              std::size_t dst)
-{
-    return move(t, src, dst);
-}
-
-void
-CountsEvaluator::reject()
-{
-    if (undo_.src != kNone) {
-        ++count_[undo_.t][undo_.src];
+    if (src != kIdle)
+        --count_[t][src];
+    else
         ++replicas_;
+    for (int k = 0; k < touched; ++k) {
+        score_[fam[k]] = next[k];
+        ++version_[fam[k]];
     }
-    --count_[undo_.t][undo_.dst];
-    --replicas_;
-    for (int k = 0; k < undo_.families; ++k) {
-        family_value_[undo_.family[k]] = undo_.value[k];
-        family_ok_[undo_.family[k]] = undo_.ok[k];
-    }
-    eval_ = undo_.eval;
+    for (int i = 0; i < n; ++i)
+        terms_[changed[i].pos] = changed[i].value;
+    short_families_ = short_families;
+    eval_.feasible = feasible;
+    eval_.objective = obj;
+    return true;
 }
 
 std::vector<std::vector<double>>
 CountsEvaluator::greedyFill() const
 {
     std::vector<std::vector<double>> qps(
-        count_.size(),
-        std::vector<double>(count_.empty() ? 0 : count_[0].size(), 0.0));
+        num_types_, std::vector<double>(family_.size(), 0.0));
     for (std::size_t f = 0; f < demand_.size(); ++f) {
         double remaining = demand_[f];
-        for (VariantId m : (*ctx_.by_acc_desc)[f]) {
+        for (VariantId m : (*by_acc_desc_)[f]) {
             if (remaining <= 1e-12)
                 break;
-            for (std::size_t t = 0; t < count_.size(); ++t) {
+            for (std::size_t t = 0; t < num_types_; ++t) {
                 if (count_[t][m] <= 0)
                     continue;
-                double cap =
-                    ctx_.profiles->get(m, static_cast<DeviceTypeId>(t))
-                        .peak_qps *
-                    count_[t][m];
+                double cap = peak(m, t) * count_[t][m];
                 double used = std::min(cap, remaining);
                 qps[t][m] += used;
                 remaining -= used;

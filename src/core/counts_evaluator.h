@@ -11,18 +11,27 @@
  * the churn keep bonuses; the plan is infeasible when some family's
  * capacity cannot cover its demand.
  *
- * A one-device move changes the counts of at most two families, so
- * the evaluator caches each family's value and feasibility and
- * re-scores only the families a move touches. Cached values are summed
- * in family order on every move, which keeps the objective
- * bit-identical to a from-scratch evaluation.
+ * The local search asks one question per move: would moving one device
+ * improve the plan? improve() answers it without applying the move, and
+ * applies it only when the answer is yes, so a rejected move leaves
+ * nothing to undo. A one-device move changes the counts of at most two
+ * families. For each (type, variant) the evaluator memoizes the score
+ * of the variant's family with one device of that type removed and with
+ * one added; an entry stays valid until an accepted move changes that
+ * family's counts, which bumps the family's version. Once its entries
+ * are warm, a rejected move re-scores no family. When the plan is
+ * feasible, a move that leaves a touched family short is rejected
+ * before any sum. Otherwise the candidate objective is summed in the
+ * order of a from-scratch evaluation (families in order, the replica
+ * penalty, then the keep bonuses in (type, variant) order), so every
+ * score is bit-identical to evaluating the moved counts afresh.
  */
 
 #ifndef PROTEUS_CORE_COUNTS_EVALUATOR_H_
 #define PROTEUS_CORE_COUNTS_EVALUATOR_H_
 
 #include <cstddef>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -54,14 +63,16 @@ std::vector<std::vector<VariantId>>
 variantsByAccuracyDesc(const ModelRegistry& registry);
 
 /**
- * Scores a hosting plan count[t][m] and keeps the score current under
- * one-device moves. Construction evaluates every family; tryAdd and
- * tryRepurpose apply a move and re-score the families it touches;
- * reject undoes the last move.
+ * Scores a hosting plan count[t][m] and decides one-device moves on
+ * it. Construction evaluates every family; improve() applies a move
+ * only when it improves the score.
  */
 class CountsEvaluator
 {
   public:
+    /** improve()'s source for a device taken from the idle budget. */
+    static constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+
     CountsEvaluator(const CountsContext& ctx,
                     std::vector<std::vector<int>> count,
                     const std::vector<double>& demand);
@@ -72,15 +83,15 @@ class CountsEvaluator
     /** Score of the current plan. */
     const CountsEval& eval() const { return eval_; }
 
-    /** Add one type-@p t device to variant @p dst; returns the score. */
-    const CountsEval& tryAdd(std::size_t t, std::size_t dst);
-
-    /** Move one type-@p t device from @p src to @p dst. */
-    const CountsEval& tryRepurpose(std::size_t t, std::size_t src,
-                                   std::size_t dst);
-
-    /** Undo the last tryAdd/tryRepurpose and restore its score. */
-    void reject();
+    /**
+     * Move one type-@p t device to variant @p dst, from variant @p src
+     * or (@p src == kIdle) from the idle budget, if that improves the
+     * plan: it becomes feasible, or keeps its feasibility and its
+     * objective rises by more than 1e-9.
+     * @return true when the move was applied; false leaves the plan
+     * and its score untouched.
+     */
+    bool improve(std::size_t t, std::size_t src, std::size_t dst);
 
     /**
      * Greedy served-QPS assignment for the current plan (highest
@@ -89,34 +100,84 @@ class CountsEvaluator
     std::vector<std::vector<double>> greedyFill() const;
 
   private:
-    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    /** One family's accuracy-weighted served QPS and feasibility. */
+    struct Score {
+        double value = 0.0;
+        bool ok = true;
+    };
+    /**
+     * A family score, valid while the family's version is @c version
+     * (versions start at 1, so 0 marks an entry never filled).
+     */
+    struct Memo {
+        std::uint64_t version = 0;
+        Score score;
+    };
+    /** A (type, variant) that may earn a keep bonus. */
+    struct Keeper {
+        int cur = 0;
+        double bonus = 0.0;
+    };
+    /** A term of the objective sum and its value under a move. */
+    struct Term {
+        std::size_t pos = 0;
+        double value = 0.0;
+    };
+    static constexpr std::size_t kNoTerm = static_cast<std::size_t>(-1);
 
-    /** Re-score family @p f from the counts. */
-    void scoreFamily(FamilyId f);
-    /** Sum the cached family values and the plan-wide terms. */
-    void total();
-    const CountsEval& move(std::size_t t, std::size_t src,
-                           std::size_t dst);
+    double peak(std::size_t m, std::size_t t) const
+    {
+        return peak_[m * num_types_ + t];
+    }
 
-    CountsContext ctx_;
+    /**
+     * Score family @p f on the plan with one type-@p t device moved
+     * from @p src to @p dst (either may be kIdle: none).
+     */
+    Score scoreFamily(FamilyId f, std::size_t t, std::size_t src,
+                      std::size_t dst) const;
+    /**
+     * scoreFamily with one type-@p t device added to (@p add) or
+     * removed from variant @p m, memoized.
+     */
+    const Score& shifted(std::size_t t, std::size_t m, bool add);
+    /** What keeper @p k adds to the objective with @p count devices. */
+    double keepTerm(const Keeper& k, int count) const;
+    /**
+     * The objective: terms_ summed in order, with the @p n terms of
+     * @p changed (ascending positions) taking their given values.
+     */
+    double sumWith(const Term* changed, int n) const;
+
     std::vector<std::vector<int>> count_;
     std::vector<double> demand_;
-    std::vector<double> family_value_;
-    std::vector<char> family_ok_;
-    int replicas_ = 0;
-    /** (t, m) pairs that may earn a keep bonus, in (t, m) order. */
-    std::vector<std::pair<std::size_t, std::size_t>> keepers_;
-    CountsEval eval_;
+    std::size_t num_types_;
+    double replica_penalty_;
+    const std::vector<std::vector<VariantId>>* by_acc_desc_;
+    /** Flat copies of the registry and profiles, indexed by variant. */
+    std::vector<double> accuracy_;
+    std::vector<FamilyId> family_;
+    std::vector<double> peak_;  ///< [m * num_types_ + t]
 
-    /** What reject() restores. */
-    struct Undo {
-        std::size_t t = 0, src = kNone, dst = kNone;
-        FamilyId family[2] = {0, 0};
-        double value[2] = {0.0, 0.0};
-        char ok[2] = {0, 0};
-        int families = 0;
-        CountsEval eval;
-    } undo_;
+    std::vector<Score> score_;  ///< per family, of the current plan
+    int short_families_ = 0;    ///< families whose score is not ok
+    int replicas_ = 0;
+    CountsEval eval_;
+    /**
+     * The objective's terms in the order a from-scratch evaluation
+     * adds them: the value of each family with demand, the replica
+     * penalty (negated), then each keeper's bonus in (type, variant)
+     * order (0 when it keeps nothing).
+     */
+    std::vector<double> terms_;
+    std::vector<std::size_t> family_term_;  ///< per family, or kNoTerm
+    std::size_t penalty_term_ = 0;
+    std::vector<Keeper> keepers_;  ///< term penalty_term_ + 1 + index
+    std::vector<std::size_t> keeper_of_;  ///< [t * M + m]: index or kNoTerm
+    /** Bumped when an accepted move changes the family's counts. */
+    std::vector<std::uint64_t> version_;
+    /** [(t * M + m) * 2 + add]: see shifted(). */
+    std::vector<Memo> memo_;
 };
 
 }  // namespace proteus

@@ -46,12 +46,17 @@ batchingKindFromName(const std::string& name)
 
 namespace {
 
+/** How config errors name the objects without an index. */
+const char* const kTop = "the top-level config";
+const char* const kCluster = "\"cluster\"";
+const char* const kObs = "\"observability\"";
+
 /** A device count: an integer in [0, INT_MAX]. */
 int
 deviceCountFromJson(const JsonValue& cluster, const char* key)
 {
     return static_cast<int>(integerFromJson(
-        cluster, key, 0.0, 0.0, std::numeric_limits<int>::max()));
+        cluster, kCluster, key, 0.0, 0.0, std::numeric_limits<int>::max()));
 }
 
 Cluster
@@ -66,7 +71,7 @@ clusterFromJson(const JsonValue& json)
         return cluster;
     }
     const JsonValue& c = json.at("cluster");
-    rejectUnknownKeys(c, "\"cluster\"", {"cpu", "gtx1080ti", "v100"});
+    rejectUnknownKeys(c, kCluster, {"cpu", "gtx1080ti", "v100"});
     cluster.addDevices(types.cpu, deviceCountFromJson(c, "cpu"));
     cluster.addDevices(types.gtx1080ti,
                        deviceCountFromJson(c, "gtx1080ti"));
@@ -79,7 +84,7 @@ clusterFromJson(const JsonValue& json)
 ModelRegistry
 registryFromJson(const JsonValue& json)
 {
-    std::string zoo = stringFromJson(json, "zoo", "paper");
+    std::string zoo = stringFromJson(json, kTop, "zoo", "paper");
     ModelRegistry reg;
     if (zoo == "paper") {
         for (const auto& fam : paperModelZoo())
@@ -97,32 +102,32 @@ std::vector<PipelineSpec>
 pipelinesFromJson(const JsonValue& json)
 {
     std::vector<PipelineSpec> specs;
-    for (const JsonValue& p : arrayFromJson(json, "pipelines")) {
+    for (const JsonValue& p : arrayFromJson(json, kTop, "pipelines")) {
         const std::string where =
             "pipelines[" + std::to_string(specs.size()) + "]";
         rejectUnknownKeys(p, where,
                           {"name", "slo_sec", "slo_multiplier", "stages"});
         PipelineSpec spec;
-        spec.name = stringFromJson(p, "name", "");
+        spec.name = stringFromJson(p, where, "name", "");
         if (spec.name.empty())
             PROTEUS_FATAL("pipeline entry is missing \"name\"");
         // 0 (the default) derives the SLO from the multiplier, and a 0
         // multiplier falls back to the top-level slo_multiplier.
-        spec.slo = seconds(positiveFromJson(p, "slo_sec", 0.0, true));
+        spec.slo = seconds(positiveFromJson(p, where, "slo_sec", 0.0, true));
         spec.slo_multiplier =
-            positiveFromJson(p, "slo_multiplier", 0.0, true);
+            positiveFromJson(p, where, "slo_multiplier", 0.0, true);
         if (!p.has("stages"))
             PROTEUS_FATAL("pipeline \"", spec.name,
                           "\" is missing \"stages\"");
-        for (const JsonValue& s : arrayFromJson(p, "stages")) {
+        for (const JsonValue& s : arrayFromJson(p, where, "stages")) {
             const std::string stage_where =
                 where + ".stages[" + std::to_string(spec.stages.size()) +
                 "]";
             rejectUnknownKeys(s, stage_where, {"name", "family", "deps"});
             PipelineStageSpec stage;
-            stage.name = stringFromJson(s, "name", "");
-            stage.family = stringFromJson(s, "family", "");
-            for (const JsonValue& d : arrayFromJson(s, "deps")) {
+            stage.name = stringFromJson(s, stage_where, "name", "");
+            stage.family = stringFromJson(s, stage_where, "family", "");
+            for (const JsonValue& d : arrayFromJson(s, stage_where, "deps")) {
                 if (!d.isString())
                     PROTEUS_FATAL(stage_where, ".deps must list stage names");
                 stage.deps.push_back(d.asString());
@@ -134,11 +139,15 @@ pipelinesFromJson(const JsonValue& json)
     return specs;
 }
 
-/** @return the "process" key of @p w as an arrival process. */
+/**
+ * @return the "process" key of @p w as an arrival process; @p where
+ * names @p w.
+ */
 ArrivalProcess
-arrivalProcessFromJson(const JsonValue& w)
+arrivalProcessFromJson(const JsonValue& w, const std::string& where)
 {
-    const std::string process = stringFromJson(w, "process", "poisson");
+    const std::string process =
+        stringFromJson(w, where, "process", "poisson");
     if (process == "uniform")
         return ArrivalProcess::Uniform;
     if (process == "poisson")
@@ -156,14 +165,15 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     if (!json.has("workload"))
         PROTEUS_FATAL("config is missing the \"workload\" object");
     const JsonValue& w = json.at("workload");
-    const std::string kind = stringFromJson(w, "kind", "diurnal");
+    const std::string kind =
+        stringFromJson(w, "\"workload\"", "kind", "diurnal");
     const std::string where = "\"workload\" (kind \"" + kind + "\")";
     if (kind == "file") {
         // A trace file has no randomness; "seed" is accepted because a
         // sweep's seed axis sets it on every job's workload.
         rejectUnknownKeys(w, where, {"kind", "path", "seed"});
-        integerFromJson(w, "seed", 0.0, 0.0);
-        std::string path = stringFromJson(w, "path", "");
+        integerFromJson(w, where, "seed", 0.0, 0.0);
+        std::string path = stringFromJson(w, where, "path", "");
         if (path.empty())
             PROTEUS_FATAL("workload kind \"file\" needs \"path\"");
         std::ifstream in(path);
@@ -186,34 +196,37 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     } else {
         PROTEUS_FATAL("unknown workload kind: ", kind);
     }
-    Duration duration = seconds(positiveFromJson(w, "duration_sec", 360.0));
-    std::uint64_t seed =
-        static_cast<std::uint64_t>(integerFromJson(w, "seed", 42.0, 0.0));
+    Duration duration =
+        seconds(positiveFromJson(w, where, "duration_sec", 360.0));
+    std::uint64_t seed = static_cast<std::uint64_t>(
+        integerFromJson(w, where, "seed", 42.0, 0.0));
 
     if (kind == "diurnal") {
         DiurnalTraceConfig cfg;
         cfg.duration = duration;
-        cfg.base_qps = positiveFromJson(w, "base_qps", 250.0, true);
+        cfg.base_qps = positiveFromJson(w, where, "base_qps", 250.0, true);
         cfg.diurnal_amplitude_qps =
-            positiveFromJson(w, "amplitude_qps", 350.0, true);
-        cfg.cycles = positiveFromJson(w, "cycles", 2.0, true);
+            positiveFromJson(w, where, "amplitude_qps", 350.0, true);
+        cfg.cycles = positiveFromJson(w, where, "cycles", 2.0, true);
         cfg.seed = seed;
         return diurnalTrace(num_families, cfg);
     }
     if (kind == "burst") {
         BurstTraceConfig cfg;
         cfg.duration = duration;
-        cfg.low_qps = positiveFromJson(w, "low_qps", 150.0, true);
-        cfg.high_qps = positiveFromJson(w, "high_qps", 900.0, true);
-        cfg.phase = seconds(positiveFromJson(w, "phase_sec", 240.0));
+        cfg.low_qps = positiveFromJson(w, where, "low_qps", 150.0, true);
+        cfg.high_qps = positiveFromJson(w, where, "high_qps", 900.0, true);
+        cfg.phase = seconds(positiveFromJson(w, where, "phase_sec", 240.0));
         if (cfg.phase <= 0)  // below the simulator's 1 us resolution
             PROTEUS_FATAL("phase_sec must be at least 1e-6");
         cfg.seed = seed;
         return burstTrace(num_families, cfg);
     }
     if (kind == "steady") {
-        return steadyTrace(num_families, positiveFromJson(w, "qps", 100.0),
-                           duration, arrivalProcessFromJson(w), seed);
+        return steadyTrace(num_families,
+                           positiveFromJson(w, where, "qps", 100.0),
+                           duration, arrivalProcessFromJson(w, where),
+                           seed);
     }
     // kind == "pipeline"
     if (pipelines.empty())
@@ -229,10 +242,10 @@ traceFromJson(const JsonValue& json, const ModelRegistry& registry,
     for (PipelineId p = 0; p < compiled.size(); ++p)
         entries.push_back(compiled.entryFamily(p));
     PipelineTraceConfig cfg;
-    cfg.qps = positiveFromJson(w, "qps", cfg.qps);
+    cfg.qps = positiveFromJson(w, where, "qps", cfg.qps);
     cfg.duration = duration;
     cfg.seed = seed;
-    cfg.process = arrivalProcessFromJson(w);
+    cfg.process = arrivalProcessFromJson(w, where);
     return pipelineTrace(entries, cfg);
 }
 
@@ -242,7 +255,7 @@ ExperimentSpec
 loadExperiment(const JsonValue& json)
 {
     rejectUnknownKeys(
-        json, "the top-level config",
+        json, kTop,
         {"model_allocation", "batching", "slo_multiplier",
          "control_period_sec", "planning_headroom", "burst_threshold",
          "snapshot_interval_sec", "milp_work_budget", "latency_jitter",
@@ -250,40 +263,43 @@ loadExperiment(const JsonValue& json)
          "cluster", "zoo", "workload"});
     ExperimentSpec spec;
     spec.config.allocator = allocatorKindFromName(
-        stringFromJson(json, "model_allocation", "ilp"));
-    spec.config.batching =
-        batchingKindFromName(stringFromJson(json, "batching", "accscale"));
+        stringFromJson(json, kTop, "model_allocation", "ilp"));
+    spec.config.batching = batchingKindFromName(
+        stringFromJson(json, kTop, "batching", "accscale"));
     spec.config.slo_multiplier = positiveFromJson(
-        json, "slo_multiplier", spec.config.slo_multiplier);
+        json, kTop, "slo_multiplier", spec.config.slo_multiplier);
     spec.config.control_period = seconds(positiveFromJson(
-        json, "control_period_sec", toSeconds(spec.config.control_period)));
+        json, kTop, "control_period_sec",
+        toSeconds(spec.config.control_period)));
     spec.config.planning_headroom = positiveFromJson(
-        json, "planning_headroom", spec.config.planning_headroom);
+        json, kTop, "planning_headroom", spec.config.planning_headroom);
     spec.config.burst_threshold = positiveFromJson(
-        json, "burst_threshold", spec.config.burst_threshold);
+        json, kTop, "burst_threshold", spec.config.burst_threshold);
     spec.config.snapshot_interval = seconds(positiveFromJson(
-        json, "snapshot_interval_sec",
+        json, kTop, "snapshot_interval_sec",
         toSeconds(spec.config.snapshot_interval)));
     // In simplex iterations. The solver reads a budget <= 0 as "no
     // limit", so only the wall-clock backstop would be left.
     spec.config.milp_work_budget =
         static_cast<std::int64_t>(integerFromJson(
-            json, "milp_work_budget",
+            json, kTop, "milp_work_budget",
             static_cast<double>(spec.config.milp_work_budget), 1.0));
     // Each execution time is scaled by 1 + U(-j, j), which must stay
     // positive.
     const double jitter = positiveFromJson(
-        json, "latency_jitter", spec.config.latency_jitter_frac, true);
+        json, kTop, "latency_jitter", spec.config.latency_jitter_frac,
+        true);
     if (!(jitter < 1.0)) {
         PROTEUS_FATAL("latency_jitter must be a finite number in [0, 1), "
                       "got ", jitter);
     }
     spec.config.latency_jitter_frac = jitter;
     spec.config.seed =
-        static_cast<std::uint64_t>(integerFromJson(json, "seed", 1.0, 0.0));
+        static_cast<std::uint64_t>(integerFromJson(json, kTop, "seed", 1.0,
+                                                   0.0));
     spec.config.pipelines = pipelinesFromJson(json);
     const std::string planning =
-        stringFromJson(json, "pipeline_planning", "joint");
+        stringFromJson(json, kTop, "pipeline_planning", "joint");
     if (planning == "joint")
         spec.config.pipeline_joint_planning = true;
     else if (planning == "independent")
@@ -294,32 +310,34 @@ loadExperiment(const JsonValue& json)
 
     if (json.has("observability")) {
         const JsonValue& o = json.at("observability");
-        rejectUnknownKeys(o, "\"observability\"",
+        rejectUnknownKeys(o, kObs,
                           {"enabled", "ring_capacity", "sample_interval_sec",
                            "slo_window_sec", "trace_file", "metrics_file",
                            "timeline_csv", "timeline_json"});
         const JsonValue* enabled =
-            memberOfType(o, "enabled", JsonValue::Type::Bool);
+            memberOfType(o, kObs, "enabled", JsonValue::Type::Bool);
         spec.config.obs.enabled = enabled != nullptr && enabled->asBool();
         spec.config.obs.ring_capacity =
             static_cast<std::size_t>(integerFromJson(
-                o, "ring_capacity",
+                o, kObs, "ring_capacity",
                 static_cast<double>(spec.config.obs.ring_capacity), 1.0));
         const double interval = positiveFromJson(
-            o, "sample_interval_sec",
+            o, kObs, "sample_interval_sec",
             toSeconds(spec.config.obs.sample_interval));
         const double window = positiveFromJson(
-            o, "slo_window_sec", toSeconds(spec.config.obs.slo_window));
+            o, kObs, "slo_window_sec",
+            toSeconds(spec.config.obs.slo_window));
         if (window < interval) {
             PROTEUS_FATAL("slo_window_sec must be >= sample_interval_sec (",
                           interval, "), got ", window);
         }
         spec.config.obs.sample_interval = seconds(interval);
         spec.config.obs.slo_window = seconds(window);
-        spec.trace_path = stringFromJson(o, "trace_file", "");
-        spec.metrics_path = stringFromJson(o, "metrics_file", "");
-        spec.timeline_csv_path = stringFromJson(o, "timeline_csv", "");
-        spec.timeline_json_path = stringFromJson(o, "timeline_json", "");
+        spec.trace_path = stringFromJson(o, kObs, "trace_file", "");
+        spec.metrics_path = stringFromJson(o, kObs, "metrics_file", "");
+        spec.timeline_csv_path = stringFromJson(o, kObs, "timeline_csv", "");
+        spec.timeline_json_path =
+            stringFromJson(o, kObs, "timeline_json", "");
     }
 
     spec.cluster = clusterFromJson(json);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
 
 #include "common/clock.h"
@@ -59,6 +58,56 @@ IlpAllocator::IlpAllocator(const ModelRegistry* registry,
       by_acc_desc_(variantsByAccuracyDesc(*registry))
 {
     meta_.work_budget = options_.milp_work_budget;
+    const std::size_t T = cluster_->numTypes();
+    const std::size_t M = registry_->numVariants();
+    for (std::size_t m = 0; m < M; ++m)
+        family_of_.push_back(registry_->familyOf(static_cast<VariantId>(m)));
+
+    // Which (type, variant) pairs may get a MILP column: usable on the
+    // type, allowed by the variant filter and not dominated. Profiles
+    // and the filter are fixed for the allocator's lifetime, so this
+    // is decided once; each decision adds only the availability and
+    // demand tests.
+    auto allowed = [this](VariantId v) {
+        return !options_.variant_filter || options_.variant_filter(v);
+    };
+    candidate_.assign(T, std::vector<char>(M, 0));
+    for (std::size_t t = 0; t < T; ++t) {
+        const auto type = static_cast<DeviceTypeId>(t);
+        for (std::size_t m = 0; m < M; ++m) {
+            const auto v = static_cast<VariantId>(m);
+            const BatchProfile& prof = profiles_->get(v, type);
+            if (!prof.usable() || !allowed(v))
+                continue;
+            // Dominance pruning: skip variants beaten by a sibling in
+            // both accuracy and per-device throughput on this type.
+            // They can never appear in an optimal plan, and fewer
+            // integer columns keep the branch & bound fast.
+            const double acc = registry_->variant(v).accuracy;
+            bool dominated = false;
+            for (VariantId other : registry_->variantsOf(family_of_[m])) {
+                if (other == v || !allowed(other))
+                    continue;
+                const BatchProfile& op = profiles_->get(other, type);
+                const double oacc = registry_->variant(other).accuracy;
+                if (op.usable() && oacc >= acc &&
+                    op.peak_qps >= prof.peak_qps &&
+                    (oacc > acc || op.peak_qps > prof.peak_qps)) {
+                    dominated = true;
+                    break;
+                }
+            }
+            candidate_[t][m] = dominated ? 0 : 1;
+        }
+    }
+}
+
+void
+IlpAllocator::freezePlacement(std::vector<std::vector<int>> family_quota,
+                              std::vector<std::optional<FamilyId>> lock)
+{
+    options_.family_quota = std::move(family_quota);
+    options_.device_family_lock = std::move(lock);
 }
 
 std::function<bool(VariantId)>
@@ -133,41 +182,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         if (nt == 0)
             continue;
         for (std::size_t m = 0; m < M; ++m) {
-            const BatchProfile& prof = profiles_->get(
-                static_cast<VariantId>(m), static_cast<DeviceTypeId>(t));
-            if (!prof.usable())
-                continue;
-            FamilyId f = registry_->familyOf(static_cast<VariantId>(m));
-            if (demand[f] <= 0.0)
-                continue;
-            if (options_.variant_filter &&
-                !options_.variant_filter(static_cast<VariantId>(m)))
-                continue;
-            // Dominance pruning: skip variants beaten by a sibling in
-            // both accuracy and per-device throughput on this type.
-            // They can never appear in an optimal plan, and fewer
-            // integer columns keep the branch & bound fast.
-            bool dominated = false;
-            for (VariantId other : registry_->variantsOf(f)) {
-                if (other == static_cast<VariantId>(m))
-                    continue;
-                if (options_.variant_filter &&
-                    !options_.variant_filter(other))
-                    continue;
-                const BatchProfile& op = profiles_->get(
-                    other, static_cast<DeviceTypeId>(t));
-                const VariantSpec& ov = registry_->variant(other);
-                const VariantSpec& mv =
-                    registry_->variant(static_cast<VariantId>(m));
-                if (op.usable() && ov.accuracy >= mv.accuracy &&
-                    op.peak_qps >= prof.peak_qps &&
-                    (ov.accuracy > mv.accuracy ||
-                     op.peak_qps > prof.peak_qps)) {
-                    dominated = true;
-                    break;
-                }
-            }
-            if (dominated)
+            if (!candidate_[t][m] || demand[family_of_[m]] <= 0.0)
                 continue;
             n_col[t][m] = lp.addIntVariable(0.0, nt, -kReplicaPenalty);
             w_col[t][m] = lp.addVariable(
@@ -198,8 +213,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                 if (bonus <= 0.0)
                     continue;
                 keep_bonus[t][m] = bonus;
-                k_col[t][m] = lp.addVariable(
-                    0.0, (*cur)[t][m], bonus, "keep");
+                k_col[t][m] = lp.addVariable(0.0, (*cur)[t][m], bonus);
                 lp.addConstraint(
                     {{k_col[t][m], 1.0}, {n_col[t][m], -1.0}},
                     RowSense::LessEqual, 0.0);
@@ -354,10 +368,8 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                 int fl = static_cast<int>(std::floor(v + 1e-9));
                 count[t][m] = fl;
                 budget[t] -= fl;
-                if (!quota_left.empty()) {
-                    quota_left[t][registry_->familyOf(
-                        static_cast<VariantId>(m))] -= fl;
-                }
+                if (!quota_left.empty())
+                    quota_left[t][family_of_[m]] -= fl;
                 if (v - fl > 1e-6)
                     fracs.emplace_back(v - fl, m);
             }
@@ -365,7 +377,7 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
             for (const auto& [frac, m] : fracs) {
                 if (budget[t] <= 0)
                     break;
-                FamilyId f = registry_->familyOf(static_cast<VariantId>(m));
+                const FamilyId f = family_of_[m];
                 if (!quota_left.empty() && quota_left[t][f] <= 0)
                     continue;
                 ++count[t][m];
@@ -378,58 +390,37 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
         // Step 2: first-improvement local search over count moves
         // (re-purpose one device of a type, or add an idle one).
         CountsEvaluator ev(ctx, std::move(count), eff_demand);
-        auto improves = [](const CountsEval& e, const CountsEval& base) {
-            return (e.feasible && !base.feasible) ||
-                   (e.feasible == base.feasible &&
-                    e.objective > base.objective + 1e-9);
-        };
-        auto quota_allows = [&](std::size_t t, std::size_t m) {
-            if (quota_left.empty())
-                return true;
-            return quota_left[t][registry_->familyOf(
-                       static_cast<VariantId>(m))] > 0;
-        };
+        const bool quotas = !quota_left.empty();
         for (int round = 0; round < 64; ++round) {
             bool improved = false;
             for (std::size_t t = 0; t < T; ++t) {
                 for (std::size_t dst = 0; dst < M; ++dst) {
                     if (!col_ok(t, dst))
                         continue;
+                    const FamilyId df = family_of_[dst];
                     // Pure add from idle budget.
-                    if (budget[t] > 0 && quota_allows(t, dst)) {
-                        const CountsEval base = ev.eval();
-                        if (improves(ev.tryAdd(t, dst), base)) {
-                            --budget[t];
-                            if (!quota_left.empty()) {
-                                --quota_left[t][registry_->familyOf(
-                                    static_cast<VariantId>(dst))];
-                            }
-                            improved = true;
-                            continue;
-                        }
-                        ev.reject();
+                    if (budget[t] > 0 &&
+                        (!quotas || quota_left[t][df] > 0) &&
+                        ev.improve(t, CountsEvaluator::kIdle, dst)) {
+                        --budget[t];
+                        if (quotas)
+                            --quota_left[t][df];
+                        improved = true;
+                        continue;
                     }
                     // Re-purpose one device from another variant.
                     for (std::size_t src = 0; src < M; ++src) {
                         if (src == dst || ev.count()[t][src] <= 0)
                             continue;
-                        FamilyId sf = registry_->familyOf(
-                            static_cast<VariantId>(src));
-                        FamilyId df = registry_->familyOf(
-                            static_cast<VariantId>(dst));
-                        if (!quota_left.empty() && sf != df &&
-                            quota_left[t][df] <= 0) {
+                        const FamilyId sf = family_of_[src];
+                        if (quotas && sf != df && quota_left[t][df] <= 0)
                             continue;
-                        }
-                        const CountsEval base = ev.eval();
-                        if (improves(ev.tryRepurpose(t, src, dst), base)) {
-                            if (!quota_left.empty() && sf != df) {
+                        if (ev.improve(t, src, dst)) {
+                            if (quotas && sf != df) {
                                 ++quota_left[t][sf];
                                 --quota_left[t][df];
                             }
                             improved = true;
-                        } else {
-                            ev.reject();
                         }
                     }
                 }

@@ -150,8 +150,13 @@ class IlpAllocator : public Allocator
     std::vector<DeviceId> availableDevicesOfType(DeviceTypeId t) const;
 
   protected:
-    /** Mutable options access for baseline subclasses (Sommelier). */
-    IlpAllocatorOptions& mutableOptions() { return options_; }
+    /**
+     * Freeze model placement from now on (Sommelier): set the options'
+     * family_quota and device_family_lock. Nothing else may change
+     * after construction, which the column candidates rely on.
+     */
+    void freezePlacement(std::vector<std::vector<int>> family_quota,
+                         std::vector<std::optional<FamilyId>> lock);
 
     const ModelRegistry* registry_;
     const Cluster* cluster_;
@@ -161,6 +166,14 @@ class IlpAllocator : public Allocator
     IlpAllocatorOptions options_;
     /** Variants of each family, accuracy descending. */
     std::vector<std::vector<VariantId>> by_acc_desc_;
+    /** The family of each variant. */
+    std::vector<FamilyId> family_of_;
+    /**
+     * candidate_[t][m]: variant m is usable on type t, passes the
+     * variant filter and is not dominated there, so it gets a MILP
+     * column whenever type t has devices and its family has demand.
+     */
+    std::vector<std::vector<char>> candidate_;
     AllocatorSolveMeta meta_;
     /**
      * Final root basis of the last MILP solve, indexed by what each

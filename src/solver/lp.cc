@@ -7,20 +7,19 @@
 namespace proteus {
 
 int
-LinearProgram::addVariable(double lo, double hi, double obj,
-                           std::string name)
+LinearProgram::addVariable(double lo, double hi, double obj)
 {
     PROTEUS_ASSERT(std::isfinite(lo), "variables need a finite lower bound");
-    PROTEUS_ASSERT(lo <= hi, "variable bounds crossed: ", name);
-    vars_.push_back(Variable{lo, hi, obj, false, std::move(name)});
+    PROTEUS_ASSERT(lo <= hi, "variable bounds crossed: [", lo, ", ", hi,
+                   "]");
+    vars_.push_back(Variable{lo, hi, obj, false});
     return static_cast<int>(vars_.size()) - 1;
 }
 
 int
-LinearProgram::addIntVariable(double lo, double hi, double obj,
-                              std::string name)
+LinearProgram::addIntVariable(double lo, double hi, double obj)
 {
-    int j = addVariable(lo, hi, obj, std::move(name));
+    int j = addVariable(lo, hi, obj);
     vars_[j].is_integer = true;
     int_vars_.push_back(j);
     return j;
@@ -28,14 +27,14 @@ LinearProgram::addIntVariable(double lo, double hi, double obj,
 
 int
 LinearProgram::addConstraint(std::vector<Coeff> coeffs, RowSense sense,
-                             double rhs, std::string name)
+                             double rhs)
 {
     for (const auto& [col, coef] : coeffs) {
         PROTEUS_ASSERT(col >= 0 && col < numVariables(),
                        "row references unknown column ", col);
         PROTEUS_ASSERT(std::isfinite(coef), "non-finite coefficient");
     }
-    rows_.push_back(Row{std::move(coeffs), sense, rhs, std::move(name)});
+    rows_.push_back(Row{std::move(coeffs), sense, rhs});
     return static_cast<int>(rows_.size()) - 1;
 }
 

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,7 +47,6 @@ class LinearProgram
         double hi = kInf;
         double obj = 0.0;
         bool is_integer = false;
-        std::string name;
     };
 
     /** One sparse constraint row. */
@@ -56,7 +54,6 @@ class LinearProgram
         std::vector<Coeff> coeffs;
         RowSense sense = RowSense::LessEqual;
         double rhs = 0.0;
-        std::string name;
     };
 
     explicit LinearProgram(ObjSense sense = ObjSense::Maximize)
@@ -67,16 +64,14 @@ class LinearProgram
      * Add a continuous variable.
      * @return its column index.
      */
-    int addVariable(double lo, double hi, double obj,
-                    std::string name = "");
+    int addVariable(double lo, double hi, double obj);
 
     /** Add an integer variable. @return its column index. */
-    int addIntVariable(double lo, double hi, double obj,
-                       std::string name = "");
+    int addIntVariable(double lo, double hi, double obj);
 
     /** Add a constraint row. @return its row index. */
     int addConstraint(std::vector<Coeff> coeffs, RowSense sense,
-                      double rhs, std::string name = "");
+                      double rhs);
 
     /** @return the optimization direction. */
     ObjSense objSense() const { return sense_; }

@@ -36,20 +36,23 @@ jsonDeepMerge(const JsonValue& base, const JsonValue& overlay)
 
 namespace {
 
+/** Names the sweep spec's top-level object in config errors. */
+const char* const kSpec = "the sweep spec";
+
 std::vector<AxisEntry>
 axisFromJson(const JsonValue& json, const char* key)
 {
     std::vector<AxisEntry> axis;
-    for (const JsonValue& e : arrayFromJson(json, key)) {
+    for (const JsonValue& e : arrayFromJson(json, kSpec, key)) {
         const std::string where = std::string("sweep \"") + key + "\"[" +
                                   std::to_string(axis.size()) + "]";
         rejectUnknownKeys(e, where, {"name", "overrides"});
         AxisEntry entry;
-        entry.name = stringFromJson(e, "name", "");
+        entry.name = stringFromJson(e, where, "name", "");
         if (entry.name.empty())
             PROTEUS_FATAL(where, " needs a \"name\"");
         const JsonValue* overrides =
-            memberOfType(e, "overrides", JsonValue::Type::Object);
+            memberOfType(e, where, "overrides", JsonValue::Type::Object);
         entry.overrides =
             overrides != nullptr ? *overrides : JsonValue::makeObject({});
         for (const AxisEntry& prev : axis) {
@@ -79,13 +82,13 @@ seedsFromJson(const JsonValue& json)
             PROTEUS_FATAL("sweep \"seeds\" expands to no seeds");
         return seeds;
     }
-    rejectUnknownKeys(s, "sweep \"seeds\" (an array or {first, count})",
-                      {"first", "count"});
+    const std::string where = "sweep \"seeds\" (an array or {first, count})";
+    rejectUnknownKeys(s, where, {"first", "count"});
     const auto count = static_cast<int>(integerFromJson(
-        s, "count", 1.0, 1.0, std::numeric_limits<int>::max()));
+        s, where, "count", 1.0, 1.0, std::numeric_limits<int>::max()));
     // The last seed, first + count - 1, must stay within 2^53 too.
     const auto first = static_cast<std::uint64_t>(integerFromJson(
-        s, "first", 1.0, 0.0, kMaxExactInteger - (count - 1)));
+        s, where, "first", 1.0, 0.0, kMaxExactInteger - (count - 1)));
     for (int i = 0; i < count; ++i)
         seeds.push_back(first + static_cast<std::uint64_t>(i));
     return seeds;
@@ -96,14 +99,15 @@ seedsFromJson(const JsonValue& json)
 SweepSpec
 loadSweepSpec(const JsonValue& json)
 {
-    rejectUnknownKeys(json, "the sweep spec",
+    rejectUnknownKeys(json, kSpec,
                       {"name", "base", "base_file", "configs", "scenarios",
                        "seeds", "job_budget_ms"});
     SweepSpec spec;
-    spec.name = stringFromJson(json, "name", "sweep");
-    const std::string base_file = stringFromJson(json, "base_file", "");
+    spec.name = stringFromJson(json, kSpec, "name", "sweep");
+    const std::string base_file =
+        stringFromJson(json, kSpec, "base_file", "");
     if (const JsonValue* base =
-            memberOfType(json, "base", JsonValue::Type::Object)) {
+            memberOfType(json, kSpec, "base", JsonValue::Type::Object)) {
         spec.base = *base;
     } else if (!base_file.empty()) {
         std::string error;
@@ -120,7 +124,8 @@ loadSweepSpec(const JsonValue& json)
     if (spec.scenarios.empty())
         spec.scenarios.push_back({"base", JsonValue::makeObject({})});
     spec.seeds = seedsFromJson(json);
-    spec.job_budget_ms = positiveFromJson(json, "job_budget_ms", 0.0, true);
+    spec.job_budget_ms =
+        positiveFromJson(json, kSpec, "job_budget_ms", 0.0, true);
     return spec;
 }
 

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/sync.h"
 #include "core/experiment.h"
 #include "core/serving_system.h"
@@ -165,11 +166,16 @@ runSweep(const SweepSpec& spec, const RunnerOptions& options)
     // A bad config exits 1 from the loader. Load one job of each
     // (config, scenario) group here, on the calling thread, so it does
     // so once and before any job runs; the seed axis sets only seeds,
-    // which loadSweepSpec has checked.
+    // which loadSweepSpec has checked. The message names the sweep and
+    // the entries whose overrides built the config.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (i == 0 || jobs[i].config != jobs[i - 1].config ||
-            jobs[i].scenario != jobs[i - 1].scenario)
+            jobs[i].scenario != jobs[i - 1].scenario) {
+            const FatalContext context(
+                "sweep \"" + spec.name + "\", config \"" + jobs[i].config +
+                "\", scenario \"" + jobs[i].scenario + "\"");
             loadExperiment(jobs[i].experiment);
+        }
     }
 
     StoreHeader header;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
+#include "baselines/clipper.h"
 #include "solver/milp.h"
 #include "testing/fixtures.h"
 
@@ -258,6 +262,122 @@ TEST(IlpAllocatorTest, VariantFilterRestrictsSelection)
     for (const auto& h : plan.hosting) {
         if (h && w.registry.familyOf(*h) == 0) {
             EXPECT_EQ(*h, only);
+        }
+    }
+}
+
+TEST(IlpAllocatorTest, DominatedVariantsGetNoColumn)
+{
+    // A variant that a sibling beats on a device type in accuracy and
+    // in peak throughput (strictly in one) gets no column there, so no
+    // plan hosts it on that type, whatever the demand or churn bonus.
+    World w = paperWorld();
+    const std::size_t T = w.cluster.numTypes();
+    const std::size_t M = w.registry.numVariants();
+    std::vector<std::vector<bool>> dominated(T, std::vector<bool>(M));
+    int num_dominated = 0;
+    for (DeviceTypeId t = 0; t < T; ++t) {
+        for (VariantId m = 0; m < M; ++m) {
+            const BatchProfile& p = w.profiles->get(m, t);
+            const double acc = w.registry.variant(m).accuracy;
+            for (VariantId o : w.registry.variantsOf(w.registry.familyOf(m))) {
+                const BatchProfile& op = w.profiles->get(o, t);
+                const double oacc = w.registry.variant(o).accuracy;
+                if (o != m && p.usable() && op.usable() && oacc >= acc &&
+                    op.peak_qps >= p.peak_qps &&
+                    (oacc > acc || op.peak_qps > p.peak_qps))
+                    dominated[t][m] = true;
+            }
+            num_dominated += dominated[t][m] ? 1 : 0;
+        }
+    }
+    ASSERT_GT(num_dominated, 0);
+
+    // Two paper-zoo decisions that solve in well under a second: a cold
+    // one, then a skewed re-plan from it with churn keep bonuses.
+    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
+    AllocationInput in;
+    in.demand_qps.assign(w.registry.numFamilies(), 50.0);
+    const Allocation first = alloc.allocate(in);
+    for (std::size_t f = 0; f < in.demand_qps.size(); ++f)
+        in.demand_qps[f] = 40.0 + 35.0 * static_cast<double>(f);
+    in.current = &first;
+    const Allocation second = alloc.allocate(in);
+    for (const Allocation* plan : {&first, &second}) {
+        for (DeviceId d = 0; d < plan->hosting.size(); ++d) {
+            const auto& h = plan->hosting[d];
+            EXPECT_FALSE(h && dominated[w.cluster.device(d).type][*h])
+                << "device " << d << " hosts variant " << *h;
+        }
+    }
+
+    // Dominance counts only variants the filter allows: pinned alone, a
+    // variant that its siblings dominate on every type still serves.
+    std::optional<VariantId> found;
+    for (VariantId m = 0; m < M && !found; ++m) {
+        bool everywhere = true;
+        bool usable = false;
+        for (DeviceTypeId t = 0; t < T; ++t) {
+            if (w.profiles->get(m, t).usable()) {
+                usable = true;
+                everywhere = everywhere && dominated[t][m];
+            }
+        }
+        if (usable && everywhere)
+            found = m;
+    }
+    ASSERT_TRUE(found.has_value());
+    {
+        const VariantId beaten = *found;
+        IlpAllocatorOptions opts;
+        opts.variant_filter = [&w, beaten](VariantId v) {
+            return w.registry.familyOf(v) != w.registry.familyOf(beaten) ||
+                   v == beaten;
+        };
+        IlpAllocator pinned(&w.registry, &w.cluster, w.profiles.get(), opts);
+        AllocationInput pin;
+        pin.demand_qps.assign(w.registry.numFamilies(), 0.0);
+        pin.demand_qps[w.registry.familyOf(beaten)] = 10.0;
+        const Allocation plan = pinned.allocate(pin);
+        int hosting = 0;
+        for (const auto& h : plan.hosting)
+            hosting += h && *h == beaten ? 1 : 0;
+        EXPECT_GT(hosting, 0) << "variant " << beaten;
+    }
+
+    // Under Clipper's filter only the pinned variant of each family is
+    // a candidate, and the others cannot crowd it out: each family is
+    // served by its pinned variant alone.
+    for (ClipperMode mode :
+         {ClipperMode::HighThroughput, ClipperMode::HighAccuracy}) {
+        ClipperAllocator clipper(&w.registry, &w.cluster, w.profiles.get(),
+                                 mode);
+        AllocationInput cin;
+        cin.demand_qps.assign(w.registry.numFamilies(), 10.0);
+        const Allocation plan = clipper.allocate(cin);
+        for (FamilyId f = 0; f < w.registry.numFamilies(); ++f) {
+            // The least or most accurate variant usable on some type.
+            std::vector<VariantId> vs = w.registry.variantsOf(f);
+            if (mode == ClipperMode::HighAccuracy)
+                std::reverse(vs.begin(), vs.end());
+            VariantId pinned = vs.front();
+            for (VariantId v : vs) {
+                bool usable = false;
+                for (DeviceTypeId t = 0; t < T; ++t)
+                    usable |= w.profiles->get(v, t).usable();
+                if (usable) {
+                    pinned = v;
+                    break;
+                }
+            }
+            int hosting = 0;
+            for (const auto& h : plan.hosting) {
+                if (h && w.registry.familyOf(*h) == f) {
+                    EXPECT_EQ(*h, pinned) << "family " << f;
+                    ++hosting;
+                }
+            }
+            EXPECT_GT(hosting, 0) << "family " << f;
         }
     }
 }

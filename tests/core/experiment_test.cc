@@ -455,6 +455,19 @@ TEST(ExperimentDeathTest, UnknownStageKeyIsRejected)
         "\\(accepted: name, family, deps\\)");
 }
 
+TEST(ExperimentDeathTest, NestedTypeErrorNamesTheObjectPath)
+{
+    // "name" is read in every pipeline and stage: the message must say
+    // which one holds the bad value.
+    std::string config = pipelineConfig("", "");
+    const std::string classify = R"("name": "classify")";
+    config.replace(config.find(classify), classify.size(), R"("name": 5)");
+    EXPECT_EXIT(
+        loadExperiment(parse(config)), ::testing::ExitedWithCode(1),
+        "\"name\" must be a string, got a number "
+        "\\(in pipelines\\[0\\]\\.stages\\[1\\]\\)");
+}
+
 TEST(ExperimentDeathTest, PipelineSloMustNotBeNegative)
 {
     EXPECT_EXIT(

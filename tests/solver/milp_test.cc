@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,7 +16,7 @@ namespace {
 TEST(MilpTest, PureLpPassesThrough)
 {
     LinearProgram lp;
-    int x = lp.addVariable(0.0, 4.5, 2.0, "x");
+    int x = lp.addVariable(0.0, 4.5, 2.0);
     (void)x;
     Solution sol = MilpSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -28,9 +27,9 @@ TEST(MilpTest, KnapsackSmall)
 {
     // max 10a + 6b + 4c s.t. a + b + c <= 2 (binary): pick a and b.
     LinearProgram lp;
-    int a = lp.addIntVariable(0.0, 1.0, 10.0, "a");
-    int b = lp.addIntVariable(0.0, 1.0, 6.0, "b");
-    int c = lp.addIntVariable(0.0, 1.0, 4.0, "c");
+    int a = lp.addIntVariable(0.0, 1.0, 10.0);
+    int b = lp.addIntVariable(0.0, 1.0, 6.0);
+    int c = lp.addIntVariable(0.0, 1.0, 4.0);
     lp.addConstraint({{a, 1.0}, {b, 1.0}, {c, 1.0}},
                      RowSense::LessEqual, 2.0);
     Solution sol = MilpSolver().solve(lp);
@@ -46,8 +45,8 @@ TEST(MilpTest, IntegralityMatters)
     // max x + y s.t. 2x + 2y <= 3, x,y binary.
     // LP relaxation gives 1.5; integral optimum is 1.
     LinearProgram lp;
-    int x = lp.addIntVariable(0.0, 1.0, 1.0, "x");
-    int y = lp.addIntVariable(0.0, 1.0, 1.0, "y");
+    int x = lp.addIntVariable(0.0, 1.0, 1.0);
+    int y = lp.addIntVariable(0.0, 1.0, 1.0);
     lp.addConstraint({{x, 2.0}, {y, 2.0}}, RowSense::LessEqual, 3.0);
     Solution sol = MilpSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -59,8 +58,8 @@ TEST(MilpTest, MixedIntegerContinuous)
     // max 5n + w s.t. w <= 2.5 n, n <= 3 integer, w <= 4 continuous.
     // n=3 -> w=min(7.5, 4)=4, obj 19.
     LinearProgram lp;
-    int n = lp.addIntVariable(0.0, 3.0, 5.0, "n");
-    int w = lp.addVariable(0.0, 4.0, 1.0, "w");
+    int n = lp.addIntVariable(0.0, 3.0, 5.0);
+    int w = lp.addVariable(0.0, 4.0, 1.0);
     lp.addConstraint({{w, 1.0}, {n, -2.5}}, RowSense::LessEqual, 0.0);
     Solution sol = MilpSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -73,7 +72,7 @@ TEST(MilpTest, InfeasibleIntegerProblem)
 {
     // 0.4 <= x <= 0.6 with x integer: no integer point.
     LinearProgram lp;
-    int x = lp.addIntVariable(0.0, 1.0, 1.0, "x");
+    int x = lp.addIntVariable(0.0, 1.0, 1.0);
     lp.addConstraint({{x, 1.0}}, RowSense::GreaterEqual, 0.4);
     lp.addConstraint({{x, 1.0}}, RowSense::LessEqual, 0.6);
     Solution sol = MilpSolver().solve(lp);
@@ -85,8 +84,8 @@ TEST(MilpTest, MinimizationWithIntegers)
     // min 3n + 2m s.t. n + m >= 3.5, integers: candidates (0,4)=8,
     // (1,3)=9, (2,2)=10, (3,1)=11, (4,0)=12 -> best 8.
     LinearProgram lp(ObjSense::Minimize);
-    int n = lp.addIntVariable(0.0, 10.0, 3.0, "n");
-    int m = lp.addIntVariable(0.0, 10.0, 2.0, "m");
+    int n = lp.addIntVariable(0.0, 10.0, 3.0);
+    int m = lp.addIntVariable(0.0, 10.0, 2.0);
     lp.addConstraint({{n, 1.0}, {m, 1.0}}, RowSense::GreaterEqual, 3.5);
     Solution sol = MilpSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -99,9 +98,9 @@ TEST(MilpTest, EqualityWithIntegers)
 {
     // max 7a + 5b + 3c s.t. a + b + c = 2 (binary) -> a=b=1.
     LinearProgram lp;
-    int a = lp.addIntVariable(0.0, 1.0, 7.0, "a");
-    int b = lp.addIntVariable(0.0, 1.0, 5.0, "b");
-    int c = lp.addIntVariable(0.0, 1.0, 3.0, "c");
+    int a = lp.addIntVariable(0.0, 1.0, 7.0);
+    int b = lp.addIntVariable(0.0, 1.0, 5.0);
+    int c = lp.addIntVariable(0.0, 1.0, 3.0);
     lp.addConstraint({{a, 1.0}, {b, 1.0}, {c, 1.0}}, RowSense::Equal, 2.0);
     Solution sol = MilpSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -116,10 +115,10 @@ LinearProgram
 allocationShaped()
 {
     LinearProgram lp;
-    int na = lp.addIntVariable(0.0, 3.0, 0.0, "n_a");
-    int nb = lp.addIntVariable(0.0, 3.0, 0.0, "n_b");
-    int wa = lp.addVariable(0.0, kInf, 90.0, "w_a");
-    int wb = lp.addVariable(0.0, kInf, 100.0, "w_b");
+    int na = lp.addIntVariable(0.0, 3.0, 0.0);
+    int nb = lp.addIntVariable(0.0, 3.0, 0.0);
+    int wa = lp.addVariable(0.0, kInf, 90.0);
+    int wb = lp.addVariable(0.0, kInf, 100.0);
     lp.addConstraint({{wa, 1.0}, {na, -50.0}}, RowSense::LessEqual, 0.0);
     lp.addConstraint({{wb, 1.0}, {nb, -20.0}}, RowSense::LessEqual, 0.0);
     lp.addConstraint({{na, 1.0}, {nb, 1.0}}, RowSense::LessEqual, 3.0);
@@ -146,9 +145,7 @@ branchyKnapsack()
     const double weight[] = {3.1, 2.9, 2.7, 2.5, 2.3, 2.1, 1.9, 1.7};
     std::vector<std::pair<int, double>> row;
     for (int i = 0; i < 8; ++i) {
-        std::string name = "x";
-        name += std::to_string(i);
-        int v = lp.addIntVariable(0.0, 1.0, profit[i], name);
+        int v = lp.addIntVariable(0.0, 1.0, profit[i]);
         row.emplace_back(v, weight[i]);
     }
     lp.addConstraint(row, RowSense::LessEqual, 9.05);
@@ -247,8 +244,8 @@ TEST(MilpTest, FractionalOrInfeasibleRootHintIsIgnored)
 TEST(MilpTest, RootHintSkippedWhenRootLpInfeasible)
 {
     LinearProgram lp;
-    int x = lp.addIntVariable(0.0, 1.0, 1.0, "x");
-    int y = lp.addIntVariable(0.0, 1.0, 1.0, "y");
+    int x = lp.addIntVariable(0.0, 1.0, 1.0);
+    int y = lp.addIntVariable(0.0, 1.0, 1.0);
     lp.addConstraint({{x, 1.0}, {y, 1.0}}, RowSense::GreaterEqual, 5.0);
     bool called = false;
     Solution sol = MilpSolver().solve(lp, [&](const std::vector<double>&) {
@@ -262,7 +259,7 @@ TEST(MilpTest, RootHintSkippedWhenRootLpInfeasible)
 TEST(MilpTest, BoundReportedForOptimal)
 {
     LinearProgram lp;
-    int a = lp.addIntVariable(0.0, 1.0, 3.0, "a");
+    int a = lp.addIntVariable(0.0, 1.0, 3.0);
     lp.addConstraint({{a, 1.0}}, RowSense::LessEqual, 1.0);
     Solution sol = MilpSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -274,8 +271,8 @@ TEST(MilpTest, NodeLimitReturnsFeasibleOrLimit)
     MilpSolver::Options opts;
     opts.max_nodes = 1;
     LinearProgram lp;
-    int x = lp.addIntVariable(0.0, 10.0, 1.0, "x");
-    int y = lp.addIntVariable(0.0, 10.0, 1.0, "y");
+    int x = lp.addIntVariable(0.0, 10.0, 1.0);
+    int y = lp.addIntVariable(0.0, 10.0, 1.0);
     lp.addConstraint({{x, 3.0}, {y, 7.0}}, RowSense::LessEqual, 20.5);
     Solution sol = MilpSolver(opts).solve(lp);
     // With one node we may or may not find an incumbent via the
@@ -348,8 +345,8 @@ LinearProgram
 cappedPair()
 {
     LinearProgram lp;
-    int x = lp.addIntVariable(0.0, 10.0, 1.0, "x");
-    int y = lp.addIntVariable(0.0, 10.0, 1.0, "y");
+    int x = lp.addIntVariable(0.0, 10.0, 1.0);
+    int y = lp.addIntVariable(0.0, 10.0, 1.0);
     lp.addConstraint({{x, 2.0}, {y, 2.0}}, RowSense::LessEqual, 7.0);
     lp.addConstraint({{x, 1.0}, {y, -1.0}}, RowSense::GreaterEqual, 0.5);
     return lp;

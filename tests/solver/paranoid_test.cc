@@ -155,10 +155,10 @@ TEST(ParanoidMilpTest, AllocationShapedInstanceVerifies)
 {
     // The allocation-MILP shape with the paranoid LP underneath.
     LinearProgram lp;
-    int na = lp.addIntVariable(0.0, 4.0, -1e-4, "n_a");
-    int nb = lp.addIntVariable(0.0, 4.0, -1e-4, "n_b");
-    int wa = lp.addVariable(0.0, kInf, 88.0, "w_a");
-    int wb = lp.addVariable(0.0, kInf, 100.0, "w_b");
+    int na = lp.addIntVariable(0.0, 4.0, -1e-4);
+    int nb = lp.addIntVariable(0.0, 4.0, -1e-4);
+    int wa = lp.addVariable(0.0, kInf, 88.0);
+    int wb = lp.addVariable(0.0, kInf, 100.0);
     lp.addConstraint({{wa, 1.0}, {na, -40.0}}, RowSense::LessEqual, 0.0);
     lp.addConstraint({{wb, 1.0}, {nb, -15.0}}, RowSense::LessEqual, 0.0);
     lp.addConstraint({{na, 1.0}, {nb, 1.0}}, RowSense::LessEqual, 4.0);

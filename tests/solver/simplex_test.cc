@@ -11,7 +11,7 @@ TEST(SimplexTest, TrivialBoundedMaximum)
 {
     // max 3x, 0 <= x <= 5  ->  x = 5.
     LinearProgram lp;
-    lp.addVariable(0.0, 5.0, 3.0, "x");
+    lp.addVariable(0.0, 5.0, 3.0);
     SimplexSolver s;
     Solution sol = s.solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -24,8 +24,8 @@ TEST(SimplexTest, ClassicTwoVariable)
     // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18.
     // Known optimum: x = 2, y = 6, obj = 36.
     LinearProgram lp;
-    int x = lp.addVariable(0.0, kInf, 3.0, "x");
-    int y = lp.addVariable(0.0, kInf, 5.0, "y");
+    int x = lp.addVariable(0.0, kInf, 3.0);
+    int y = lp.addVariable(0.0, kInf, 5.0);
     lp.addConstraint({{x, 1.0}}, RowSense::LessEqual, 4.0);
     lp.addConstraint({{y, 2.0}}, RowSense::LessEqual, 12.0);
     lp.addConstraint({{x, 3.0}, {y, 2.0}}, RowSense::LessEqual, 18.0);
@@ -40,8 +40,8 @@ TEST(SimplexTest, EqualityConstraintNeedsPhaseOne)
 {
     // max x + y s.t. x + y = 10, x <= 3  ->  x=3, y=7.
     LinearProgram lp;
-    int x = lp.addVariable(0.0, 3.0, 1.0, "x");
-    int y = lp.addVariable(0.0, kInf, 1.0, "y");
+    int x = lp.addVariable(0.0, 3.0, 1.0);
+    int y = lp.addVariable(0.0, kInf, 1.0);
     lp.addConstraint({{x, 1.0}, {y, 1.0}}, RowSense::Equal, 10.0);
     Solution sol = SimplexSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -56,8 +56,8 @@ TEST(SimplexTest, GreaterEqualConstraint)
     // x=4,y=0 satisfies x-y=4>2 violates. Need x - y <= 2.
     // Try x=3,y=1: cost 9. x=2,y=2: cost 10. Best x=3,y=1 -> 9.
     LinearProgram lp(ObjSense::Minimize);
-    int x = lp.addVariable(0.0, kInf, 2.0, "x");
-    int y = lp.addVariable(0.0, kInf, 3.0, "y");
+    int x = lp.addVariable(0.0, kInf, 2.0);
+    int y = lp.addVariable(0.0, kInf, 3.0);
     lp.addConstraint({{x, 1.0}, {y, 1.0}}, RowSense::GreaterEqual, 4.0);
     lp.addConstraint({{x, 1.0}, {y, -1.0}}, RowSense::LessEqual, 2.0);
     Solution sol = SimplexSolver().solve(lp);
@@ -71,7 +71,7 @@ TEST(SimplexTest, DetectsInfeasible)
 {
     // x <= 1 and x >= 2 cannot both hold.
     LinearProgram lp;
-    int x = lp.addVariable(0.0, kInf, 1.0, "x");
+    int x = lp.addVariable(0.0, kInf, 1.0);
     lp.addConstraint({{x, 1.0}}, RowSense::LessEqual, 1.0);
     lp.addConstraint({{x, 1.0}}, RowSense::GreaterEqual, 2.0);
     Solution sol = SimplexSolver().solve(lp);
@@ -82,7 +82,7 @@ TEST(SimplexTest, DetectsUnbounded)
 {
     // max x with only x >= 0: unbounded.
     LinearProgram lp;
-    int x = lp.addVariable(0.0, kInf, 1.0, "x");
+    int x = lp.addVariable(0.0, kInf, 1.0);
     lp.addConstraint({{x, 1.0}}, RowSense::GreaterEqual, 0.0);
     Solution sol = SimplexSolver().solve(lp);
     EXPECT_EQ(sol.status, SolveStatus::Unbounded);
@@ -92,7 +92,7 @@ TEST(SimplexTest, MinimizationSense)
 {
     // min x s.t. x >= 7  ->  7.
     LinearProgram lp(ObjSense::Minimize);
-    int x = lp.addVariable(0.0, kInf, 1.0, "x");
+    int x = lp.addVariable(0.0, kInf, 1.0);
     lp.addConstraint({{x, 1.0}}, RowSense::GreaterEqual, 7.0);
     Solution sol = SimplexSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -102,7 +102,7 @@ TEST(SimplexTest, MinimizationSense)
 TEST(SimplexTest, BoundOverrideShrinksFeasibleRegion)
 {
     LinearProgram lp;
-    int x = lp.addVariable(0.0, 10.0, 1.0, "x");
+    int x = lp.addVariable(0.0, 10.0, 1.0);
     (void)x;
     std::vector<std::pair<double, double>> bounds{{0.0, 4.0}};
     Solution sol = SimplexSolver().solve(lp, &bounds);
@@ -113,7 +113,7 @@ TEST(SimplexTest, BoundOverrideShrinksFeasibleRegion)
 TEST(SimplexTest, CrossedOverrideBoundsAreInfeasible)
 {
     LinearProgram lp;
-    lp.addVariable(0.0, 10.0, 1.0, "x");
+    lp.addVariable(0.0, 10.0, 1.0);
     std::vector<std::pair<double, double>> bounds{{5.0, 4.0}};
     Solution sol = SimplexSolver().solve(lp, &bounds);
     EXPECT_EQ(sol.status, SolveStatus::Infeasible);
@@ -123,8 +123,8 @@ TEST(SimplexTest, FixedVariableHonored)
 {
     // max x + y, x fixed at 2, x + y <= 5.
     LinearProgram lp;
-    int x = lp.addVariable(2.0, 2.0, 1.0, "x");
-    int y = lp.addVariable(0.0, kInf, 1.0, "y");
+    int x = lp.addVariable(2.0, 2.0, 1.0);
+    int y = lp.addVariable(0.0, kInf, 1.0);
     lp.addConstraint({{x, 1.0}, {y, 1.0}}, RowSense::LessEqual, 5.0);
     Solution sol = SimplexSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
@@ -136,8 +136,8 @@ TEST(SimplexTest, DegenerateProblemTerminates)
 {
     // Many redundant constraints through the same vertex.
     LinearProgram lp;
-    int x = lp.addVariable(0.0, kInf, 1.0, "x");
-    int y = lp.addVariable(0.0, kInf, 1.0, "y");
+    int x = lp.addVariable(0.0, kInf, 1.0);
+    int y = lp.addVariable(0.0, kInf, 1.0);
     for (int k = 1; k <= 6; ++k) {
         lp.addConstraint({{x, static_cast<double>(k)},
                           {y, static_cast<double>(k)}},
@@ -152,7 +152,7 @@ TEST(SimplexTest, NegativeLowerBoundVariable)
 {
     // max -x with x in [-5, 5]  ->  x = -5, obj = 5.
     LinearProgram lp;
-    int x = lp.addVariable(-5.0, 5.0, -1.0, "x");
+    int x = lp.addVariable(-5.0, 5.0, -1.0);
     Solution sol = SimplexSolver().solve(lp);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
     EXPECT_NEAR(sol.x[x], -5.0, 1e-9);
@@ -178,10 +178,10 @@ TEST(SimplexTest, ProteusShapedAllocationLp)
     // n_b=2.6,n_a=0.4: w_b=52,w_a=18: infeasible (18>50*0.4=20 ok)
     //   obj 52*100+18*90 = 6820 (LP relaxation better than integral).
     LinearProgram lp;
-    int na = lp.addVariable(0.0, 3.0, 0.0, "n_a");
-    int nb = lp.addVariable(0.0, 3.0, 0.0, "n_b");
-    int wa = lp.addVariable(0.0, kInf, 90.0, "w_a");
-    int wb = lp.addVariable(0.0, kInf, 100.0, "w_b");
+    int na = lp.addVariable(0.0, 3.0, 0.0);
+    int nb = lp.addVariable(0.0, 3.0, 0.0);
+    int wa = lp.addVariable(0.0, kInf, 90.0);
+    int wb = lp.addVariable(0.0, kInf, 100.0);
     lp.addConstraint({{wa, 1.0}, {na, -50.0}}, RowSense::LessEqual, 0.0);
     lp.addConstraint({{wb, 1.0}, {nb, -20.0}}, RowSense::LessEqual, 0.0);
     lp.addConstraint({{na, 1.0}, {nb, 1.0}}, RowSense::LessEqual, 3.0);

@@ -241,6 +241,25 @@ TEST(RunSweepDeathTest, BadOverrideExitsBeforeAnyJobRuns)
     EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
+TEST(RunSweepDeathTest, BadOverrideMessageNamesSweepConfigAndScenario)
+{
+    // The unknown key comes from one config entry's overrides, but the
+    // loader sees only the merged config: the message must say which
+    // sweep, config entry and scenario built it.
+    SweepSpec spec =
+        loadSweepSpecFile(PROTEUS_SOURCE_DIR "/config/sweep_smoke.json");
+    ASSERT_EQ(spec.configs[1].name, "clipper_ht");
+    spec.configs[1].overrides = jsonDeepMerge(
+        spec.configs[1].overrides,
+        JsonValue::makeObject(
+            {{"batchign", JsonValue::makeString("aimd")}}));
+    EXPECT_EXIT(runSweep(spec, RunnerOptions{}),
+                ::testing::ExitedWithCode(1),
+                "sweep \"sweep_smoke\", config \"clipper_ht\", "
+                "scenario \"base\": unknown key \"batchign\" in the "
+                "top-level config");
+}
+
 }  // namespace
 }  // namespace sweep
 }  // namespace proteus
