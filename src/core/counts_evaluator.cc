@@ -16,17 +16,13 @@ variantsByAccuracyDesc(const ModelRegistry& registry)
     return out;
 }
 
-CountsEvaluator::CountsEvaluator(const CountsContext& ctx,
-                                 std::vector<std::vector<int>> count,
-                                 const std::vector<double>& demand)
-    : count_(std::move(count)),
-      demand_(demand),
-      num_types_(count_.size()),
+CountsEvaluator::CountsEvaluator(const CountsContext& ctx)
+    : num_types_(ctx.num_types),
       replica_penalty_(ctx.replica_penalty),
       by_acc_desc_(ctx.by_acc_desc),
-      score_(demand.size()),
-      family_term_(demand.size(), kNoTerm),
-      version_(demand.size(), 1)
+      score_(ctx.registry->numFamilies()),
+      family_term_(ctx.registry->numFamilies(), kNoTerm),
+      version_(ctx.registry->numFamilies(), 1)
 {
     const std::size_t M = ctx.registry->numVariants();
     accuracy_.resize(M);
@@ -43,31 +39,45 @@ CountsEvaluator::CountsEvaluator(const CountsContext& ctx,
         }
     }
     memo_.resize(num_types_ * M * 2);
+    keeper_of_.resize(num_types_ * M);
+}
 
+void
+CountsEvaluator::reset(const std::vector<int>& count,
+                       const std::vector<double>& demand,
+                       const std::vector<double>* keep_bonus,
+                       const std::vector<int>* cur_counts)
+{
+    const std::size_t M = family_.size();
+    count_ = count;
+    demand_ = demand;
+    terms_.clear();
+    keepers_.clear();
+    short_families_ = 0;
+    replicas_ = 0;
     for (std::size_t f = 0; f < demand_.size(); ++f) {
+        ++version_[f];
         score_[f] = scoreFamily(static_cast<FamilyId>(f), 0, kIdle, kIdle);
         short_families_ += score_[f].ok ? 0 : 1;
+        family_term_[f] = kNoTerm;
         if (demand_[f] > 0.0) {
             family_term_[f] = terms_.size();
             terms_.push_back(score_[f].value);
         }
     }
-    for (const auto& row : count_)
-        for (int c : row)
-            replicas_ += c;
+    for (int c : count_)
+        replicas_ += c;
     penalty_term_ = terms_.size();
     terms_.push_back(-(replica_penalty_ * replicas_));
-    keeper_of_.assign(num_types_ * M, kNoTerm);
-    if (ctx.keep_bonus && ctx.cur_counts) {
-        for (std::size_t t = 0; t < num_types_; ++t) {
-            for (std::size_t m = 0; m < M; ++m) {
-                const int cur = (*ctx.cur_counts)[t][m];
-                if (cur <= 0)
-                    continue;
-                keeper_of_[t * M + m] = keepers_.size();
-                keepers_.push_back(Keeper{cur, (*ctx.keep_bonus)[t][m]});
-                terms_.push_back(keepTerm(keepers_.back(), count_[t][m]));
-            }
+    std::fill(keeper_of_.begin(), keeper_of_.end(), kNoTerm);
+    if (keep_bonus && cur_counts) {
+        for (std::size_t k = 0; k < num_types_ * M; ++k) {
+            const int cur = (*cur_counts)[k];
+            if (cur <= 0)
+                continue;
+            keeper_of_[k] = keepers_.size();
+            keepers_.push_back(Keeper{cur, (*keep_bonus)[k]});
+            terms_.push_back(keepTerm(keepers_.back(), count_[k]));
         }
     }
     eval_.feasible = short_families_ == 0;
@@ -88,7 +98,7 @@ CountsEvaluator::scoreFamily(FamilyId f, std::size_t t, std::size_t src,
             break;
         const double acc = accuracy_[m];
         for (std::size_t tt = 0; tt < num_types_; ++tt) {
-            int c = count_[tt][m];
+            int c = at(tt, m);
             if (tt == t)
                 c += (m == dst ? 1 : 0) - (m == src ? 1 : 0);
             if (c <= 0)
@@ -193,7 +203,7 @@ CountsEvaluator::improve(std::size_t t, std::size_t src, std::size_t dst)
         if (m == kIdle || keeper_of_[t * M + m] == kNoTerm)
             continue;
         const std::size_t k = keeper_of_[t * M + m];
-        const int c = count_[t][m] + (m == dst ? 1 : -1);
+        const int c = at(t, m) + (m == dst ? 1 : -1);
         add(penalty_term_ + 1 + k, keepTerm(keepers_[k], c));
     }
     const double obj = sumWith(changed, n);
@@ -203,9 +213,9 @@ CountsEvaluator::improve(std::size_t t, std::size_t src, std::size_t dst)
     if (!better)
         return false;
 
-    ++count_[t][dst];
+    ++at(t, dst);
     if (src != kIdle)
-        --count_[t][src];
+        --at(t, src);
     else
         ++replicas_;
     for (int k = 0; k < touched; ++k) {
@@ -220,29 +230,27 @@ CountsEvaluator::improve(std::size_t t, std::size_t src, std::size_t dst)
     return true;
 }
 
-std::vector<std::vector<double>>
-CountsEvaluator::greedyFill() const
+void
+CountsEvaluator::greedyFill(std::vector<double>* qps) const
 {
-    std::vector<std::vector<double>> qps(
-        num_types_, std::vector<double>(family_.size(), 0.0));
+    qps->assign(count_.size(), 0.0);
     for (std::size_t f = 0; f < demand_.size(); ++f) {
         double remaining = demand_[f];
         for (VariantId m : (*by_acc_desc_)[f]) {
             if (remaining <= 1e-12)
                 break;
             for (std::size_t t = 0; t < num_types_; ++t) {
-                if (count_[t][m] <= 0)
+                if (at(t, m) <= 0)
                     continue;
-                double cap = peak(m, t) * count_[t][m];
+                double cap = peak(m, t) * at(t, m);
                 double used = std::min(cap, remaining);
-                qps[t][m] += used;
+                (*qps)[t * family_.size() + m] += used;
                 remaining -= used;
                 if (remaining <= 1e-12)
                     break;
             }
         }
     }
-    return qps;
 }
 
 }  // namespace proteus

@@ -25,6 +25,11 @@
  * order of a from-scratch evaluation (families in order, the replica
  * penalty, then the keep bonuses in (type, variant) order), so every
  * score is bit-identical to evaluating the moved counts afresh.
+ *
+ * The allocator keeps one evaluator for its lifetime: construction
+ * copies the registry's and profiles' numbers into flat tables, and
+ * reset() re-seeds it with each decision's plan in place, so a warm
+ * evaluator allocates nothing. Plans are flat, indexed [t * M + m].
  */
 
 #ifndef PROTEUS_CORE_COUNTS_EVALUATOR_H_
@@ -40,16 +45,14 @@
 
 namespace proteus {
 
-/** What a hosting plan is scored against. */
+/** What every hosting plan is scored against. */
 struct CountsContext {
     const ModelRegistry* registry;
     const ProfileStore* profiles;
+    std::size_t num_types;
     double replica_penalty;
     /** Variants of family f sorted by accuracy descending. */
     const std::vector<std::vector<VariantId>>* by_acc_desc;
-    /** Churn damping (may be null): bonus and current counts. */
-    const std::vector<std::vector<double>>* keep_bonus = nullptr;
-    const std::vector<std::vector<int>>* cur_counts = nullptr;
 };
 
 /** Objective and feasibility of one hosting plan. */
@@ -63,9 +66,9 @@ std::vector<std::vector<VariantId>>
 variantsByAccuracyDesc(const ModelRegistry& registry);
 
 /**
- * Scores a hosting plan count[t][m] and decides one-device moves on
- * it. Construction evaluates every family; improve() applies a move
- * only when it improves the score.
+ * Scores a hosting plan count[t * M + m] and decides one-device moves
+ * on it. reset() evaluates every family; improve() applies a move only
+ * when it improves the score.
  */
 class CountsEvaluator
 {
@@ -73,12 +76,22 @@ class CountsEvaluator
     /** improve()'s source for a device taken from the idle budget. */
     static constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
 
-    CountsEvaluator(const CountsContext& ctx,
-                    std::vector<std::vector<int>> count,
-                    const std::vector<double>& demand);
+    /** Build the flat tables; reset() gives it a plan to score. */
+    explicit CountsEvaluator(const CountsContext& ctx);
+
+    /**
+     * Score plan @p count against @p demand (one entry per family).
+     * Churn damping, when @p keep_bonus and @p cur_counts are given
+     * (both [t * M + m]): keeping up to cur_counts devices on their
+     * variant earns keep_bonus per device.
+     */
+    void reset(const std::vector<int>& count,
+               const std::vector<double>& demand,
+               const std::vector<double>* keep_bonus = nullptr,
+               const std::vector<int>* cur_counts = nullptr);
 
     /** The plan being scored. */
-    const std::vector<std::vector<int>>& count() const { return count_; }
+    const std::vector<int>& count() const { return count_; }
 
     /** Score of the current plan. */
     const CountsEval& eval() const { return eval_; }
@@ -95,9 +108,10 @@ class CountsEvaluator
 
     /**
      * Greedy served-QPS assignment for the current plan (highest
-     * accuracy first), as the objective assumes.
+     * accuracy first), as the objective assumes, into @p qps
+     * ([t * M + m]).
      */
-    std::vector<std::vector<double>> greedyFill() const;
+    void greedyFill(std::vector<double>* qps) const;
 
   private:
     /** One family's accuracy-weighted served QPS and feasibility. */
@@ -130,6 +144,15 @@ class CountsEvaluator
         return peak_[m * num_types_ + t];
     }
 
+    int& at(std::size_t t, std::size_t m)
+    {
+        return count_[t * family_.size() + m];
+    }
+    int at(std::size_t t, std::size_t m) const
+    {
+        return count_[t * family_.size() + m];
+    }
+
     /**
      * Score family @p f on the plan with one type-@p t device moved
      * from @p src to @p dst (either may be kIdle: none).
@@ -149,7 +172,7 @@ class CountsEvaluator
      */
     double sumWith(const Term* changed, int n) const;
 
-    std::vector<std::vector<int>> count_;
+    std::vector<int> count_;
     std::vector<double> demand_;
     std::size_t num_types_;
     double replica_penalty_;
@@ -174,7 +197,10 @@ class CountsEvaluator
     std::size_t penalty_term_ = 0;
     std::vector<Keeper> keepers_;  ///< term penalty_term_ + 1 + index
     std::vector<std::size_t> keeper_of_;  ///< [t * M + m]: index or kNoTerm
-    /** Bumped when an accepted move changes the family's counts. */
+    /**
+     * Bumped when an accepted move changes the family's counts, and by
+     * reset(), which so invalidates every memo entry.
+     */
     std::vector<std::uint64_t> version_;
     /** [(t * M + m) * 2 + add]: see shifted(). */
     std::vector<Memo> memo_;

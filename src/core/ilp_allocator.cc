@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
 
 #include "common/clock.h"
 #include "common/logging.h"
-#include "core/counts_evaluator.h"
 
 namespace proteus {
 
@@ -25,6 +25,11 @@ constexpr double kMilpGap = 5e-3;
 constexpr double kChurnPeriodSec = 30.0;
 /** Model load time that prices churn: a flat estimate (seconds). */
 constexpr double kLoadTimeSec = 0.3;
+/**
+ * Tiny penalty on hosted replicas: prefer plans that leave devices
+ * idle when capacity allows, reducing churn and energy.
+ */
+constexpr double kReplicaPenalty = 1e-4;
 
 /**
  * What a column or row of the aggregated MILP stands for: the kind of
@@ -55,13 +60,30 @@ IlpAllocator::IlpAllocator(const ModelRegistry* registry,
       cluster_(cluster),
       profiles_(profiles),
       options_(options),
-      by_acc_desc_(variantsByAccuracyDesc(*registry))
+      by_acc_desc_(variantsByAccuracyDesc(*registry)),
+      milp_([&] {
+          MilpSolver::Options mopt;
+          mopt.work_limit_iters = options.milp_work_budget;
+          mopt.time_limit_sec = options.milp_time_limit_sec;
+          mopt.gap_tol = kMilpGap;
+          mopt.heuristic_period = 4;
+          return mopt;
+      }()),
+      hint_eval_(CountsContext{registry, profiles, cluster->numTypes(),
+                               kReplicaPenalty, &by_acc_desc_}),
+      root_hint_([this](const std::vector<double>& root_x,
+                        std::vector<double>* hint) {
+          buildHint(root_x, hint);
+      })
 {
     meta_.work_budget = options_.milp_work_budget;
     const std::size_t T = cluster_->numTypes();
     const std::size_t M = registry_->numVariants();
     for (std::size_t m = 0; m < M; ++m)
         family_of_.push_back(registry_->familyOf(static_cast<VariantId>(m)));
+    for (std::size_t t = 0; t < T; ++t)
+        devices_of_type_.push_back(
+            cluster_->devicesOfType(static_cast<DeviceTypeId>(t)));
 
     // Which (type, variant) pairs may get a MILP column: usable on the
     // type, allowed by the variant filter and not dominated. Profiles
@@ -102,6 +124,14 @@ IlpAllocator::IlpAllocator(const ModelRegistry* registry,
     }
 }
 
+IlpAllocator::IlpAllocator(const IlpAllocator& other)
+    : IlpAllocator(other.registry_, other.cluster_, other.profiles_,
+                   other.options_)
+{
+    meta_ = other.meta_;
+    last_basis_ = other.last_basis_;
+}
+
 void
 IlpAllocator::freezePlacement(std::vector<std::vector<int>> family_quota,
                               std::vector<std::optional<FamilyId>> lock)
@@ -118,91 +148,58 @@ mostAccurateOnly(const ModelRegistry* registry)
     };
 }
 
-int
-IlpAllocator::availableOfType(DeviceTypeId t) const
-{
-    if (!down_)
-        return cluster_->countOfType(t);
-    int n = 0;
-    for (const Device& d : cluster_->devices()) {
-        if (d.type == t &&
-            (d.id >= down_->size() || (*down_)[d.id] == 0))
-            ++n;
-    }
-    return n;
-}
-
-std::vector<DeviceId>
-IlpAllocator::availableDevicesOfType(DeviceTypeId t) const
-{
-    std::vector<DeviceId> out = cluster_->devicesOfType(t);
-    if (!down_)
-        return out;
-    out.erase(std::remove_if(out.begin(), out.end(),
-                             [this](DeviceId d) {
-                                 return d < down_->size() &&
-                                        (*down_)[d] != 0;
-                             }),
-              out.end());
-    return out;
-}
-
-IlpAllocator::TypeSolution
-IlpAllocator::solveAggregated(const std::vector<double>& demand,
-                              const std::vector<std::vector<int>>* cur)
+void
+IlpAllocator::solveAggregated(const std::vector<double>& demand)
 {
     const std::size_t T = cluster_->numTypes();
     const std::size_t M = registry_->numVariants();
     const std::size_t F = registry_->numFamilies();
+    const std::vector<int>* cur = have_cur_ ? &cur_counts_ : nullptr;
 
-    LinearProgram lp(ObjSense::Maximize);
-    // Tiny penalty on hosted replicas: prefer plans that leave
-    // devices idle when capacity allows, reducing churn and energy.
-    constexpr double kReplicaPenalty = 1e-4;
+    LinearProgram& lp = lp_;
+    lp.clear();
 
     // What each column and row stands for, in creation order, as a
     // flat index into last_basis_.
     const std::size_t key_a = std::max(T, F);
     const std::size_t key_b = std::max(M, F);
-    std::vector<std::size_t> col_keys;
-    std::vector<std::size_t> row_keys;
+    col_keys_.clear();
+    row_keys_.clear();
     auto key = [&](BasisKind kind, std::size_t a, std::size_t b) {
         return (static_cast<std::size_t>(kind) * key_a + a) * key_b + b;
     };
 
     // Variable layout bookkeeping: only (t, m) pairs with positive
     // capacity get columns.
-    std::vector<std::vector<int>> n_col(
-        T, std::vector<int>(M, -1));
-    std::vector<std::vector<int>> w_col(
-        T, std::vector<int>(M, -1));
-
+    n_col_.assign(T * M, -1);
+    w_col_.assign(T * M, -1);
     for (std::size_t t = 0; t < T; ++t) {
-        int nt = availableOfType(static_cast<DeviceTypeId>(t));
+        const int nt = avail_[t];
         if (nt == 0)
             continue;
         for (std::size_t m = 0; m < M; ++m) {
             if (!candidate_[t][m] || demand[family_of_[m]] <= 0.0)
                 continue;
-            n_col[t][m] = lp.addIntVariable(0.0, nt, -kReplicaPenalty);
-            w_col[t][m] = lp.addVariable(
+            n_col_[t * M + m] =
+                lp.addIntVariable(0.0, nt, -kReplicaPenalty);
+            w_col_[t * M + m] = lp.addVariable(
                 0.0, kInf,
                 registry_->variant(static_cast<VariantId>(m)).accuracy);
-            col_keys.push_back(key(kColCount, t, m));
-            col_keys.push_back(key(kColQps, t, m));
+            col_keys_.push_back(key(kColCount, t, m));
+            col_keys_.push_back(key(kColQps, t, m));
         }
     }
 
     // Churn damping: reward keeping a device on its current variant.
     // k[t][m] <= min(n[t][m], currently hosted count) earns the
     // accuracy-weighted capacity a reload would forfeit.
-    std::vector<std::vector<int>> k_col(T, std::vector<int>(M, -1));
-    std::vector<std::vector<double>> keep_bonus(
-        T, std::vector<double>(M, 0.0));
+    k_col_.assign(T * M, -1);
+    keep_bonus_.assign(T * M, 0.0);
     if (cur) {
         for (std::size_t t = 0; t < T; ++t) {
             for (std::size_t m = 0; m < M; ++m) {
-                if (n_col[t][m] < 0 || (*cur)[t][m] <= 0)
+                const std::size_t k = t * M + m;
+                if (n_col_[k] < 0 || (*cur)[k] <= 0)
                     continue;
                 double peak =
                     profiles_->get(static_cast<VariantId>(m),
@@ -212,13 +209,12 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
                     100.0 * peak * kLoadTimeSec / kChurnPeriodSec;
                 if (bonus <= 0.0)
                     continue;
-                keep_bonus[t][m] = bonus;
-                k_col[t][m] = lp.addVariable(0.0, (*cur)[t][m], bonus);
-                lp.addConstraint(
-                    {{k_col[t][m], 1.0}, {n_col[t][m], -1.0}},
-                    RowSense::LessEqual, 0.0);
-                col_keys.push_back(key(kColKeep, t, m));
-                row_keys.push_back(key(kRowKeep, t, m));
+                keep_bonus_[k] = bonus;
+                k_col_[k] = lp.addVariable(0.0, (*cur)[k], bonus);
+                lp.addConstraint({{k_col_[k], 1.0}, {n_col_[k], -1.0}},
+                                 RowSense::LessEqual, 0.0);
+                col_keys_.push_back(key(kColKeep, t, m));
+                row_keys_.push_back(key(kRowKeep, t, m));
             }
         }
     }
@@ -226,45 +222,44 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     // Families whose demand cannot be served by any usable variant
     // (e.g. a pinned variant that meets no SLO anywhere) are shed
     // entirely rather than making the whole program infeasible.
-    std::vector<double> eff_demand = demand;
+    eff_demand_.assign(demand.begin(), demand.end());
     for (std::size_t f = 0; f < F; ++f) {
         bool servable = false;
         for (VariantId m :
              registry_->variantsOf(static_cast<FamilyId>(f))) {
             for (std::size_t t = 0; t < T; ++t)
-                servable |= w_col[t][m] >= 0;
+                servable |= w_col_[t * M + m] >= 0;
         }
         if (!servable)
-            eff_demand[f] = 0.0;
+            eff_demand_[f] = 0.0;
     }
 
     // Eq. 1 (hosting): sum_m n[t][m] <= N_t.
     for (std::size_t t = 0; t < T; ++t) {
-        std::vector<Coeff> coeffs;
+        coeffs_.clear();
         for (std::size_t m = 0; m < M; ++m) {
-            if (n_col[t][m] >= 0)
-                coeffs.emplace_back(n_col[t][m], 1.0);
+            if (n_col_[t * M + m] >= 0)
+                coeffs_.push_back({n_col_[t * M + m], 1.0});
         }
-        if (!coeffs.empty()) {
-            lp.addConstraint(std::move(coeffs), RowSense::LessEqual,
-                             availableOfType(
-                                 static_cast<DeviceTypeId>(t)));
-            row_keys.push_back(key(kRowHosting, t, 0));
+        if (!coeffs_.empty()) {
+            lp.addConstraint(coeffs_.view(), RowSense::LessEqual,
+                             avail_[t]);
+            row_keys_.push_back(key(kRowHosting, t, 0));
         }
     }
 
     // Eq. 5 (capacity): w[t][m] <= P[t][m] * n[t][m].
     for (std::size_t t = 0; t < T; ++t) {
         for (std::size_t m = 0; m < M; ++m) {
-            if (w_col[t][m] < 0)
+            if (w_col_[t * M + m] < 0)
                 continue;
             double peak = profiles_->get(static_cast<VariantId>(m),
                                          static_cast<DeviceTypeId>(t))
                               .peak_qps;
             lp.addConstraint(
-                {{w_col[t][m], 1.0}, {n_col[t][m], -peak}},
+                {{w_col_[t * M + m], 1.0}, {n_col_[t * M + m], -peak}},
                 RowSense::LessEqual, 0.0);
-            row_keys.push_back(key(kRowCapacity, t, m));
+            row_keys_.push_back(key(kRowCapacity, t, m));
         }
     }
 
@@ -273,17 +268,16 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     if (!options_.family_quota.empty()) {
         for (std::size_t t = 0; t < T; ++t) {
             for (std::size_t f = 0; f < F; ++f) {
-                std::vector<Coeff> coeffs;
+                coeffs_.clear();
                 for (VariantId m :
                      registry_->variantsOf(static_cast<FamilyId>(f))) {
-                    if (n_col[t][m] >= 0)
-                        coeffs.emplace_back(n_col[t][m], 1.0);
+                    if (n_col_[t * M + m] >= 0)
+                        coeffs_.push_back({n_col_[t * M + m], 1.0});
                 }
-                if (!coeffs.empty()) {
-                    lp.addConstraint(std::move(coeffs),
-                                     RowSense::LessEqual,
+                if (!coeffs_.empty()) {
+                    lp.addConstraint(coeffs_.view(), RowSense::LessEqual,
                                      options_.family_quota[t][f]);
-                    row_keys.push_back(key(kRowQuota, t, f));
+                    row_keys_.push_back(key(kRowQuota, t, f));
                 }
             }
         }
@@ -292,42 +286,100 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     // Eq. 6 (demand): sum w over the family's variants == s_f.
     bool any_demand = false;
     for (std::size_t f = 0; f < F; ++f) {
-        if (eff_demand[f] <= 0.0)
+        if (eff_demand_[f] <= 0.0)
             continue;
-        std::vector<Coeff> coeffs;
+        coeffs_.clear();
         for (VariantId m : registry_->variantsOf(static_cast<FamilyId>(f))) {
             for (std::size_t t = 0; t < T; ++t) {
-                if (w_col[t][m] >= 0)
-                    coeffs.emplace_back(w_col[t][m], 1.0);
+                if (w_col_[t * M + m] >= 0)
+                    coeffs_.push_back({w_col_[t * M + m], 1.0});
             }
         }
-        if (coeffs.empty()) {
+        if (coeffs_.empty()) {
             // No usable variant at all for this family (e.g. the
             // pinned variant cannot meet the SLO on any device):
             // serve none of its demand instead of declaring the whole
             // problem infeasible. Its queries are shed at the router.
             continue;
         }
-        lp.addConstraint(std::move(coeffs), RowSense::Equal,
-                         eff_demand[f]);
-        row_keys.push_back(key(kRowDemand, f, 0));
+        lp.addConstraint(coeffs_.view(), RowSense::Equal, eff_demand_[f]);
+        row_keys_.push_back(key(kRowDemand, f, 0));
         any_demand = true;
     }
 
-    TypeSolution out;
-    out.count.assign(T, std::vector<int>(M, 0));
-    out.qps.assign(T, std::vector<double>(M, 0.0));
+    TypeSolution& out = sol_;
+    out.count.assign(T * M, 0);
+    out.qps.assign(T * M, 0.0);
+    out.objective = 0.0;
+    out.feasible = false;
+    out.nodes = 0;
+    out.simplex_iters = 0;
+    out.gap = 0.0;
+    out.stop = SearchStop::Gap;
+    out.warm_root = false;
+    out.cold_fallbacks = 0;
     if (!any_demand) {
         // Nothing to serve: keep whatever is hosted now (reloading
         // would buy nothing) and route no family.
         out.feasible = true;
         if (cur)
             out.count = *cur;
-        return out;
+        return;
     }
 
-    // Warm-start hint, built by the B&B root-hint callback from the
-    // root LP relaxation in three steps:
+    // Root basis: the previous solve's, mapped by key. A new column
+    // starts nonbasic at its lower bound, a new row with its slack basic.
+    start_.clear();
+    if (!last_basis_.empty()) {
+        for (std::size_t k : col_keys_)
+            start_.push_back(last_basis_[k].value_or(BasisStatus::AtLower));
+        for (std::size_t k : row_keys_)
+            start_.push_back(last_basis_[k].value_or(BasisStatus::Basic));
+    }
+
+    // The B&B root hint (buildHint) is typically within the MILP gap
+    // already, letting branch & bound prune at the root.
+    const Solution& sol =
+        milp_.solve(lp, root_hint_, start_.empty() ? nullptr : &start_);
+    const MilpSolver::Stats& stats = milp_.lastStats();
+    out.nodes = sol.work;
+    out.simplex_iters = stats.simplex_iterations;
+    out.gap = stats.gap;
+    out.stop = stats.stop;
+    out.warm_root = stats.warm_root;
+    out.cold_fallbacks = stats.cold_fallbacks;
+    if (sol.basis.size() == col_keys_.size() + row_keys_.size()) {
+        last_basis_.assign(kNumBasisKinds * key_a * key_b, std::nullopt);
+        for (std::size_t j = 0; j < col_keys_.size(); ++j)
+            last_basis_[col_keys_[j]] = sol.basis[j];
+        for (std::size_t i = 0; i < row_keys_.size(); ++i)
+            last_basis_[row_keys_[i]] = sol.basis[col_keys_.size() + i];
+    }
+    if (sol.status == SolveStatus::Infeasible)
+        return;
+    if (!sol.hasSolution()) {
+        // Limit hit without an incumbent: extremely rare thanks to
+        // the solver's diving heuristic. Treat as infeasible so the
+        // demand backoff keeps the system making progress.
+        warn("MILP returned ", toString(sol.status),
+             " without an incumbent; backing demand off");
+        return;
+    }
+    out.feasible = true;
+    out.objective = sol.objective;
+    for (std::size_t k = 0; k < T * M; ++k) {
+        if (n_col_[k] < 0)
+            continue;
+        out.count[k] = static_cast<int>(std::llround(sol.x[n_col_[k]]));
+        out.qps[k] = sol.x[w_col_[k]];
+    }
+}
+
+void
+IlpAllocator::buildHint(const std::vector<double>& root_x,
+                        std::vector<double>* hint)
+{
+    // Built from the root LP relaxation in three steps:
     //  1. round the device counts with a per-budget repair (ceil in
     //     descending fractional order while the hosting/quota budgets
     //     allow, floor otherwise);
@@ -335,199 +387,124 @@ IlpAllocator::solveAggregated(const std::vector<double>& demand,
     //     greedy evaluation of a fixed hosting plan (a move re-scores
     //     only the families it touches);
     //  3. synthesize the matching served-QPS values.
-    // The result is typically within the MILP gap already, letting
-    // branch & bound prune at the root.
-    CountsContext ctx;
-    ctx.registry = registry_;
-    ctx.profiles = profiles_;
-    ctx.replica_penalty = kReplicaPenalty;
-    ctx.by_acc_desc = &by_acc_desc_;
-    if (cur) {
-        ctx.keep_bonus = &keep_bonus;
-        ctx.cur_counts = cur;
-    }
-    // Only columns present in the MILP may get devices.
-    auto col_ok = [&](std::size_t t, std::size_t m) {
-        return n_col[t][m] >= 0;
-    };
+    const std::size_t T = cluster_->numTypes();
+    const std::size_t M = registry_->numVariants();
+    const std::size_t F = registry_->numFamilies();
+    const std::vector<int>* cur = have_cur_ ? &cur_counts_ : nullptr;
+    const bool quotas = !options_.family_quota.empty();
 
-    auto root_hint = [&](const std::vector<double>& root_x) {
-        // Step 1: budget-repair rounding of the LP counts.
-        std::vector<std::vector<int>> count(T, std::vector<int>(M, 0));
-        std::vector<int> budget(T);
-        std::vector<std::vector<int>> quota_left;
-        if (!options_.family_quota.empty())
-            quota_left = options_.family_quota;
-        for (std::size_t t = 0; t < T; ++t) {
-            budget[t] = availableOfType(static_cast<DeviceTypeId>(t));
-            std::vector<std::pair<double, std::size_t>> fracs;
-            for (std::size_t m = 0; m < M; ++m) {
-                if (!col_ok(t, m))
-                    continue;
-                double v = root_x[n_col[t][m]];
-                int fl = static_cast<int>(std::floor(v + 1e-9));
-                count[t][m] = fl;
-                budget[t] -= fl;
-                if (!quota_left.empty())
-                    quota_left[t][family_of_[m]] -= fl;
-                if (v - fl > 1e-6)
-                    fracs.emplace_back(v - fl, m);
-            }
-            std::sort(fracs.rbegin(), fracs.rend());
-            for (const auto& [frac, m] : fracs) {
-                if (budget[t] <= 0)
-                    break;
-                const FamilyId f = family_of_[m];
-                if (!quota_left.empty() && quota_left[t][f] <= 0)
-                    continue;
-                ++count[t][m];
-                --budget[t];
-                if (!quota_left.empty())
-                    --quota_left[t][f];
-            }
-        }
-
-        // Step 2: first-improvement local search over count moves
-        // (re-purpose one device of a type, or add an idle one).
-        CountsEvaluator ev(ctx, std::move(count), eff_demand);
-        const bool quotas = !quota_left.empty();
-        for (int round = 0; round < 64; ++round) {
-            bool improved = false;
-            for (std::size_t t = 0; t < T; ++t) {
-                for (std::size_t dst = 0; dst < M; ++dst) {
-                    if (!col_ok(t, dst))
-                        continue;
-                    const FamilyId df = family_of_[dst];
-                    // Pure add from idle budget.
-                    if (budget[t] > 0 &&
-                        (!quotas || quota_left[t][df] > 0) &&
-                        ev.improve(t, CountsEvaluator::kIdle, dst)) {
-                        --budget[t];
-                        if (quotas)
-                            --quota_left[t][df];
-                        improved = true;
-                        continue;
-                    }
-                    // Re-purpose one device from another variant.
-                    for (std::size_t src = 0; src < M; ++src) {
-                        if (src == dst || ev.count()[t][src] <= 0)
-                            continue;
-                        const FamilyId sf = family_of_[src];
-                        if (quotas && sf != df && quota_left[t][df] <= 0)
-                            continue;
-                        if (ev.improve(t, src, dst)) {
-                            if (quotas && sf != df) {
-                                ++quota_left[t][sf];
-                                --quota_left[t][df];
-                            }
-                            improved = true;
-                        }
-                    }
-                }
-            }
-            if (!improved)
-                break;
-        }
-
-        // Step 3: synthesize the hint vector (counts + greedy w).
-        std::vector<double> hint;
-        if (!ev.eval().feasible)
-            return hint;
-        const auto& hinted = ev.count();
-        hint.assign(static_cast<std::size_t>(lp.numVariables()), 0.0);
-        for (std::size_t t = 0; t < T; ++t) {
-            for (std::size_t m = 0; m < M; ++m) {
-                if (col_ok(t, m))
-                    hint[n_col[t][m]] = hinted[t][m];
-            }
-        }
-        auto qps = ev.greedyFill();
-        for (std::size_t t = 0; t < T; ++t) {
-            for (std::size_t m = 0; m < M; ++m) {
-                if (col_ok(t, m) && qps[t][m] > 0.0)
-                    hint[w_col[t][m]] = qps[t][m];
-                if (k_col[t][m] >= 0 && cur) {
-                    hint[k_col[t][m]] = std::min(
-                        hinted[t][m], (*cur)[t][m]);
-                }
-            }
-        }
-        return hint;
-    };
-
-    // Root basis: the previous solve's, mapped by key. A new column
-    // starts nonbasic at its lower bound, a new row with its slack basic.
-    Basis start;
-    if (!last_basis_.empty()) {
-        start.reserve(col_keys.size() + row_keys.size());
-        for (std::size_t k : col_keys)
-            start.push_back(last_basis_[k].value_or(BasisStatus::AtLower));
-        for (std::size_t k : row_keys)
-            start.push_back(last_basis_[k].value_or(BasisStatus::Basic));
+    // Step 1: budget-repair rounding of the LP counts.
+    std::vector<int>& count = round_count_;
+    count.assign(T * M, 0);
+    budget_.assign(avail_.begin(), avail_.end());
+    quota_left_.assign(quotas ? T * F : 0, 0);
+    for (std::size_t t = 0; quotas && t < T; ++t) {
+        for (std::size_t f = 0; f < F; ++f)
+            quota_left_[t * F + f] = options_.family_quota[t][f];
     }
-
-    MilpSolver::Options mopt;
-    mopt.work_limit_iters = options_.milp_work_budget;
-    mopt.time_limit_sec = options_.milp_time_limit_sec;
-    mopt.gap_tol = kMilpGap;
-    mopt.heuristic_period = 4;
-    MilpSolver milp(mopt);
-    Solution sol = milp.solve(lp, root_hint, start.empty() ? nullptr : &start);
-    const MilpSolver::Stats& stats = milp.lastStats();
-    out.nodes = sol.work;
-    out.simplex_iters = stats.simplex_iterations;
-    out.gap = stats.gap;
-    out.stop = stats.stop;
-    out.warm_root = stats.warm_root;
-    out.cold_fallbacks = stats.cold_fallbacks;
-    if (sol.basis.size() == col_keys.size() + row_keys.size()) {
-        last_basis_.assign(kNumBasisKinds * key_a * key_b, std::nullopt);
-        for (std::size_t j = 0; j < col_keys.size(); ++j)
-            last_basis_[col_keys[j]] = sol.basis[j];
-        for (std::size_t i = 0; i < row_keys.size(); ++i)
-            last_basis_[row_keys[i]] = sol.basis[col_keys.size() + i];
-    }
-    if (sol.status == SolveStatus::Infeasible) {
-        out.feasible = false;
-        return out;
-    }
-    if (!sol.hasSolution()) {
-        // Limit hit without an incumbent: extremely rare thanks to
-        // the solver's diving heuristic. Treat as infeasible so the
-        // demand backoff keeps the system making progress.
-        warn("MILP returned ", toString(sol.status),
-             " without an incumbent; backing demand off");
-        out.feasible = false;
-        return out;
-    }
-    out.feasible = true;
-    out.objective = sol.objective;
     for (std::size_t t = 0; t < T; ++t) {
+        fracs_.clear();
         for (std::size_t m = 0; m < M; ++m) {
-            if (n_col[t][m] < 0)
+            if (n_col_[t * M + m] < 0)
                 continue;
-            out.count[t][m] = static_cast<int>(
-                std::llround(sol.x[n_col[t][m]]));
-            out.qps[t][m] = sol.x[w_col[t][m]];
+            double v = root_x[n_col_[t * M + m]];
+            int fl = static_cast<int>(std::floor(v + 1e-9));
+            count[t * M + m] = fl;
+            budget_[t] -= fl;
+            if (quotas)
+                quota_left_[t * F + family_of_[m]] -= fl;
+            if (v - fl > 1e-6)
+                fracs_.push_back({v - fl, m});
+        }
+        std::sort(fracs_.begin(), fracs_.end(), std::greater<>());
+        for (const auto& [frac, m] : fracs_) {
+            if (budget_[t] <= 0)
+                break;
+            const FamilyId f = family_of_[m];
+            if (quotas && quota_left_[t * F + f] <= 0)
+                continue;
+            ++count[t * M + m];
+            --budget_[t];
+            if (quotas)
+                --quota_left_[t * F + f];
         }
     }
-    return out;
+
+    // Step 2: first-improvement local search over count moves
+    // (re-purpose one device of a type, or add an idle one).
+    CountsEvaluator& ev = hint_eval_;
+    ev.reset(count, eff_demand_, cur ? &keep_bonus_ : nullptr, cur);
+    for (int round = 0; round < 64; ++round) {
+        bool improved = false;
+        for (std::size_t t = 0; t < T; ++t) {
+            for (std::size_t dst = 0; dst < M; ++dst) {
+                if (n_col_[t * M + dst] < 0)
+                    continue;
+                const FamilyId df = family_of_[dst];
+                // Pure add from idle budget.
+                if (budget_[t] > 0 &&
+                    (!quotas || quota_left_[t * F + df] > 0) &&
+                    ev.improve(t, CountsEvaluator::kIdle, dst)) {
+                    --budget_[t];
+                    if (quotas)
+                        --quota_left_[t * F + df];
+                    improved = true;
+                    continue;
+                }
+                // Re-purpose one device from another variant.
+                for (std::size_t src = 0; src < M; ++src) {
+                    if (src == dst || ev.count()[t * M + src] <= 0)
+                        continue;
+                    const FamilyId sf = family_of_[src];
+                    if (quotas && sf != df &&
+                        quota_left_[t * F + df] <= 0)
+                        continue;
+                    if (ev.improve(t, src, dst)) {
+                        if (quotas && sf != df) {
+                            ++quota_left_[t * F + sf];
+                            --quota_left_[t * F + df];
+                        }
+                        improved = true;
+                    }
+                }
+            }
+        }
+        if (!improved)
+            break;
+    }
+
+    // Step 3: synthesize the hint vector (counts + greedy w).
+    if (!ev.eval().feasible)
+        return;
+    const std::vector<int>& hinted = ev.count();
+    hint->assign(static_cast<std::size_t>(lp_.numVariables()), 0.0);
+    ev.greedyFill(&greedy_qps_);
+    for (std::size_t k = 0; k < T * M; ++k) {
+        if (n_col_[k] < 0)
+            continue;
+        (*hint)[n_col_[k]] = hinted[k];
+        if (greedy_qps_[k] > 0.0)
+            (*hint)[w_col_[k]] = greedy_qps_[k];
+        if (k_col_[k] >= 0)
+            (*hint)[k_col_[k]] = std::min(hinted[k], (*cur)[k]);
+    }
 }
 
 Allocation
-IlpAllocator::expand(const TypeSolution& sol,
-                     const std::vector<double>& demand,
-                     const std::vector<double>& original_demand,
-                     const Allocation* current) const
+IlpAllocator::expand(const std::vector<double>& demand,
+                     const AllocationInput& input)
 {
     const std::size_t T = cluster_->numTypes();
     const std::size_t M = registry_->numVariants();
     const std::size_t F = registry_->numFamilies();
     const std::size_t D = cluster_->numDevices();
+    const TypeSolution& sol = sol_;
+    const Allocation* current = input.current;
+    const std::vector<double>& original_demand = input.demand_qps;
 
     Allocation plan;
     plan.hosting.assign(D, std::nullopt);
-    plan.routing.assign(F, {});
+    plan.routing.resize(F);
 
     // --- Expand counts onto concrete devices, minimizing churn. ---
     // With frozen placement, a device may only host its locked
@@ -540,58 +517,62 @@ IlpAllocator::expand(const TypeSolution& sol,
     };
 
     for (std::size_t t = 0; t < T; ++t) {
-        std::vector<DeviceId> devices =
-            availableDevicesOfType(static_cast<DeviceTypeId>(t));
-        std::vector<bool> taken(devices.size(), false);
+        alloc::ScratchVector<DeviceId>& devices = devices_;
+        devices.clear();
+        for (DeviceId d : devices_of_type_[t]) {
+            if (!input.isDown(d))
+                devices.push_back(d);
+        }
+        taken_.assign(devices.size(), 0);
 
         // Wanted replicas per variant on this type.
-        std::vector<std::pair<VariantId, int>> wanted;
+        wanted_.clear();
         for (std::size_t m = 0; m < M; ++m) {
-            if (sol.count[t][m] > 0)
-                wanted.emplace_back(static_cast<VariantId>(m),
-                                    sol.count[t][m]);
+            if (sol.count[t * M + m] > 0)
+                wanted_.push_back(
+                    {static_cast<VariantId>(m), sol.count[t * M + m]});
         }
 
         // Pass 1: keep devices that already host the wanted variant.
-        for (auto& [variant, need] : wanted) {
+        for (auto& [variant, need] : wanted_) {
             for (std::size_t i = 0; i < devices.size() && need > 0;
                  ++i) {
-                if (taken[i])
+                if (taken_[i])
                     continue;
                 if (!lock_ok(devices[i], variant))
                     continue;
                 if (current && devices[i] < current->hosting.size() &&
                     current->hosting[devices[i]] == variant) {
                     plan.hosting[devices[i]] = variant;
-                    taken[i] = true;
+                    taken_[i] = 1;
                     --need;
                 }
             }
         }
         // Pass 2: prefer currently-idle devices (no load to disrupt).
-        for (auto& [variant, need] : wanted) {
+        for (auto& [variant, need] : wanted_) {
             for (std::size_t i = 0; i < devices.size() && need > 0;
                  ++i) {
-                if (taken[i] || !lock_ok(devices[i], variant))
+                if (taken_[i] || !lock_ok(devices[i], variant))
                     continue;
                 bool idle = !current ||
                             devices[i] >= current->hosting.size() ||
                             !current->hosting[devices[i]].has_value();
                 if (idle) {
                     plan.hosting[devices[i]] = variant;
-                    taken[i] = true;
+                    taken_[i] = 1;
                     --need;
                 }
             }
         }
         // Pass 3: whatever is left.
-        for (auto& [variant, need] : wanted) {
+        for (auto& [variant, need] : wanted_) {
             for (std::size_t i = 0; i < devices.size() && need > 0;
                  ++i) {
-                if (taken[i] || !lock_ok(devices[i], variant))
+                if (taken_[i] || !lock_ok(devices[i], variant))
                     continue;
                 plan.hosting[devices[i]] = variant;
-                taken[i] = true;
+                taken_[i] = 1;
                 --need;
             }
             PROTEUS_ASSERT(need == 0,
@@ -605,32 +586,35 @@ IlpAllocator::expand(const TypeSolution& sol,
     for (std::size_t f = 0; f < F; ++f) {
         if (original_demand[f] <= 0.0)
             continue;
+        const auto& variants = registry_->variantsOf(static_cast<FamilyId>(f));
         // The plan's served QPS for this family may exceed the raw
         // demand (capacity headroom) or fall short of it (backoff):
         // route proportionally to the plan, but never weight more
         // than the whole demand.
         double planned_f = 0.0;
+        std::size_t replicas = 0;
         for (std::size_t t = 0; t < T; ++t) {
-            for (VariantId m :
-                 registry_->variantsOf(static_cast<FamilyId>(f)))
-                planned_f += sol.qps[t][m];
+            for (VariantId m : variants) {
+                planned_f += sol.qps[t * M + m];
+                if (sol.count[t * M + m] > 0 && sol.qps[t * M + m] > 0.0)
+                    replicas += sol.count[t * M + m];
+            }
         }
         if (planned_f <= 0.0)
             continue;
         double fraction = std::min(1.0, planned_f / original_demand[f]);
-        std::vector<DeviceShare> shares;
+        std::vector<DeviceShare>& shares = plan.routing[f];
+        shares.reserve(replicas);
         for (std::size_t t = 0; t < T; ++t) {
-            for (VariantId m :
-                 registry_->variantsOf(static_cast<FamilyId>(f))) {
-                int cnt = sol.count[t][m];
-                if (cnt <= 0 || sol.qps[t][m] <= 0.0)
+            for (VariantId m : variants) {
+                int cnt = sol.count[t * M + m];
+                if (cnt <= 0 || sol.qps[t * M + m] <= 0.0)
                     continue;
                 // Split this (type, variant) aggregate QPS evenly
-                // over its replicas.
-                double per_device = sol.qps[t][m] / cnt;
+                // over its replicas. Down devices host nothing.
+                double per_device = sol.qps[t * M + m] / cnt;
                 int assigned = 0;
-                for (DeviceId d :
-                     availableDevicesOfType(static_cast<DeviceTypeId>(t))) {
+                for (DeviceId d : devices_of_type_[t]) {
                     if (plan.hosting[d] == m && assigned < cnt) {
                         shares.push_back(DeviceShare{
                             d, per_device / planned_f * fraction});
@@ -638,11 +622,10 @@ IlpAllocator::expand(const TypeSolution& sol,
                     }
                 }
                 acc_sum += registry_->variant(m).accuracy *
-                           sol.qps[t][m];
-                served_sum += sol.qps[t][m];
+                           sol.qps[t * M + m];
+                served_sum += sol.qps[t * M + m];
             }
         }
-        plan.routing[f] = std::move(shares);
     }
 
     if (options_.uniform_assignment) {
@@ -682,6 +665,7 @@ IlpAllocator::expand(const TypeSolution& sol,
     plan.planned_qps = served_sum;
     plan.expected_accuracy =
         served_sum > 0.0 ? acc_sum / served_sum : 0.0;
+    plan.planned_demand = original_demand;
     return plan;
 }
 
@@ -689,81 +673,79 @@ Allocation
 IlpAllocator::allocate(const AllocationInput& input)
 {
     const WallTimer timer;
+    const std::size_t T = cluster_->numTypes();
+    const std::size_t M = registry_->numVariants();
 
     PROTEUS_ASSERT(input.demand_qps.size() == registry_->numFamilies(),
                    "demand vector size mismatch");
 
     // Failure awareness: dead devices contribute no hosting budget,
     // are never expanded onto, and their current hosting is not
-    // counted as kept capacity. Valid for this call only.
-    down_ = input.device_down.empty() ? nullptr : &input.device_down;
+    // counted as kept capacity.
+    avail_.assign(T, 0);
+    for (const Device& d : cluster_->devices()) {
+        if (!input.isDown(d.id))
+            ++avail_[d.type];
+    }
 
-    std::vector<double> demand = input.demand_qps;
-    for (auto& d : demand)
+    demand_.assign(input.demand_qps.begin(), input.demand_qps.end());
+    for (auto& d : demand_)
         d *= options_.planning_headroom;
 
-    std::vector<std::vector<int>> cur_counts;
-    bool have_cur = false;
+    cur_counts_.assign(T * M, 0);
+    have_cur_ = false;
     if (input.current &&
         input.current->hosting.size() == cluster_->numDevices()) {
-        cur_counts.assign(cluster_->numTypes(),
-                          std::vector<int>(registry_->numVariants(), 0));
         for (DeviceId d = 0; d < cluster_->numDevices(); ++d) {
             if (input.isDown(d))
                 continue;  // a dead device's model is not running
             const auto& h = input.current->hosting[d];
             if (h) {
-                ++cur_counts[cluster_->device(d).type][*h];
-                have_cur = true;
+                ++cur_counts_[cluster_->device(d).type * M + *h];
+                have_cur_ = true;
             }
         }
     }
-    const std::vector<std::vector<int>>* cur =
-        have_cur ? &cur_counts : nullptr;
 
-    TypeSolution sol;
     int steps = 0;
     std::int64_t total_nodes = 0;
     std::int64_t total_iters = 0;
     std::int64_t fallbacks = 0;
     bool wall_stop = false;
     auto solve = [&]() {
-        sol = solveAggregated(demand, cur);
-        total_nodes += sol.nodes;
-        total_iters += sol.simplex_iters;
-        fallbacks += sol.cold_fallbacks;
-        wall_stop |= sol.stop == SearchStop::WallClock;
+        solveAggregated(demand_);
+        total_nodes += sol_.nodes;
+        total_iters += sol_.simplex_iters;
+        fallbacks += sol_.cold_fallbacks;
+        wall_stop |= sol_.stop == SearchStop::WallClock;
     };
     while (true) {
         solve();
-        if (sol.feasible)
+        if (sol_.feasible)
             break;
         ++steps;
         if (steps > kMaxBackoffSteps) {
             // Serve nothing rather than loop forever; the routers
             // will shed all load until demand falls.
-            for (auto& d : demand)
+            for (auto& d : demand_)
                 d = 0.0;
             solve();
             break;
         }
-        for (auto& d : demand)
+        for (auto& d : demand_)
             d /= kBackoffBeta;
     }
 
-    Allocation plan = expand(sol, demand, input.demand_qps,
-                             input.current);
-    plan.planned_demand = input.demand_qps;
-    down_ = nullptr;
+    Allocation plan = expand(demand_, input);
     meta_.wall_seconds = timer.elapsedSeconds();
     meta_.nodes = total_nodes;
     meta_.simplex_iterations = total_iters;
-    meta_.gap = sol.gap;
+    meta_.gap = sol_.gap;
     meta_.backoff_steps = steps;
     // A wall-clock stop anywhere in the backoff makes the decision
     // machine-dependent, so it wins over the final solve's reason.
-    meta_.stop = wall_stop ? SearchStop::WallClock : sol.stop;
-    meta_.warm_root = sol.warm_root;
+    meta_.stop = wall_stop ? SearchStop::WallClock : sol_.stop;
+    meta_.warm_root = sol_.warm_root;
     meta_.cold_fallbacks = fallbacks;
     return plan;
 }
@@ -803,7 +785,7 @@ buildPerDeviceMilp(const ModelRegistry& registry, const Cluster& cluster,
                 coeffs.emplace_back(x[d * M + m], 1.0);
         }
         if (!coeffs.empty())
-            lp.addConstraint(std::move(coeffs), RowSense::LessEqual, 1.0);
+            lp.addConstraint(coeffs, RowSense::LessEqual, 1.0);
     }
     // Eq. 5: w <= P * x.
     for (std::size_t d = 0; d < D; ++d) {
@@ -829,7 +811,7 @@ buildPerDeviceMilp(const ModelRegistry& registry, const Cluster& cluster,
                     coeffs.emplace_back(w[d * M + m], 1.0);
             }
         }
-        lp.addConstraint(std::move(coeffs), RowSense::Equal,
+        lp.addConstraint(coeffs, RowSense::Equal,
                          demand_qps[f]);
     }
     return lp;

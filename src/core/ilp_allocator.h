@@ -21,6 +21,11 @@
  * infeasible even with the least accurate variants, s is scaled down
  * by beta = 1.05 until feasible, as in §4 ("we solve the MILP
  * again by decreasing s_q by a small value").
+ *
+ * The allocator keeps one decision workspace for its lifetime: the
+ * LP, the MILP solver, the hint's evaluator and every per-decision
+ * buffer. Each decision rebuilds the same LP in the same order into
+ * it, so a warm allocate() allocates only the plan it returns.
  */
 
 #ifndef PROTEUS_CORE_ILP_ALLOCATOR_H_
@@ -31,8 +36,10 @@
 #include <vector>
 
 #include "cluster/device.h"
+#include "common/alloc/scratch_vector.h"
 #include "common/types.h"
 #include "core/allocation.h"
+#include "core/counts_evaluator.h"
 #include "models/model.h"
 #include "models/profiler.h"
 #include "solver/milp.h"
@@ -106,6 +113,13 @@ class IlpAllocator : public Allocator
                  const ProfileStore* profiles,
                  IlpAllocatorOptions options = {});
 
+    /**
+     * A copy carries what the next decision depends on: the options
+     * and the root basis of the last solve. Its decision workspace
+     * starts empty, since buffers hold storage, not state.
+     */
+    IlpAllocator(const IlpAllocator& other);
+
     Allocation allocate(const AllocationInput& input) override;
 
     Duration decisionDelay() const override
@@ -121,8 +135,8 @@ class IlpAllocator : public Allocator
   private:
     /** Aggregated solution: devices-per-(type, variant) plus QPS. */
     struct TypeSolution {
-        std::vector<std::vector<int>> count;     ///< [type][variant]
-        std::vector<std::vector<double>> qps;    ///< [type][variant]
+        std::vector<int> count;     ///< [t * M + m]
+        std::vector<double> qps;    ///< [t * M + m]
         double objective = 0.0;
         bool feasible = false;
         std::int64_t nodes = 0;
@@ -133,21 +147,19 @@ class IlpAllocator : public Allocator
         std::int64_t cold_fallbacks = 0;         ///< warm LPs gone cold
     };
 
+    /** Solve the MILP for @p demand into sol_. */
+    void solveAggregated(const std::vector<double>& demand);
 
-    TypeSolution solveAggregated(
-        const std::vector<double>& demand,
-        const std::vector<std::vector<int>>* current_counts);
+    /**
+     * The B&B root hint: round the root relaxation @p root_x, improve
+     * the counts by local search and write the matching hint.
+     */
+    void buildHint(const std::vector<double>& root_x,
+                   std::vector<double>* hint);
 
-    Allocation expand(const TypeSolution& sol,
-                      const std::vector<double>& demand,
-                      const std::vector<double>& original_demand,
-                      const Allocation* current) const;
-
-    /** Devices of type @p t not masked out by the failure mask. */
-    int availableOfType(DeviceTypeId t) const;
-
-    /** Ids of available (not down) devices of type @p t. */
-    std::vector<DeviceId> availableDevicesOfType(DeviceTypeId t) const;
+    /** Expand sol_, planned for @p demand, onto concrete devices. */
+    Allocation expand(const std::vector<double>& demand,
+                      const AllocationInput& input);
 
   protected:
     /**
@@ -174,6 +186,8 @@ class IlpAllocator : public Allocator
      * column whenever type t has devices and its family has demand.
      */
     std::vector<std::vector<char>> candidate_;
+    /** Ids of the devices of each type, in id order. */
+    std::vector<std::vector<DeviceId>> devices_of_type_;
     AllocatorSolveMeta meta_;
     /**
      * Final root basis of the last MILP solve, indexed by what each
@@ -182,8 +196,34 @@ class IlpAllocator : public Allocator
      * starts from it. Empty before the first solve.
      */
     std::vector<std::optional<BasisStatus>> last_basis_;
-    /** Failure mask of the allocate() call in progress (may be null). */
-    const std::vector<char>* down_ = nullptr;
+
+    // Decision workspace. Flat tables are indexed [t * M + m].
+    LinearProgram lp_;
+    MilpSolver milp_;
+    CountsEvaluator hint_eval_;
+    MilpSolver::RootHint root_hint_;
+    TypeSolution sol_;
+    std::vector<int> avail_;          ///< [t]: devices not down
+    std::vector<double> demand_;      ///< the demand being planned for
+    std::vector<double> eff_demand_;  ///< less unservable families
+    std::vector<int> cur_counts_;     ///< devices hosting m now
+    bool have_cur_ = false;           ///< some device hosts something
+    std::vector<int> n_col_, w_col_, k_col_;  ///< column or -1
+    std::vector<double> keep_bonus_;
+    /** What each column and row stands for, in creation order. */
+    alloc::ScratchVector<std::size_t> col_keys_, row_keys_;
+    alloc::ScratchVector<Coeff> coeffs_;  ///< the row being added
+    Basis start_;                     ///< root basis offered to the MILP
+    // Hint scratch.
+    std::vector<int> round_count_;
+    std::vector<int> budget_;         ///< [t]: idle devices left
+    std::vector<int> quota_left_;     ///< [t * F + f]
+    alloc::ScratchVector<std::pair<double, std::size_t>> fracs_;
+    std::vector<double> greedy_qps_;
+    // Expansion scratch.
+    alloc::ScratchVector<DeviceId> devices_;
+    std::vector<char> taken_;
+    alloc::ScratchVector<std::pair<VariantId, int>> wanted_;
 };
 
 /**

@@ -27,6 +27,7 @@ void
 Simulator::reserveEvents(std::size_t n)
 {
     heap_.reserve(n);
+    same_instant_.reserve(n);
     free_slots_.reserve(n);
     slots_.reserve(n);
     while (slots_.size() < n) {
@@ -50,8 +51,13 @@ Simulator::push(Time at, Callback cb)
     s.cb = std::move(cb);
     s.armed = true;
     ++armed_;
-    heap_.push_back(Entry{at, seq_++, slot, s.gen});
-    std::push_heap(heap_.begin(), heap_.end(), EntryLater{});
+    const Entry e{at, seq_++, slot, s.gen};
+    if (at == now_) {
+        same_instant_.push_back(e);
+    } else {
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), EntryLater{});
+    }
     return (static_cast<EventId>(s.gen & kGenMask) << 32) |
            static_cast<EventId>(slot + 1);
 }
@@ -123,8 +129,8 @@ Simulator::cancel(EventId id)
     EventSlot& s = slots_[slot];
     if (!s.armed || (s.gen & kGenMask) != gen)
         return false;
-    // Lazy cancellation: the heap entry stays and is skipped on pop
-    // (its generation no longer matches).
+    // Lazy cancellation: the entry stays and is skipped on pop (its
+    // generation no longer matches).
     releaseSlot(slot);
     return true;
 }
@@ -142,10 +148,18 @@ Simulator::cancelPeriodic(EventId id)
 bool
 Simulator::step()
 {
-    while (!heap_.empty()) {
-        const Entry e = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
-        heap_.pop_back();
+    while (!heap_.empty() || !same_instant_.empty()) {
+        const bool same_instant =
+            !same_instant_.empty() &&
+            (heap_.empty() ||
+             EntryLater{}(heap_.front(), same_instant_.front()));
+        const Entry e = same_instant ? same_instant_.front() : heap_.front();
+        if (same_instant) {
+            same_instant_.pop_front();
+        } else {
+            std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
+            heap_.pop_back();
+        }
         EventSlot& s = slots_[e.slot];
         if (!s.armed || s.gen != e.gen)
             continue;  // cancelled (stale generation)
@@ -165,11 +179,14 @@ Simulator::step()
 void
 Simulator::run(Time until)
 {
-    while (!heap_.empty()) {
-        if (heap_.front().at > until) {
-            now_ = until;
-            return;
-        }
+    while (!heap_.empty() || !same_instant_.empty()) {
+        Time next = kTimeMax;
+        if (!heap_.empty())
+            next = heap_.front().at;
+        if (!same_instant_.empty())
+            next = std::min(next, same_instant_.front().at);
+        if (next > until)
+            break;
         step();
     }
     if (until != kTimeMax && until > now_)

@@ -4,9 +4,13 @@
  *
  * The simulator owns a binary heap of timestamped event entries and a
  * virtual clock. Events scheduled at equal times fire in scheduling
- * order (FIFO), which makes runs fully deterministic. Events can be
- * cancelled via the handle returned by schedule(); cancellation is lazy
- * (the heap entry is skipped when popped).
+ * order (FIFO), which makes runs fully deterministic. An event
+ * scheduled at the current instant (a zero-delay hand-off) skips the
+ * heap: it joins a FIFO ring beside it, and each step fires the
+ * earlier (time, sequence) of the two fronts, so the firing order is
+ * the one a single heap would give. Events can be cancelled via the
+ * handle returned by schedule(); cancellation is lazy (the entry is
+ * skipped when it reaches the front).
  *
  * This is the substrate the paper's trace-driven evaluation runs on
  * (§6.1.5): arrival of queries, batch completions, controller periods
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "common/alloc/inplace_function.h"
+#include "common/alloc/ring_queue.h"
 #include "common/types.h"
 
 namespace proteus {
@@ -90,7 +95,11 @@ class Simulator
     /** Stop a periodic task created with schedulePeriodic(). */
     void cancelPeriodic(EventId id);
 
-    /** Run until the event queue is empty or until() time is reached. */
+    /**
+     * Run until the event queue is empty or until() time is reached;
+     * the clock then reads @p until, or stays put if it is already
+     * later.
+     */
     void run(Time until = kTimeMax);
 
     /** Execute at most one event. @return false if the queue is empty. */
@@ -157,6 +166,9 @@ class Simulator
     // pre-size it. May contain stale entries for cancelled events;
     // they are skipped on pop via the generation check.
     std::vector<Entry> heap_;
+    // Events scheduled at the instant they were scheduled in, in seq
+    // order; stale entries are skipped like the heap's.
+    alloc::RingQueue<Entry> same_instant_;
 
     // Periodic tasks are registered once and live for the whole run;
     // a deque so in-flight callbacks stay put when another periodic

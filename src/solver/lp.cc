@@ -26,16 +26,25 @@ LinearProgram::addIntVariable(double lo, double hi, double obj)
 }
 
 int
-LinearProgram::addConstraint(std::vector<Coeff> coeffs, RowSense sense,
-                             double rhs)
+LinearProgram::addConstraint(CoeffSpan coeffs, RowSense sense, double rhs)
 {
     for (const auto& [col, coef] : coeffs) {
         PROTEUS_ASSERT(col >= 0 && col < numVariables(),
                        "row references unknown column ", col);
         PROTEUS_ASSERT(std::isfinite(coef), "non-finite coefficient");
     }
-    rows_.push_back(Row{std::move(coeffs), sense, rhs});
+    rows_.push_back(RowEntry{coeffs_.size(), coeffs.size(), sense, rhs});
+    coeffs_.insert(coeffs_.end(), coeffs.begin(), coeffs.end());
     return static_cast<int>(rows_.size()) - 1;
+}
+
+void
+LinearProgram::clear()
+{
+    vars_.clear();
+    rows_.clear();
+    coeffs_.clear();
+    int_vars_.clear();
 }
 
 double
@@ -56,7 +65,8 @@ LinearProgram::isFeasible(const std::vector<double>& x, double tol) const
         if (x[j] < vars_[j].lo - tol || x[j] > vars_[j].hi + tol)
             return false;
     }
-    for (const auto& row : rows_) {
+    for (int i = 0; i < numConstraints(); ++i) {
+        const Row row = this->row(i);
         double lhs = 0.0;
         for (const auto& [col, coef] : row.coeffs)
             lhs += coef * x[col];

@@ -11,7 +11,9 @@
 #ifndef PROTEUS_SOLVER_LP_H_
 #define PROTEUS_SOLVER_LP_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -31,12 +33,45 @@ enum class ObjSense { Maximize, Minimize };
 using Coeff = std::pair<int, double>;
 
 /**
+ * A read-only run of coefficients that it does not own: what
+ * LinearProgram::addConstraint() copies in and LinearProgram::row()
+ * hands back. Converts from a vector or a braced list.
+ */
+class CoeffSpan
+{
+  public:
+    CoeffSpan(const Coeff* data, std::size_t size)
+        : data_(data), size_(size)
+    {}
+    CoeffSpan(const std::vector<Coeff>& coeffs)
+        : CoeffSpan(coeffs.data(), coeffs.size())
+    {}
+    CoeffSpan(std::initializer_list<Coeff> coeffs)
+        : CoeffSpan(coeffs.begin(), coeffs.size())
+    {}
+
+    const Coeff* begin() const { return data_; }
+    const Coeff* end() const { return data_ + size_; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+  private:
+    const Coeff* data_;
+    std::size_t size_;
+};
+
+/**
  * A mixed-integer linear program:
  *
  *     opt  c'x   s.t.  rows,  lo <= x <= hi,  x_j integer for j in I.
  *
  * Variables must have a finite lower bound (all Proteus formulations
  * are naturally non-negative).
+ *
+ * The program owns its rows' coefficients in one flat array, and
+ * clear() keeps every array's storage, so a caller that rebuilds a
+ * program of similar size in place (the allocator, once per decision)
+ * allocates nothing once the arrays have grown.
  */
 class LinearProgram
 {
@@ -49,9 +84,9 @@ class LinearProgram
         bool is_integer = false;
     };
 
-    /** One sparse constraint row. */
+    /** One sparse constraint row: a view into the program's storage. */
     struct Row {
-        std::vector<Coeff> coeffs;
+        CoeffSpan coeffs;
         RowSense sense = RowSense::LessEqual;
         double rhs = 0.0;
     };
@@ -69,9 +104,14 @@ class LinearProgram
     /** Add an integer variable. @return its column index. */
     int addIntVariable(double lo, double hi, double obj);
 
-    /** Add a constraint row. @return its row index. */
-    int addConstraint(std::vector<Coeff> coeffs, RowSense sense,
-                      double rhs);
+    /**
+     * Add a constraint row; its coefficients are copied in, and may
+     * not point into this program's own rows. @return its row index.
+     */
+    int addConstraint(CoeffSpan coeffs, RowSense sense, double rhs);
+
+    /** Remove every variable and row, keeping the storage. */
+    void clear();
 
     /** @return the optimization direction. */
     ObjSense objSense() const { return sense_; }
@@ -88,8 +128,14 @@ class LinearProgram
     /** @return mutable metadata for column @p j (bounds tweaking). */
     Variable& variable(int j) { return vars_[j]; }
 
-    /** @return row @p i. */
-    const Row& row(int i) const { return rows_[i]; }
+    /** @return row @p i, valid until the program next changes. */
+    Row
+    row(int i) const
+    {
+        const RowEntry& r = rows_[i];
+        return Row{CoeffSpan(coeffs_.data() + r.begin, r.size), r.sense,
+                   r.rhs};
+    }
 
     /** @return indices of the integer variables. */
     const std::vector<int>& integerVariables() const { return int_vars_; }
@@ -104,9 +150,18 @@ class LinearProgram
     bool isFeasible(const std::vector<double>& x, double tol = 1e-6) const;
 
   private:
+    /** A row's place in coeffs_ and its sense and right-hand side. */
+    struct RowEntry {
+        std::size_t begin;
+        std::size_t size;
+        RowSense sense;
+        double rhs;
+    };
+
     ObjSense sense_;
     std::vector<Variable> vars_;
-    std::vector<Row> rows_;
+    std::vector<RowEntry> rows_;
+    std::vector<Coeff> coeffs_;  ///< every row's coefficients, in row order
     std::vector<int> int_vars_;
 };
 
@@ -168,6 +223,18 @@ struct Solution {
     {
         return status == SolveStatus::Optimal ||
                status == SolveStatus::Feasible;
+    }
+
+    /** Reset to an empty Infeasible result; x and basis keep storage. */
+    void
+    clear()
+    {
+        status = SolveStatus::Infeasible;
+        objective = 0.0;
+        x.clear();
+        bound = 0.0;
+        work = 0;
+        basis.clear();
     }
 };
 

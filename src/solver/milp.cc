@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -13,28 +11,6 @@
 namespace proteus {
 
 namespace {
-
-using Bounds = std::vector<std::pair<double, double>>;
-
-/** One open node of the branch-and-bound tree. */
-struct Node {
-    Bounds bounds;
-    /** Basis the relaxation re-optimises from: the parent's final one. */
-    std::shared_ptr<const Basis> basis;
-    double parent_bound;  ///< LP bound inherited from the parent
-    int depth;
-};
-
-/** Best-first: expand the node with the most promising bound first. */
-struct NodeWorse {
-    bool
-    operator()(const Node& a, const Node& b) const
-    {
-        if (a.parent_bound != b.parent_bound)
-            return a.parent_bound < b.parent_bound;
-        return a.depth < b.depth;  // prefer deeper on ties (diving)
-    }
-};
 
 /** Index of the most fractional integer variable, or -1 if integral. */
 int
@@ -55,7 +31,19 @@ mostFractional(const LinearProgram& lp, const std::vector<double>& x,
 
 }  // namespace
 
-Solution
+int
+MilpSolver::takeSlot()
+{
+    if (free_slots_.empty()) {
+        slots_.emplace_back();
+        return static_cast<int>(slots_.size()) - 1;
+    }
+    const int slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+}
+
+const Solution&
 MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
                   const Basis* root_basis)
 {
@@ -63,18 +51,32 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
     const bool maximize = lp.objSense() == ObjSense::Maximize;
     // All bounds below are handled in "maximize" orientation.
     auto orient = [&](double v) { return maximize ? v : -v; };
+    // Best-first: expand the node with the most promising bound first.
+    auto worse = [](const Node& a, const Node& b) {
+        if (a.parent_bound != b.parent_bound)
+            return a.parent_bound < b.parent_bound;
+        return a.depth < b.depth;  // prefer deeper on ties (diving)
+    };
 
     stats_ = Stats{};
-    SimplexSolver lp_solver(options_.lp);
-    auto solveLp = [&](const Bounds* bounds, const Basis* start) {
-        Solution s = lp_solver.solve(lp, bounds, start);
+    const std::int64_t fallbacks_before = lp_solver_.coldFallbacks();
+    auto solveLp = [&](const Bounds* bounds,
+                       const Basis* start) -> const Solution& {
+        const Solution& s = lp_solver_.solve(lp, bounds, start);
         ++stats_.lp_solves;
         stats_.simplex_iterations += s.work;
         return s;
     };
 
-    Bounds root_bounds;
-    root_bounds.reserve(lp.numVariables());
+    // Every node slot is free again; their storage stays.
+    open_.clear();
+    free_slots_.clear();
+    for (int slot = static_cast<int>(slots_.size()) - 1; slot >= 0; --slot)
+        free_slots_.push_back(slot);
+
+    const int root = takeSlot();
+    Bounds& root_bounds = slots_[root].bounds;
+    root_bounds.clear();
     for (int j = 0; j < lp.numVariables(); ++j) {
         double lo = lp.variable(j).lo;
         double hi = lp.variable(j).hi;
@@ -85,14 +87,14 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
         root_bounds.emplace_back(lo, hi);
     }
 
-    Solution best;
-    best.status = SolveStatus::Infeasible;
+    Solution& best = best_;
+    best.clear();
     double incumbent = -kInf;  // oriented
     double best_dual = kInf;   // oriented upper bound on the optimum
 
     // Warm start: accept the root hint's candidate as the initial
     // incumbent when it is feasible and integral.
-    auto acceptHint = [&](std::vector<double> hint) {
+    auto acceptHint = [&](const std::vector<double>& hint) {
         if (static_cast<int>(hint.size()) != lp.numVariables() ||
             !lp.isFeasible(hint, 1e-6))
             return;
@@ -102,15 +104,15 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
         }
         incumbent = orient(lp.objectiveValue(hint));
         best.objective = lp.objectiveValue(hint);
-        best.x = std::move(hint);
+        best.x = hint;
         best.status = SolveStatus::Feasible;
     };
 
-    std::priority_queue<Node, std::vector<Node>, NodeWorse> open;
-    std::shared_ptr<const Basis> start;
-    if (root_basis && !root_basis->empty())
-        start = std::make_shared<const Basis>(*root_basis);
-    open.push(Node{root_bounds, start, kInf, 0});
+    if (root_basis)
+        slots_[root].basis = *root_basis;
+    else
+        slots_[root].basis.clear();
+    open_.push_back(Node{kInf, 0, root});
 
     std::int64_t nodes = 0;
     bool hit_node_limit = false;
@@ -129,12 +131,13 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
         return timer.elapsedSeconds() >= options_.time_limit_sec;
     };
 
-    auto offerIncumbent = [&](const Solution& s) {
-        double obj = orient(s.objective);
+    auto offerIncumbent = [&](double objective,
+                              const std::vector<double>& x) {
+        double obj = orient(objective);
         if (obj > incumbent + 1e-12) {
             incumbent = obj;
-            best.x = s.x;
-            best.objective = s.objective;
+            best.x = x;
+            best.objective = objective;
             best.status = SolveStatus::Feasible;
             ++stats_.incumbents;
         }
@@ -145,15 +148,15 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
     // completion.
     auto tryRounding = [&](const std::vector<double>& x,
                            const Bounds& node_bounds, const Basis& basis) {
-        Bounds fixed = node_bounds;
+        fixed_bounds_ = node_bounds;
         for (int j : lp.integerVariables()) {
             double v = std::round(x[j]);
             v = std::clamp(v, node_bounds[j].first, node_bounds[j].second);
-            fixed[j] = {v, v};
+            fixed_bounds_[j] = {v, v};
         }
-        Solution s = solveLp(&fixed, &basis);
+        const Solution& s = solveLp(&fixed_bounds_, &basis);
         if (s.status == SolveStatus::Optimal)
-            offerIncumbent(s);
+            offerIncumbent(s.objective, s.x);
     };
 
     // Fractional diving heuristic: repeatedly fix the *least*
@@ -179,37 +182,37 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
         return best_j;
     };
 
-    auto dive = [&](std::vector<double> x, Bounds bounds, Basis basis) {
+    auto dive = [&](const std::vector<double>& start_x,
+                    const Bounds& start_bounds, const Basis& start_basis) {
+        std::vector<double>& x = dive_x_;
+        Bounds& bounds = dive_bounds_;
+        Basis& basis = dive_basis_;
+        x = start_x;
+        bounds = start_bounds;
+        basis = start_basis;
         while (true) {
             int j = leastFractional(x, bounds);
             if (j < 0) {
                 // Integral: x may come from an LP solve, so it is
                 // feasible by construction.
-                Solution s;
-                s.status = SolveStatus::Optimal;
-                s.x = x;
-                s.objective = lp.objectiveValue(x);
-                offerIncumbent(s);
+                offerIncumbent(lp.objectiveValue(x), x);
                 return;
             }
             double lo_v = std::floor(x[j]);
             double hi_v = std::ceil(x[j]);
             double first = x[j] - lo_v <= hi_v - x[j] ? lo_v : hi_v;
             double second = first == lo_v ? hi_v : lo_v;
+            const std::pair<double, double> was = bounds[j];
             bool advanced = false;
             for (double v : {first, second}) {
-                if (v < bounds[j].first - 1e-9 ||
-                    v > bounds[j].second + 1e-9) {
+                if (v < was.first - 1e-9 || v > was.second + 1e-9)
                     continue;
-                }
-                Bounds trial = bounds;
-                trial[j] = {v, v};
-                Solution s = solveLp(&trial, &basis);
+                bounds[j] = {v, v};
+                const Solution& s = solveLp(&bounds, &basis);
                 if (s.status != SolveStatus::Optimal)
                     continue;
-                bounds = std::move(trial);
-                x = std::move(s.x);
-                basis = std::move(s.basis);
+                x = s.x;
+                basis = s.basis;
                 advanced = true;
                 break;
             }
@@ -218,7 +221,7 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
         }
     };
 
-    while (!open.empty()) {
+    while (!open_.empty()) {
         if (nodes >= options_.max_nodes) {
             hit_node_limit = true;
             break;
@@ -234,22 +237,30 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
             hit_time_limit = true;
             break;
         }
-        Node node = open.top();
-        open.pop();
+        const Node node = open_.front();
+        std::pop_heap(open_.begin(), open_.end(), worse);
+        open_.pop_back();
         if (node.parent_bound <= incumbent + 1e-12 && nodes > 0) {
             // Best-first: every remaining node is no better.
             break;
         }
         ++nodes;
 
-        Solution relax = solveLp(&node.bounds, node.basis.get());
+        const bool has_basis = !slots_[node.slot].basis.empty();
+        const Solution& relax =
+            solveLp(&slots_[node.slot].bounds,
+                    has_basis ? &slots_[node.slot].basis : nullptr);
         if (nodes == 1) {
             best.basis = relax.basis;
-            stats_.warm_root = node.basis && lp_solver.coldFallbacks() == 0;
+            stats_.warm_root = has_basis &&
+                               lp_solver_.coldFallbacks() == fallbacks_before;
         }
-        if (relax.status == SolveStatus::Infeasible)
+        if (relax.status == SolveStatus::Infeasible) {
+            free_slots_.push_back(node.slot);
             continue;
+        }
         if (relax.status == SolveStatus::Unbounded) {
+            free_slots_.push_back(node.slot);
             if (nodes == 1) {
                 root_unbounded = true;
                 break;
@@ -258,6 +269,7 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
         }
         if (relax.status != SolveStatus::Optimal) {
             // Stopped at the LP iteration cap: a limit, not a prune.
+            free_slots_.push_back(node.slot);
             if (nodes == 1) {
                 root_iter_limit = true;
                 break;
@@ -270,11 +282,15 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
         double bound = orient(relax.objective);
         if (nodes == 1) {
             best_dual = bound;
-            if (root_hint)
-                acceptHint(root_hint(relax.x));
+            if (root_hint) {
+                hint_.clear();
+                root_hint(relax.x, &hint_);
+                acceptHint(hint_);
+            }
         }
         if (bound <= incumbent + std::abs(incumbent) * options_.gap_tol +
                          1e-12) {
+            free_slots_.push_back(node.slot);
             continue;  // cannot improve
         }
 
@@ -288,38 +304,45 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
                 best.status = SolveStatus::Feasible;
                 ++stats_.incumbents;
             }
+            free_slots_.push_back(node.slot);
             continue;
         }
 
-        if (nodes == 1 || nodes % (8 * options_.heuristic_period) == 0)
-            dive(relax.x, node.bounds, relax.basis);
-        else if (nodes % options_.heuristic_period == 0)
-            tryRounding(relax.x, node.bounds, relax.basis);
-
-        // Both children re-optimise from this node's optimal basis.
-        auto basis = std::make_shared<const Basis>(std::move(relax.basis));
-        double v = relax.x[frac];
-        Node down = node;
-        down.bounds[frac].second =
-            std::min(down.bounds[frac].second, std::floor(v));
-        down.basis = basis;
-        down.parent_bound = bound;
-        down.depth = node.depth + 1;
-        Node up = node;
-        up.bounds[frac].first =
-            std::max(up.bounds[frac].first, std::ceil(v));
-        up.basis = basis;
-        up.parent_bound = bound;
-        up.depth = node.depth + 1;
-        if (down.bounds[frac].first <= down.bounds[frac].second)
-            open.push(std::move(down));
-        if (up.bounds[frac].first <= up.bounds[frac].second)
-            open.push(std::move(up));
+        // Both children re-optimise from this node's optimal basis: the
+        // down child takes over the node's slot, the up child a copy.
+        // Keep what they need before a heuristic re-solves.
+        const double v = relax.x[frac];
+        slots_[node.slot].basis = relax.basis;
+        if (nodes == 1 || nodes % options_.heuristic_period == 0) {
+            relax_x_ = relax.x;
+            const Slot& at = slots_[node.slot];
+            if (nodes == 1 || nodes % (8 * options_.heuristic_period) == 0)
+                dive(relax_x_, at.bounds, at.basis);
+            else
+                tryRounding(relax_x_, at.bounds, at.basis);
+        }
+        const int up_slot = takeSlot();
+        slots_[up_slot] = slots_[node.slot];
+        auto push = [&](int slot) {
+            const std::pair<double, double>& b = slots_[slot].bounds[frac];
+            if (b.first > b.second) {
+                free_slots_.push_back(slot);
+                return;
+            }
+            open_.push_back(Node{bound, node.depth + 1, slot});
+            std::push_heap(open_.begin(), open_.end(), worse);
+        };
+        auto& down = slots_[node.slot].bounds[frac];
+        down.second = std::min(down.second, std::floor(v));
+        auto& up = slots_[up_slot].bounds[frac];
+        up.first = std::max(up.first, std::ceil(v));
+        push(node.slot);
+        push(up_slot);
     }
 
     best.work = nodes;
     stats_.nodes = nodes;
-    stats_.cold_fallbacks = lp_solver.coldFallbacks();
+    stats_.cold_fallbacks = lp_solver_.coldFallbacks() - fallbacks_before;
     stats_.stop = hit_time_limit   ? SearchStop::WallClock
                   : hit_work_limit ? SearchStop::WorkBudget
                   : hit_node_limit ? SearchStop::NodeLimit
@@ -339,10 +362,10 @@ MilpSolver::solve(const LinearProgram& lp, const RootHint& root_hint,
         double dual = incumbent;
         if (search_limited) {
             dual = best_dual;
-            if (!open.empty())
-                dual = std::min(best_dual, open.top().parent_bound);
-        } else if (!open.empty()) {
-            dual = std::max(incumbent, open.top().parent_bound);
+            if (!open_.empty())
+                dual = std::min(best_dual, open_.front().parent_bound);
+        } else if (!open_.empty()) {
+            dual = std::max(incumbent, open_.front().parent_bound);
         }
         if (lp_capped)
             dual = std::max(dual, std::min(best_dual, capped_bound));

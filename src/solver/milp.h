@@ -21,6 +21,11 @@
  * root-hint callback: it sees the root relaxation once and proposes an
  * incumbent built from it, so one LP solve serves both the hint and
  * the root bound.
+ *
+ * A solver keeps its LP solver, node storage and result between
+ * solve() calls: a caller that solves one related program after
+ * another (the allocator, once per decision) allocates nothing once
+ * they have grown to the largest search seen.
  */
 
 #ifndef PROTEUS_SOLVER_MILP_H_
@@ -72,7 +77,8 @@ class MilpSolver
     /**
      * Instrumentation of the most recent solve() call, feeding the
      * observability layer's solver spans (DESIGN.md,
-     * "Observability"): where a slow solve spent its effort.
+     * "Observability"): where a slow solve spent its effort. Every
+     * field covers that call alone.
      */
     struct Stats {
         /** Branch-and-bound nodes expanded. */
@@ -98,19 +104,22 @@ class MilpSolver
         double wall_seconds = 0.0;
     };
 
-    MilpSolver() : options_() {}
+    MilpSolver() : MilpSolver(Options{}) {}
 
-    explicit MilpSolver(const Options& options) : options_(options) {}
+    explicit MilpSolver(const Options& options)
+        : options_(options), lp_solver_(options.lp)
+    {}
 
     /** @return instrumentation of the most recent solve(). */
     const Stats& lastStats() const { return stats_; }
 
     /**
      * Warm-start callback: receives the root relaxation's solution and
-     * returns a candidate incumbent, or an empty vector for none.
+     * writes a candidate incumbent into the (empty) @c hint, or leaves
+     * it empty for none.
      */
-    using RootHint =
-        std::function<std::vector<double>(const std::vector<double>&)>;
+    using RootHint = std::function<void(const std::vector<double>& root_x,
+                                        std::vector<double>* hint)>;
 
     /**
      * Solve @p lp to proven optimality (within the configured gap)
@@ -130,15 +139,46 @@ class MilpSolver
      *
      * Solution::work reports branch-and-bound nodes; Solution::bound
      * reports the best proven dual bound in the model's sense;
-     * Solution::basis is the root relaxation's final basis.
+     * Solution::basis is the root relaxation's final basis. The result
+     * is valid until the next solve() (copy it to keep it).
      */
-    Solution solve(const LinearProgram& lp,
-                   const RootHint& root_hint = nullptr,
-                   const Basis* root_basis = nullptr);
+    const Solution& solve(const LinearProgram& lp,
+                          const RootHint& root_hint = nullptr,
+                          const Basis* root_basis = nullptr);
 
   private:
+    using Bounds = std::vector<std::pair<double, double>>;
+
+    /** An open node of the tree; its bounds and basis are in slots_. */
+    struct Node {
+        double parent_bound;  ///< LP bound inherited from the parent
+        int depth;
+        int slot;
+    };
+    /** A node's bounds and the basis it starts from (empty: none). */
+    struct Slot {
+        Bounds bounds;
+        Basis basis;
+    };
+
+    /** @return a free slot. */
+    int takeSlot();
+
     Options options_;
     Stats stats_;
+    SimplexSolver lp_solver_;
+    Solution best_;
+    /** Open nodes, a heap with the most promising node on top. */
+    std::vector<Node> open_;
+    std::vector<Slot> slots_;
+    std::vector<int> free_slots_;
+    // Heuristic and hint scratch.
+    std::vector<double> relax_x_;
+    std::vector<double> hint_;
+    Bounds fixed_bounds_;
+    Bounds dive_bounds_;
+    std::vector<double> dive_x_;
+    Basis dive_basis_;
 };
 
 }  // namespace proteus

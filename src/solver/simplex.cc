@@ -32,7 +32,7 @@ class SimplexSolver::Engine
               const Options& options);
 
     /** Two-phase primal simplex from the slack basis. */
-    Solution solveCold();
+    void solveCold(Solution* out);
 
     /**
      * Dual simplex from @p start. @return false, with nothing solved,
@@ -89,7 +89,7 @@ class SimplexSolver::Engine
     void checkInvariants(const char* where, bool primal_feasible) const;
     void checkFactor() const;
     void extract(Solution* out) const;
-    Basis basis() const;
+    void basis(Basis* out) const;
 
     const LinearProgram* lp_ = nullptr;
     const Options* opt_ = nullptr;
@@ -138,6 +138,15 @@ class SimplexSolver::Engine
     std::vector<char> in_prow_;
     std::vector<int> prow_nz_;    ///< columns set in prow_
     std::vector<double> work_;    ///< scratch of length m
+
+    // Scratch of reinvert(), refresh(), buildInitialBasis() and
+    // solveWarm(), kept so a solve allocates nothing once warm.
+    std::vector<int> basic_;
+    std::vector<std::pair<int, int>> by_fill_;  ///< (fill, position)
+    std::vector<int> dropped_;
+    std::vector<double> slack_val_;
+    std::vector<double> slack_start_;
+    std::vector<char> has_artif_;
 
     std::int64_t iters_ = 0;
 };
@@ -372,11 +381,16 @@ SimplexSolver::Engine::reinvert(const std::vector<int>& basic)
     for (int j : basic)
         pos_[j] = -1;
 
-    std::vector<int> structural;
-    std::vector<int> dropped;
-    for (int j : basic) {
+    // Structural columns go in sparsest first, which keeps the eta
+    // file short; ties keep their order in basic. Sorting (fill,
+    // position) pairs makes that stable without a temporary buffer.
+    std::vector<int>& dropped = dropped_;
+    dropped.clear();
+    by_fill_.clear();
+    for (std::size_t k = 0; k < basic.size(); ++k) {
+        const int j = basic[k];
         if (j < n_) {
-            structural.push_back(j);
+            by_fill_.emplace_back(cend_[j] - cbeg_[j], static_cast<int>(k));
             continue;
         }
         // Slack or artificial: a signed unit column on its own row.
@@ -391,12 +405,9 @@ SimplexSolver::Engine::reinvert(const std::vector<int>& basic)
         if (art && art_sign_[j - n_ - m_] < 0.0)
             neg_rows_.push_back(row);
     }
-    // Sparsest columns first keeps the eta file short.
-    std::stable_sort(structural.begin(), structural.end(),
-                     [&](int a, int b) {
-                         return cend_[a] - cbeg_[a] < cend_[b] - cbeg_[b];
-                     });
-    for (int j : structural) {
+    std::sort(by_fill_.begin(), by_fill_.end());
+    for (const auto& fill_at : by_fill_) {
+        const int j = basic[fill_at.second];
         ftranColumn(j);
         int r = -1;
         double best = kReinvertPivotTol;
@@ -432,8 +443,8 @@ SimplexSolver::Engine::reinvert(const std::vector<int>& basic)
 void
 SimplexSolver::Engine::refresh()
 {
-    std::vector<int> basic(head_.begin(), head_.end());
-    reinvert(basic);
+    basic_.assign(head_.begin(), head_.end());
+    reinvert(basic_);
     computeXb();
     computeDuals();
 }
@@ -551,8 +562,10 @@ SimplexSolver::Engine::buildInitialBasis()
         PROTEUS_ASSERT(std::isfinite(lo_[j]),
                        "structural variables need finite lower bounds");
     }
-    std::vector<double> slack_val(m_);
-    std::vector<double> slack_start(m_);
+    std::vector<double>& slack_val = slack_val_;
+    std::vector<double>& slack_start = slack_start_;
+    slack_val.resize(m_);
+    slack_start.resize(m_);
     for (int i = 0; i < m_; ++i) {
         double ax = 0.0;
         for (const auto& [col, coef] : lp_->row(i).coeffs)
@@ -584,8 +597,10 @@ SimplexSolver::Engine::buildInitialBasis()
 
     // One column per row: the slack where feasible, else the
     // artificial, whose value is the residual made positive by its sign.
-    std::vector<int> basic;
-    std::vector<char> has_artif(m_, 0);
+    std::vector<int>& basic = basic_;
+    std::vector<char>& has_artif = has_artif_;
+    basic.clear();
+    has_artif.assign(m_, 0);
     for (int k = 0; k < n_art; ++k)
         has_artif[art_row_[k]] = 1;
     for (int i = 0; i < m_; ++i) {
@@ -935,25 +950,23 @@ SimplexSolver::Engine::extract(Solution* out) const
             out->x[j] = 0.0;  // numerical dust
     }
     out->objective = lp_->objectiveValue(out->x);
-    out->basis = basis();
+    basis(&out->basis);
 }
 
-Basis
-SimplexSolver::Engine::basis() const
+void
+SimplexSolver::Engine::basis(Basis* out) const
 {
-    Basis b(static_cast<std::size_t>(n_ + m_));
+    out->resize(static_cast<std::size_t>(n_ + m_));
     for (int j = 0; j < n_ + m_; ++j) {
-        b[j] = pos_[j] >= 0 ? BasisStatus::Basic
-               : at_upper_[j] ? BasisStatus::AtUpper
-                              : BasisStatus::AtLower;
+        (*out)[j] = pos_[j] >= 0 ? BasisStatus::Basic
+                    : at_upper_[j] ? BasisStatus::AtUpper
+                                   : BasisStatus::AtLower;
     }
-    return b;
 }
 
-Solution
-SimplexSolver::Engine::solveCold()
+void
+SimplexSolver::Engine::solveCold(Solution* out)
 {
-    Solution out;
     buildInitialBasis();
     const int n_art = nt_ - n_ - m_;
     if (n_art > 0) {
@@ -962,17 +975,17 @@ SimplexSolver::Engine::solveCold()
         for (int j = n_ + m_; j < nt_; ++j)
             cost_[j] = -1.0;
         const SolveStatus s1 = primalOptimize();
-        out.work = iters_;
+        out->work = iters_;
         if (s1 == SolveStatus::IterLimit) {
-            out.status = SolveStatus::IterLimit;
-            return out;
+            out->status = SolveStatus::IterLimit;
+            return;
         }
         double infeas = 0.0;
         for (int j = n_ + m_; j < nt_; ++j)
             infeas += pos_[j] >= 0 ? xb_[pos_[j]] : value(j);
         if (infeas > 1e-6) {
-            out.status = SolveStatus::Infeasible;
-            return out;
+            out->status = SolveStatus::Infeasible;
+            return;
         }
         // Freeze the artificials at zero for phase 2.
         for (int j = n_ + m_; j < nt_; ++j) {
@@ -983,11 +996,10 @@ SimplexSolver::Engine::solveCold()
         }
     }
     cost_ = cost2_;
-    out.status = primalOptimize();
-    out.work = iters_;
-    if (out.status == SolveStatus::Optimal)
-        extract(&out);
-    return out;
+    out->status = primalOptimize();
+    out->work = iters_;
+    if (out->status == SolveStatus::Optimal)
+        extract(out);
 }
 
 bool
@@ -995,17 +1007,17 @@ SimplexSolver::Engine::solveWarm(const Basis& start, Solution* out)
 {
     resetColumns();
     cost_ = cost2_;
-    std::vector<int> basic;
+    basic_.clear();
     for (int j = 0; j < nt_; ++j) {
         if (start[j] == BasisStatus::Basic) {
-            basic.push_back(j);
+            basic_.push_back(j);
             continue;
         }
         at_upper_[j] = !std::isfinite(lo_[j]) ||
                        (start[j] == BasisStatus::AtUpper &&
                         std::isfinite(hi_[j]) && !isFixed(j));
     }
-    reinvert(basic);
+    reinvert(basic_);
     computeDuals();
 
     // Each boxed column goes to the bound its reduced cost wants; an
@@ -1049,7 +1061,7 @@ SimplexSolver::Engine::solveWarm(const Basis& start, Solution* out)
     if (s == SolveStatus::Optimal)
         extract(out);
     else if (s == SolveStatus::Infeasible)
-        out->basis = basis();
+        basis(&out->basis);
     return true;
 }
 
@@ -1061,20 +1073,21 @@ SimplexSolver::SimplexSolver(const Options& options)
 
 SimplexSolver::~SimplexSolver() = default;
 
-Solution
+const Solution&
 SimplexSolver::solve(const LinearProgram& lp, const Bounds* bound_override,
                      const Basis* start)
 {
+    Solution& out = result_;
+    PROTEUS_ASSERT(start != &out.basis,
+                   "a warm start may not be the solver's own result");
+    out.clear();
     if (bound_override) {
         PROTEUS_ASSERT(static_cast<int>(bound_override->size()) ==
                            lp.numVariables(),
                        "bound override size mismatch");
         for (const auto& [lo, hi] : *bound_override) {
-            if (lo > hi + 1e-12) {
-                Solution out;
-                out.status = SolveStatus::Infeasible;
+            if (lo > hi + 1e-12)
                 return out;
-            }
         }
     }
     Engine& e = *engine_;
@@ -1082,13 +1095,13 @@ SimplexSolver::solve(const LinearProgram& lp, const Bounds* bound_override,
         static_cast<std::size_t>(lp.numVariables() + lp.numConstraints());
     if (start && start->size() == cols) {
         e.load(lp, bound_override, options_);
-        Solution out;
         if (e.solveWarm(*start, &out))
             return out;
         ++cold_fallbacks_;
     }
     e.load(lp, bound_override, options_);
-    return e.solveCold();
+    e.solveCold(&out);
+    return out;
 }
 
 }  // namespace proteus

@@ -35,6 +35,10 @@
  *
  * Every optimal (and every dual-proven infeasible) solve returns its
  * final basis in Solution::basis.
+ *
+ * A solver keeps its matrix copies, work arrays and result between
+ * solves, so once they have grown to the largest problem it has seen,
+ * a solve allocates nothing.
  */
 
 #ifndef PROTEUS_SOLVER_SIMPLEX_H_
@@ -84,12 +88,15 @@ class SimplexSolver
      *        model bounds — used by branch & bound. Must have size
      *        lp.numVariables() when provided.
      * @param start optional starting basis (see Basis); empty or null
-     *        solves cold. A basis of the wrong size is ignored.
+     *        solves cold. A basis of the wrong size is ignored. It may
+     *        not be the basis of this solver's own result.
+     * @return the result, valid until the next solve() (copy it to
+     *         keep it).
      */
-    Solution solve(const LinearProgram& lp,
-                   const std::vector<std::pair<double, double>>*
-                       bound_override = nullptr,
-                   const Basis* start = nullptr);
+    const Solution& solve(const LinearProgram& lp,
+                          const std::vector<std::pair<double, double>>*
+                              bound_override = nullptr,
+                          const Basis* start = nullptr);
 
     /**
      * Warm solves that fell back to the cold path since construction:
@@ -105,6 +112,8 @@ class SimplexSolver
     std::int64_t cold_fallbacks_ = 0;
     /** Matrix copies and work arrays, reused from solve to solve. */
     std::unique_ptr<Engine> engine_;
+    /** The last solve's result; its vectors keep their storage. */
+    Solution result_;
 };
 
 }  // namespace proteus

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "baselines/clipper.h"
@@ -157,6 +158,93 @@ TEST(IlpAllocatorTest, BackoffReSolvesStartFromThePreviousBasis)
     Allocation ref = fresh.allocate(in);
     EXPECT_EQ(fresh.lastSolveMeta().backoff_steps, meta.backoff_steps);
     EXPECT_EQ(plan.planned_fraction, ref.planned_fraction);
+}
+
+/** Every field of two plans, compared with ==. */
+void
+expectSamePlan(const Allocation& got, const Allocation& want)
+{
+    EXPECT_EQ(got.hosting, want.hosting);
+    ASSERT_EQ(got.routing.size(), want.routing.size());
+    for (std::size_t f = 0; f < got.routing.size(); ++f) {
+        ASSERT_EQ(got.routing[f].size(), want.routing[f].size());
+        for (std::size_t i = 0; i < got.routing[f].size(); ++i) {
+            EXPECT_EQ(got.routing[f][i].device, want.routing[f][i].device);
+            EXPECT_EQ(got.routing[f][i].weight, want.routing[f][i].weight);
+        }
+    }
+    EXPECT_EQ(got.planned_fraction, want.planned_fraction);
+    EXPECT_EQ(got.expected_accuracy, want.expected_accuracy);
+    EXPECT_EQ(got.planned_qps, want.planned_qps);
+    EXPECT_EQ(got.family_capacity, want.family_capacity);
+    EXPECT_EQ(got.planned_demand, want.planned_demand);
+}
+
+TEST(IlpAllocatorTest, PersistentWorkspaceMatchesAFreshAllocator)
+{
+    // One allocator keeps its decision workspace across a sequence that
+    // shrinks and regrows the LP; before each step a copy (same options
+    // and carried root basis, empty workspace) decides too. Plans and
+    // solver counts must be equal at every step, so no buffer carries
+    // state from one decision into the next.
+    World w = miniWorld(4, 2, 2);
+    const std::size_t D = w.cluster.numDevices();
+    struct Step {
+        std::vector<double> demand;
+        std::vector<char> down;
+        bool feed_current;
+    };
+    std::vector<char> v100s_down(D, 0);
+    v100s_down[6] = v100s_down[7] = 1;
+    std::vector<char> cpu_down(D, 0);
+    cpu_down[1] = 1;
+    const std::vector<Step> steps = {
+        {demandOf(w, {120.0, 80.0, 60.0}), {}, false},
+        {demandOf(w, {150.0, 60.0, 90.0}), {}, true},
+        {demandOf(w, {150.0, 60.0, 90.0}), v100s_down, true},  // type gone
+        {demandOf(w, {90.0, 110.0, 40.0}), cpu_down, true},
+        {demandOf(w, {90.0, 110.0, 40.0}), {}, true},  // devices back
+        {demandOf(w, {100.0, 0.0, 70.0}), {}, true},   // family gone
+        {demandOf(w, {100.0, 50.0, 70.0}), {}, true},  // and back
+        {demandOf(w, {4000.0, 3000.0, 3000.0}), {}, true},  // backoff
+        {demandOf(w, {60.0, 60.0, 60.0}), {}, false},  // no keep columns
+        {demandOf(w, {80.0, 40.0, 60.0}), {}, true},   // keep columns back
+        {demandOf(w, {0.0, 0.0, 0.0}), {}, true},
+        {demandOf(w, {120.0, 80.0, 60.0}), cpu_down, true},
+    };
+
+    IlpAllocator persistent(&w.registry, &w.cluster, w.profiles.get());
+    Allocation current;
+    int backoffs = 0;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        SCOPED_TRACE("step " + std::to_string(i));
+        AllocationInput in;
+        in.demand_qps = steps[i].demand;
+        in.device_down = steps[i].down;
+        if (steps[i].feed_current)
+            in.current = &current;
+        IlpAllocator fresh(persistent);
+        Allocation got = persistent.allocate(in);
+        const Allocation want = fresh.allocate(in);
+        expectSamePlan(got, want);
+        const AllocatorSolveMeta g = persistent.lastSolveMeta();
+        const AllocatorSolveMeta f = fresh.lastSolveMeta();
+        EXPECT_EQ(g.nodes, f.nodes);
+        EXPECT_EQ(g.simplex_iterations, f.simplex_iterations);
+        EXPECT_EQ(g.gap, f.gap);
+        EXPECT_EQ(g.backoff_steps, f.backoff_steps);
+        EXPECT_EQ(g.stop, f.stop);
+        EXPECT_EQ(g.warm_root, f.warm_root);
+        EXPECT_EQ(g.cold_fallbacks, f.cold_fallbacks);
+        for (DeviceId d = 0; d < D; ++d) {
+            if (in.isDown(d)) {
+                EXPECT_FALSE(got.hosting[d].has_value()) << "device " << d;
+            }
+        }
+        backoffs += g.backoff_steps > 0 ? 1 : 0;
+        current = std::move(got);
+    }
+    EXPECT_EQ(backoffs, 1);
 }
 
 TEST(IlpAllocatorTest, ZeroDemandHostsNothing)

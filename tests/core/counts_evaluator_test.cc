@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,9 +30,11 @@ improves(const CountsEval& moved, const CountsEval& base)
  * allocator's rule, applied to fresh evaluations of the counts before
  * and after the move, says the move improves; after every step the
  * counts must be the moved ones exactly when it accepted, and the
- * score must equal (==) a from-scratch evaluation. The plan restarts
- * from random counts every 60 steps, so both sides of the
- * feasibility test keep coming up.
+ * score must equal (==) a from-scratch evaluation. The one evaluator
+ * is re-seeded with random counts every 60 steps, as the allocator
+ * re-seeds its evaluator every decision, so both sides of the
+ * feasibility test keep coming up and no memo entry may outlive a
+ * reset().
  */
 void
 randomMovesMatchFromScratch(bool keep_bonuses, std::uint64_t seed)
@@ -49,36 +50,31 @@ randomMovesMatchFromScratch(bool keep_bonuses, std::uint64_t seed)
         // Some families without demand, like a backed-off plan.
         demand[f] = rng.uniform() < 0.2 ? 0.0 : rng.uniform(5.0, 120.0);
     }
-    std::vector<std::vector<int>> cur(T, std::vector<int>(M, 0));
-    std::vector<std::vector<double>> bonus(T, std::vector<double>(M, 0.0));
-    for (std::size_t t = 0; t < T; ++t) {
-        for (std::size_t m = 0; m < M; ++m) {
-            if (rng.uniform() < 0.15)
-                cur[t][m] = static_cast<int>(rng.uniformInt(1, 3));
-            if (cur[t][m] > 0 && rng.uniform() < 0.8)
-                bonus[t][m] = rng.uniform(1.0, 300.0);
-        }
+    std::vector<int> cur(T * M, 0);
+    std::vector<double> bonus(T * M, 0.0);
+    for (std::size_t k = 0; k < T * M; ++k) {
+        if (rng.uniform() < 0.15)
+            cur[k] = static_cast<int>(rng.uniformInt(1, 3));
+        if (cur[k] > 0 && rng.uniform() < 0.8)
+            bonus[k] = rng.uniform(1.0, 300.0);
     }
     auto randomCounts = [&] {
-        std::vector<std::vector<int>> count(T, std::vector<int>(M, 0));
-        for (auto& row : count) {
-            for (int& c : row) {
-                if (rng.uniform() < 0.2)
-                    c = static_cast<int>(rng.uniformInt(1, 2));
-            }
+        std::vector<int> count(T * M, 0);
+        for (int& c : count) {
+            if (rng.uniform() < 0.2)
+                c = static_cast<int>(rng.uniformInt(1, 2));
         }
         return count;
     };
 
-    CountsContext ctx;
-    ctx.registry = &w.registry;
-    ctx.profiles = w.profiles.get();
-    ctx.replica_penalty = 1e-4;
-    ctx.by_acc_desc = &by_acc;
-    if (keep_bonuses) {
-        ctx.keep_bonus = &bonus;
-        ctx.cur_counts = &cur;
-    }
+    const CountsContext ctx{&w.registry, w.profiles.get(), T, 1e-4,
+                            &by_acc};
+    auto fresh = [&](const std::vector<int>& count) {
+        CountsEvaluator ev(ctx);
+        ev.reset(count, demand, keep_bonuses ? &bonus : nullptr,
+                 keep_bonuses ? &cur : nullptr);
+        return ev;
+    };
 
     auto pick = [&](std::size_t n) {
         return static_cast<std::size_t>(
@@ -86,45 +82,48 @@ randomMovesMatchFromScratch(bool keep_bonuses, std::uint64_t seed)
     };
     // [base feasible][accepted]: how often each outcome came up.
     int outcomes[2][2] = {{0, 0}, {0, 0}};
-    std::optional<CountsEvaluator> ev;
+    CountsEvaluator ev(ctx);
     for (int step = 0; step < 1500; ++step) {
-        if (step % 60 == 0)
-            ev.emplace(ctx, randomCounts(), demand);
+        if (step % 60 == 0) {
+            ev.reset(randomCounts(), demand,
+                     keep_bonuses ? &bonus : nullptr,
+                     keep_bonuses ? &cur : nullptr);
+        }
         const std::size_t t = pick(T);
         const std::size_t dst = pick(M);
         std::vector<std::size_t> sources;
         for (std::size_t m = 0; m < M; ++m) {
-            if (m != dst && ev->count()[t][m] > 0)
+            if (m != dst && ev.count()[t * M + m] > 0)
                 sources.push_back(m);
         }
         const std::size_t src = sources.empty() || rng.uniform() < 0.3
                                     ? CountsEvaluator::kIdle
                                     : sources[pick(sources.size())];
 
-        const auto before = ev->count();
+        const auto before = ev.count();
         auto moved = before;
-        ++moved[t][dst];
+        ++moved[t * M + dst];
         if (src != CountsEvaluator::kIdle)
-            --moved[t][src];
-        const CountsEvaluator fresh_before(ctx, before, demand);
-        const CountsEvaluator fresh_moved(ctx, moved, demand);
-        ASSERT_EQ(ev->eval().feasible, fresh_before.eval().feasible)
+            --moved[t * M + src];
+        const CountsEvaluator fresh_before = fresh(before);
+        const CountsEvaluator fresh_moved = fresh(moved);
+        ASSERT_EQ(ev.eval().feasible, fresh_before.eval().feasible)
             << "step " << step;
-        ASSERT_EQ(ev->eval().objective, fresh_before.eval().objective)
+        ASSERT_EQ(ev.eval().objective, fresh_before.eval().objective)
             << "step " << step;
 
         const bool want =
             improves(fresh_moved.eval(), fresh_before.eval());
-        const bool accepted = ev->improve(t, src, dst);
+        const bool accepted = ev.improve(t, src, dst);
         ASSERT_EQ(accepted, want) << "step " << step;
         ++outcomes[fresh_before.eval().feasible ? 1 : 0][accepted ? 1 : 0];
 
         const CountsEvaluator& expected =
             accepted ? fresh_moved : fresh_before;
-        ASSERT_EQ(ev->count(), expected.count()) << "step " << step;
-        ASSERT_EQ(ev->eval().feasible, expected.eval().feasible)
+        ASSERT_EQ(ev.count(), expected.count()) << "step " << step;
+        ASSERT_EQ(ev.eval().feasible, expected.eval().feasible)
             << "step " << step;
-        ASSERT_EQ(ev->eval().objective, expected.eval().objective)
+        ASSERT_EQ(ev.eval().objective, expected.eval().objective)
             << "step " << step;
     }
     // The walk must accept and reject moves on both sides of the
@@ -154,20 +153,18 @@ TEST(CountsEvaluatorTest, RejectedMoveLeavesCountsAndScore)
 {
     World w = paperWorld();
     const auto by_acc = variantsByAccuracyDesc(w.registry);
-    CountsContext ctx;
-    ctx.registry = &w.registry;
-    ctx.profiles = w.profiles.get();
-    ctx.replica_penalty = 1e-4;
-    ctx.by_acc_desc = &by_acc;
+    const CountsContext ctx{&w.registry, w.profiles.get(),
+                            w.cluster.numTypes(), 1e-4, &by_acc};
     std::vector<double> demand(w.registry.numFamilies(), 30.0);
-    std::vector<std::vector<int>> count(
-        w.cluster.numTypes(),
-        std::vector<int>(w.registry.numVariants(), 0));
-    count[0][0] = 2;
-    const CountsEval before = CountsEvaluator(ctx, count, demand).eval();
+    std::vector<int> count(
+        w.cluster.numTypes() * w.registry.numVariants(), 0);
+    count[0] = 2;
+    CountsEvaluator ev(ctx);
+    ev.reset(count, demand);
+    const CountsEval before = ev.eval();
     int rejected = 0;
     for (std::size_t dst = 1; dst < w.registry.numVariants(); ++dst) {
-        CountsEvaluator ev(ctx, count, demand);
+        ev.reset(count, demand);
         if (ev.improve(0, 0, dst))
             continue;
         ++rejected;

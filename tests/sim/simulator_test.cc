@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace proteus {
@@ -77,6 +78,61 @@ TEST(SimulatorTest, RunUntilStopsClock)
     // Remaining event still fires if we keep running.
     sim.run();
     EXPECT_EQ(count, 2);
+}
+
+TEST(SimulatorTest, RunUntilBeforeNowLeavesTheClock)
+{
+    Simulator sim;
+    int count = 0;
+    sim.scheduleAt(seconds(300.0), [&] { ++count; });
+    sim.run(seconds(200.0));
+    EXPECT_EQ(sim.now(), seconds(200.0));
+    // With an event pending, and with none: the clock never goes back.
+    sim.run(seconds(50.0));
+    EXPECT_EQ(sim.now(), seconds(200.0));
+    EXPECT_EQ(count, 0);
+    sim.run();
+    EXPECT_EQ(count, 1);
+    EXPECT_EQ(sim.now(), seconds(300.0));
+    sim.run(seconds(100.0));
+    EXPECT_EQ(sim.now(), seconds(300.0));
+}
+
+TEST(SimulatorTest, SameInstantEventsKeepFifoOrderWithHeapEvents)
+{
+    // Events scheduled at the current instant wait in a FIFO beside the
+    // heap; the merged order must be (time, scheduling order) anyway,
+    // with cancelled entries of either queue skipped.
+    Simulator sim;
+    std::vector<std::string> order;
+    auto log = [&order](const char* name) {
+        return [&order, name] { order.emplace_back(name); };
+    };
+    sim.scheduleAfter(0, log("s0"));
+    EventId h3 = kNoEvent;
+    sim.scheduleAt(seconds(1.0), [&] {
+        order.emplace_back("h1");
+        sim.scheduleAfter(0, [&] {
+            order.emplace_back("z1");
+            sim.scheduleAfter(0, log("z4"));
+        });
+        const EventId z2 = sim.scheduleAt(sim.now(), log("z2"));
+        sim.scheduleAfter(0, log("z3"));
+        EXPECT_TRUE(sim.cancel(z2));
+        EXPECT_TRUE(sim.cancel(h3));
+    });
+    sim.scheduleAt(seconds(1.0), log("h2"));
+    h3 = sim.scheduleAt(seconds(1.0), log("h3"));
+    sim.scheduleAt(seconds(2.0), log("h4"));
+
+    sim.run(seconds(1.0));
+    EXPECT_EQ(order, (std::vector<std::string>{"s0", "h1", "h2", "z1",
+                                               "z3", "z4"}));
+    EXPECT_EQ(sim.now(), seconds(1.0));
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    EXPECT_EQ(sim.eventsExecuted(), 6u);
+    sim.run();
+    EXPECT_EQ(order.back(), "h4");
 }
 
 TEST(SimulatorTest, PeriodicTaskRepeatsUntilCancelled)

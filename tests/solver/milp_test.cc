@@ -180,11 +180,11 @@ TEST(MilpTest, RootHintRunsOnceOnTheRootRelaxation)
     int calls = 0;
     std::vector<double> seen;
     MilpSolver solver;
-    Solution sol = solver.solve(lp, [&](const std::vector<double>& x) {
-        ++calls;
-        seen = x;
-        return std::vector<double>{};
-    });
+    Solution sol = solver.solve(
+        lp, [&](const std::vector<double>& x, std::vector<double>*) {
+            ++calls;
+            seen = x;
+        });
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(seen, root.x);
     EXPECT_GT(solver.lastStats().nodes, 1);
@@ -203,9 +203,10 @@ TEST(MilpTest, IntegralRootHintWithinGapEndsAtTheRoot)
     MilpSolver::Options opts;
     opts.gap_tol = 0.05;  // 6700 is within 2% of the 6833.3 LP bound
     MilpSolver solver(opts);
-    Solution sol = solver.solve(lp, [](const std::vector<double>&) {
-        return std::vector<double>{1.0, 2.0, 30.0, 40.0};
-    });
+    Solution sol = solver.solve(
+        lp, [](const std::vector<double>&, std::vector<double>* hint) {
+            *hint = {1.0, 2.0, 30.0, 40.0};
+        });
     EXPECT_EQ(sol.status, SolveStatus::Optimal);
     EXPECT_EQ(sol.x, (std::vector<double>{1.0, 2.0, 30.0, 40.0}));
     EXPECT_EQ(sol.objective, 6700.0);
@@ -228,9 +229,10 @@ TEST(MilpTest, FractionalOrInfeasibleRootHintIsIgnored)
     };
     for (const auto& candidate : rejected) {
         MilpSolver solver(opts);
-        Solution sol = solver.solve(lp, [&](const std::vector<double>&) {
-            return candidate;
-        });
+        Solution sol = solver.solve(
+            lp, [&](const std::vector<double>&, std::vector<double>* hint) {
+                *hint = candidate;
+            });
         EXPECT_EQ(sol.status, ref.status);
         EXPECT_EQ(sol.x, ref.x);
         EXPECT_EQ(solver.lastStats().nodes, plain.lastStats().nodes);
@@ -248,10 +250,11 @@ TEST(MilpTest, RootHintSkippedWhenRootLpInfeasible)
     int y = lp.addIntVariable(0.0, 1.0, 1.0);
     lp.addConstraint({{x, 1.0}, {y, 1.0}}, RowSense::GreaterEqual, 5.0);
     bool called = false;
-    Solution sol = MilpSolver().solve(lp, [&](const std::vector<double>&) {
-        called = true;
-        return std::vector<double>{1.0, 1.0};
-    });
+    Solution sol = MilpSolver().solve(
+        lp, [&](const std::vector<double>&, std::vector<double>* hint) {
+            called = true;
+            *hint = {1.0, 1.0};
+        });
     EXPECT_FALSE(called);
     EXPECT_EQ(sol.status, SolveStatus::Infeasible);
 }
@@ -379,8 +382,8 @@ TEST(MilpTest, ChildRelaxationAtIterationCapKeepsItsParentBound)
     MilpSolver::Options opts;
     opts.lp.max_iters = 1;
     MilpSolver solver(opts);
-    auto hint = [](const std::vector<double>&) {
-        return std::vector<double>{2.0, 1.0};  // objective 3
+    auto hint = [](const std::vector<double>&, std::vector<double>* h) {
+        *h = {2.0, 1.0};  // objective 3
     };
     Solution sol = solver.solve(lp, hint, &root.basis);
     EXPECT_TRUE(solver.lastStats().warm_root);
@@ -435,6 +438,65 @@ TEST(MilpTest, RootBasisWarmStartsARelatedSolve)
     EXPECT_EQ(warm.lastStats().cold_fallbacks, 0);
     ASSERT_EQ(sw.status, SolveStatus::Optimal);
     EXPECT_NEAR(sw.objective, sc.objective, 1e-9);
+}
+
+/** Everything a solve reports but its wall time, compared with ==. */
+void
+expectSameSolve(const Solution& got, const MilpSolver& got_solver,
+                const Solution& want, const MilpSolver& want_solver)
+{
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.objective, want.objective);
+    EXPECT_EQ(got.x, want.x);
+    EXPECT_EQ(got.bound, want.bound);
+    EXPECT_EQ(got.work, want.work);
+    EXPECT_EQ(got.basis, want.basis);
+    const MilpSolver::Stats& g = got_solver.lastStats();
+    const MilpSolver::Stats& w = want_solver.lastStats();
+    EXPECT_EQ(g.nodes, w.nodes);
+    EXPECT_EQ(g.lp_solves, w.lp_solves);
+    EXPECT_EQ(g.simplex_iterations, w.simplex_iterations);
+    EXPECT_EQ(g.incumbents, w.incumbents);
+    EXPECT_EQ(g.gap, w.gap);
+    EXPECT_EQ(g.stop, w.stop);
+    EXPECT_EQ(g.warm_root, w.warm_root);
+    EXPECT_EQ(g.cold_fallbacks, w.cold_fallbacks);
+}
+
+TEST(MilpTest, ReusedSolverMatchesAFreshOne)
+{
+    // A solver keeps its LP solver, node pools and result between
+    // solves. Solving A, then a smaller B, then A again (warm from its
+    // first root basis, with a hint) must give each time what a fresh
+    // solver gives, field by field.
+    LinearProgram a = branchyKnapsack();
+    std::vector<std::pair<int, double>> row;
+    for (int j = 0; j < a.numVariables(); ++j)
+        row.emplace_back(j, j % 2 == 0 ? 1.0 : 0.5);
+    a.addConstraint(row, RowSense::LessEqual, 2.6);
+    const LinearProgram b = allocationShaped();
+    ASSERT_LT(b.numVariables() + b.numConstraints(),
+              a.numVariables() + a.numConstraints());
+    auto hint = [](const std::vector<double>& x, std::vector<double>* h) {
+        for (double v : x)
+            h->push_back(std::floor(v));
+    };
+
+    MilpSolver reused;
+    const Solution first = reused.solve(a);
+    MilpSolver fresh_a;
+    expectSameSolve(first, reused, fresh_a.solve(a), fresh_a);
+    EXPECT_GT(reused.lastStats().nodes, 1);
+
+    const Solution second = reused.solve(b);
+    MilpSolver fresh_b;
+    expectSameSolve(second, reused, fresh_b.solve(b), fresh_b);
+
+    const Solution third = reused.solve(a, hint, &first.basis);
+    MilpSolver fresh_warm;
+    expectSameSolve(third, reused, fresh_warm.solve(a, hint, &first.basis),
+                    fresh_warm);
+    EXPECT_TRUE(reused.lastStats().warm_root);
 }
 
 }  // namespace

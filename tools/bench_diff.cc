@@ -13,8 +13,11 @@
  * A metric regresses when it moves in its bad direction by more than
  * `abs + rel * |baseline|`. Directions are metric-specific (higher
  * throughput is better, lower violation ratio is better; neutral
- * metrics such as demand_qps use a symmetric band). Reports with
- * different schema versions or bench names refuse to compare.
+ * metrics such as demand_qps use a symmetric band). Allocation counts
+ * (`allocs_per_*`) do not depend on machine load, so their band is
+ * `abs` alone: one more allocation per decision fails the gate.
+ * Reports with different schema versions or bench names refuse to
+ * compare.
  *
  * --stats switches to confidence-interval gating for multi-seed
  * aggregate reports (proteus_sweep): a metric with a sibling
@@ -62,6 +65,7 @@ directionOf(const std::string& metric)
         {"events_per_sec", Direction::HigherBetter},
         {"slo_violation_ratio", Direction::LowerBetter},
         {"allocs_per_query", Direction::LowerBetter},
+        {"allocs_per_decision", Direction::LowerBetter},
         {"trace_overhead_frac", Direction::LowerBetter},
         {"served_late", Direction::LowerBetter},
         {"failed_jobs", Direction::LowerBetter},
@@ -83,6 +87,13 @@ struct Tolerances {
     double abs = 0.01;
     bool stats = false;  ///< CI-overlap gating where _ci95 data exists
 };
+
+/** Exact counts get no relative band (see the file comment). */
+bool
+isExactCount(const std::string& metric)
+{
+    return metric.rfind("allocs_per_", 0) == 0;
+}
 
 /** CI-metadata suffix emitted by proteus_sweep's aggregation pass. */
 const std::string kCiSuffix = "_ci95";
@@ -213,7 +224,9 @@ diffReports(const std::string& base_path, const std::string& cand_path,
             continue;
         }
         const double cval = it->second;
-        double allowed = tol.abs + tol.rel * std::abs(bval);
+        double allowed = tol.abs;
+        if (!isExactCount(metricOf(key)))
+            allowed += tol.rel * std::abs(bval);
         if (tol.stats) {
             // CI-overlap gating: only when both sides carry a CI for
             // this metric; single-seed groups keep the tolerance band.
