@@ -19,12 +19,21 @@
  * of the variant's family with one device of that type removed and with
  * one added; an entry stays valid until an accepted move changes that
  * family's counts, which bumps the family's version. Once its entries
- * are warm, a rejected move re-scores no family. When the plan is
- * feasible, a move that leaves a touched family short is rejected
- * before any sum. Otherwise the candidate objective is summed in the
- * order of a from-scratch evaluation (families in order, the replica
- * penalty, then the keep bonuses in (type, variant) order), so every
- * score is bit-identical to evaluating the moved counts afresh.
+ * are warm, a rejected move re-scores no family, and a family score
+ * visits only the (variant, type) pairs that host a device. When the
+ * plan is feasible, a move that leaves a touched family short is
+ * rejected before any sum; a cross-family move is rejected as soon as
+ * its source family is short, before its destination is scored.
+ *
+ * A move that keeps the plan's feasibility is accepted only when its
+ * in-order objective exceeds the current one plus 1e-9. The change of
+ * its 2-5 terms, d, bounds that comparison: both in-order sums and the
+ * threshold round by at most E (see improve()), so d + E < 1e-9 proves
+ * the answer is no without summing. Every other move has its objective
+ * summed in the order of a from-scratch evaluation (families in order,
+ * the replica penalty, then the keep bonuses in (type, variant) order),
+ * so every score is bit-identical to evaluating the moved counts
+ * afresh.
  *
  * The allocator keeps one evaluator for its lifetime: construction
  * copies the registry's and profiles' numbers into flat tables, and
@@ -92,6 +101,20 @@ class CountsEvaluator
 
     /** The plan being scored. */
     const std::vector<int>& count() const { return count_; }
+
+    /**
+     * The first variant at or after @p from that hosts a type-@p t
+     * device in the current plan, or the number of variants if none.
+     */
+    std::size_t nextHosted(std::size_t t, std::size_t from) const;
+
+    /** Work done by improve() since construction. */
+    struct Work {
+        std::int64_t moves = 0;     ///< improve() calls
+        std::int64_t sums = 0;      ///< in-order objective sums
+        std::int64_t rescores = 0;  ///< family scores computed
+    };
+    const Work& work() const { return work_; }
 
     /** Score of the current plan. */
     const CountsEval& eval() const { return eval_; }
@@ -171,6 +194,16 @@ class CountsEvaluator
      * @p changed (ascending positions) taking their given values.
      */
     double sumWith(const Term* changed, int n) const;
+    /**
+     * Whether the in-order objective with the @p n terms of @p changed
+     * may exceed the current objective plus 1e-9; false proves that it
+     * does not.
+     */
+    bool mayExceedThreshold(const Term* changed, int n) const;
+    /** Record that type-@p t variant @p m hosts (or no longer hosts). */
+    void setHosted(std::size_t t, std::size_t m, bool hosted);
+    /** Recompute abs_sum_ from terms_. */
+    void sumAbsTerms();
 
     std::vector<int> count_;
     std::vector<double> demand_;
@@ -181,6 +214,19 @@ class CountsEvaluator
     std::vector<double> accuracy_;
     std::vector<FamilyId> family_;
     std::vector<double> peak_;  ///< [m * num_types_ + t]
+
+    /** Rank of each variant in its family's by_acc_desc_ order. */
+    std::vector<std::size_t> rank_;
+
+    /**
+     * Which pairs host a device (count > 0), as bitsets: per type over
+     * variants, words_per_type_ words each, and per family over
+     * (rank * num_types_ + type), from word family_word_[f].
+     */
+    std::size_t words_per_type_ = 0;
+    std::vector<std::uint64_t> type_hosted_;
+    std::vector<std::size_t> family_word_;  ///< per family, + 1 at end
+    std::vector<std::uint64_t> family_hosted_;
 
     std::vector<Score> score_;  ///< per family, of the current plan
     int short_families_ = 0;    ///< families whose score is not ok
@@ -193,6 +239,10 @@ class CountsEvaluator
      * order (0 when it keeps nothing).
      */
     std::vector<double> terms_;
+    /** Sum of |terms_|, in order. */
+    double abs_sum_ = 0.0;
+    /** gamma_N for the N = terms_.size() terms of an in-order sum. */
+    double gamma_terms_ = 0.0;
     std::vector<std::size_t> family_term_;  ///< per family, or kNoTerm
     std::size_t penalty_term_ = 0;
     std::vector<Keeper> keepers_;  ///< term penalty_term_ + 1 + index
@@ -204,6 +254,7 @@ class CountsEvaluator
     std::vector<std::uint64_t> version_;
     /** [(t * M + m) * 2 + add]: see shifted(). */
     std::vector<Memo> memo_;
+    Work work_;
 };
 
 }  // namespace proteus

@@ -434,39 +434,54 @@ IlpAllocator::buildHint(const std::vector<double>& root_x,
     // (re-purpose one device of a type, or add an idle one).
     CountsEvaluator& ev = hint_eval_;
     ev.reset(count, eff_demand_, cur ? &keep_bonus_ : nullptr, cur);
+    // Try every move onto type-t variant dst; true if one was applied.
+    auto sweep = [&](std::size_t t, std::size_t dst) {
+        const FamilyId df = family_of_[dst];
+        // Pure add from idle budget.
+        if (budget_[t] > 0 && (!quotas || quota_left_[t * F + df] > 0) &&
+            ev.improve(t, CountsEvaluator::kIdle, dst)) {
+            --budget_[t];
+            if (quotas)
+                --quota_left_[t * F + df];
+            return true;
+        }
+        // Re-purpose one device from another hosted variant. The
+        // hosted set is re-read at every step, so a move accepted on
+        // the way is seen as the counts it leaves.
+        bool improved = false;
+        for (std::size_t src = ev.nextHosted(t, 0); src < M;
+             src = ev.nextHosted(t, src + 1)) {
+            if (src == dst)
+                continue;
+            const FamilyId sf = family_of_[src];
+            if (quotas && sf != df && quota_left_[t * F + df] <= 0)
+                continue;
+            if (ev.improve(t, src, dst)) {
+                if (quotas && sf != df) {
+                    ++quota_left_[t * F + sf];
+                    --quota_left_[t * F + df];
+                }
+                improved = true;
+            }
+        }
+        return improved;
+    };
+    // Rounds sweep the pairs k = t * M + dst in order until one round
+    // applies no move. A sweep that follows the last applied move sees
+    // the plan that move left, so once every pair has been swept since
+    // then (the round reaches the pair of that move again), the rest of
+    // the round would reject every move it tried before: it ends there.
+    std::size_t last_applied = T * M;
     for (int round = 0; round < 64; ++round) {
         bool improved = false;
-        for (std::size_t t = 0; t < T; ++t) {
-            for (std::size_t dst = 0; dst < M; ++dst) {
-                if (n_col_[t * M + dst] < 0)
-                    continue;
-                const FamilyId df = family_of_[dst];
-                // Pure add from idle budget.
-                if (budget_[t] > 0 &&
-                    (!quotas || quota_left_[t * F + df] > 0) &&
-                    ev.improve(t, CountsEvaluator::kIdle, dst)) {
-                    --budget_[t];
-                    if (quotas)
-                        --quota_left_[t * F + df];
-                    improved = true;
-                    continue;
-                }
-                // Re-purpose one device from another variant.
-                for (std::size_t src = 0; src < M; ++src) {
-                    if (src == dst || ev.count()[t * M + src] <= 0)
-                        continue;
-                    const FamilyId sf = family_of_[src];
-                    if (quotas && sf != df &&
-                        quota_left_[t * F + df] <= 0)
-                        continue;
-                    if (ev.improve(t, src, dst)) {
-                        if (quotas && sf != df) {
-                            ++quota_left_[t * F + sf];
-                            --quota_left_[t * F + df];
-                        }
-                        improved = true;
-                    }
-                }
+        for (std::size_t k = 0; k < T * M; ++k) {
+            if (n_col_[k] < 0)
+                continue;
+            if (sweep(k / M, k % M)) {
+                improved = true;
+                last_applied = k;
+            } else if (!improved && k == last_applied) {
+                break;
             }
         }
         if (!improved)
@@ -707,6 +722,7 @@ IlpAllocator::allocate(const AllocationInput& input)
         }
     }
 
+    const CountsEvaluator::Work hint_before = hint_eval_.work();
     int steps = 0;
     std::int64_t total_nodes = 0;
     std::int64_t total_iters = 0;
@@ -747,6 +763,10 @@ IlpAllocator::allocate(const AllocationInput& input)
     meta_.stop = wall_stop ? SearchStop::WallClock : sol_.stop;
     meta_.warm_root = sol_.warm_root;
     meta_.cold_fallbacks = fallbacks;
+    const CountsEvaluator::Work& hint = hint_eval_.work();
+    meta_.hint_moves = hint.moves - hint_before.moves;
+    meta_.hint_sums = hint.sums - hint_before.sums;
+    meta_.hint_rescores = hint.rescores - hint_before.rescores;
     return plan;
 }
 

@@ -1,10 +1,18 @@
 #include "solver/lp.h"
 
+#include <atomic>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace proteus {
+
+std::uint64_t
+LinearProgram::Stamp::next()
+{
+    static std::atomic<std::uint64_t> last{0};
+    return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 int
 LinearProgram::addVariable(double lo, double hi, double obj)
@@ -45,6 +53,7 @@ LinearProgram::clear()
     rows_.clear();
     coeffs_.clear();
     int_vars_.clear();
+    stamp_.renew();
 }
 
 double

@@ -116,6 +116,16 @@ class LinearProgram
     /** @return the optimization direction. */
     ObjSense objSense() const { return sense_; }
 
+    /**
+     * Names the program's rows and columns up to appends: a value
+     * unique in the process, new on construction, on clear() and on
+     * both sides of every copy or move. Appending a variable or a row
+     * keeps it, but changes the program's size. So a solver that has
+     * copied the constraint matrix may reuse its copy while the program
+     * at the same address has the same stamp and the same size.
+     */
+    std::uint64_t matrixStamp() const { return stamp_.value(); }
+
     /** @return the number of variables (columns). */
     int numVariables() const { return static_cast<int>(vars_.size()); }
 
@@ -158,7 +168,34 @@ class LinearProgram
         double rhs;
     };
 
+    /** A process-unique value that every copy, move and renew() replaces. */
+    class Stamp
+    {
+      public:
+        Stamp() : value_(next()) {}
+        Stamp(const Stamp&) : value_(next()) {}
+        Stamp(Stamp&& other) noexcept : value_(next()) { other.renew(); }
+        Stamp& operator=(const Stamp&)
+        {
+            renew();
+            return *this;
+        }
+        Stamp& operator=(Stamp&& other) noexcept
+        {
+            renew();
+            other.renew();
+            return *this;
+        }
+        void renew() { value_ = next(); }
+        std::uint64_t value() const { return value_; }
+
+      private:
+        static std::uint64_t next();
+        std::uint64_t value_;
+    };
+
     ObjSense sense_;
+    Stamp stamp_;
     std::vector<Variable> vars_;
     std::vector<RowEntry> rows_;
     std::vector<Coeff> coeffs_;  ///< every row's coefficients, in row order

@@ -27,9 +27,15 @@ using Bounds = std::vector<std::pair<double, double>>;
 class SimplexSolver::Engine
 {
   public:
-    /** Load @p lp with optional bound overrides for a new solve. */
-    void load(const LinearProgram& lp, const Bounds* bounds,
-              const Options& options);
+    /** Whether @p lp's constraint matrix is the one loaded. */
+    bool holds(const LinearProgram& lp) const;
+    /** Copy the constraint matrix and right-hand sides of @p lp. */
+    void loadMatrix(const LinearProgram& lp);
+    /**
+     * Restore everything a solve changes, for a new solve of the
+     * loaded program with optional bound overrides.
+     */
+    void reset(const Bounds* bounds, const Options& options);
 
     /** Two-phase primal simplex from the slack basis. */
     void solveCold(Solution* out);
@@ -92,6 +98,7 @@ class SimplexSolver::Engine
     void basis(Basis* out) const;
 
     const LinearProgram* lp_ = nullptr;
+    std::uint64_t lp_stamp_ = 0;  ///< lp_->matrixStamp() when loaded
     const Options* opt_ = nullptr;
 
     int m_ = 0;       ///< rows
@@ -151,16 +158,21 @@ class SimplexSolver::Engine
     std::int64_t iters_ = 0;
 };
 
+bool
+SimplexSolver::Engine::holds(const LinearProgram& lp) const
+{
+    // Appends keep the stamp but change the size.
+    return lp_ == &lp && lp_stamp_ == lp.matrixStamp() &&
+           n_ == lp.numVariables() && m_ == lp.numConstraints();
+}
+
 void
-SimplexSolver::Engine::load(const LinearProgram& lp, const Bounds* bounds,
-                            const Options& options)
+SimplexSolver::Engine::loadMatrix(const LinearProgram& lp)
 {
     lp_ = &lp;
-    opt_ = &options;
+    lp_stamp_ = lp.matrixStamp();
     m_ = lp.numConstraints();
     n_ = lp.numVariables();
-    nt_ = n_ + m_;
-    iters_ = 0;
 
     // Column-wise A, duplicate entries of a row summed in row order.
     cbeg_.assign(n_ + 1, 0);
@@ -205,7 +217,15 @@ SimplexSolver::Engine::load(const LinearProgram& lp, const Bounds* bounds,
             rval_[at] = cval_[k];
         }
     }
+}
 
+void
+SimplexSolver::Engine::reset(const Bounds* bounds, const Options& options)
+{
+    const LinearProgram& lp = *lp_;
+    opt_ = &options;
+    nt_ = n_ + m_;
+    iters_ = 0;
     const double sign = lp.objSense() == ObjSense::Maximize ? 1.0 : -1.0;
     lo_.resize(nt_);
     hi_.resize(nt_);
@@ -1091,15 +1111,17 @@ SimplexSolver::solve(const LinearProgram& lp, const Bounds* bound_override,
         }
     }
     Engine& e = *engine_;
+    if (!e.holds(lp))
+        e.loadMatrix(lp);
     const std::size_t cols =
         static_cast<std::size_t>(lp.numVariables() + lp.numConstraints());
     if (start && start->size() == cols) {
-        e.load(lp, bound_override, options_);
+        e.reset(bound_override, options_);
         if (e.solveWarm(*start, &out))
             return out;
         ++cold_fallbacks_;
     }
-    e.load(lp, bound_override, options_);
+    e.reset(bound_override, options_);
     e.solveCold(&out);
     return out;
 }

@@ -38,7 +38,11 @@
  *
  * A solver keeps its matrix copies, work arrays and result between
  * solves, so once they have grown to the largest problem it has seen,
- * a solve allocates nothing.
+ * a solve allocates nothing. It copies the constraint matrix only when
+ * given another program, or one whose rows or columns changed since
+ * (LinearProgram::matrixStamp()); every solve re-reads the bounds,
+ * costs and row senses. Branch & bound's node, dive and rounding
+ * solves of one program so copy its matrix once.
  */
 
 #ifndef PROTEUS_SOLVER_SIMPLEX_H_

@@ -515,7 +515,9 @@ TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
     // starts its root from the first decision's basis and branches,
     // each child re-optimising from its parent's basis. Optimisations
     // that keep the pivot sequence and the hint must reproduce them
-    // exactly.
+    // exactly. The hint's work counts are pinned too: its local-search
+    // moves, the ones whose objective it summed in order, and the
+    // family scores it computed.
     World w = paperWorld();
     IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
     AllocationInput in;
@@ -526,6 +528,9 @@ TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
     EXPECT_FALSE(alloc.lastSolveMeta().warm_root);
     EXPECT_EQ(alloc.lastSolveMeta().gap, 0.0);
     EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
+    EXPECT_EQ(alloc.lastSolveMeta().hint_moves, 2968);
+    EXPECT_EQ(alloc.lastSolveMeta().hint_sums, 31);
+    EXPECT_EQ(alloc.lastSolveMeta().hint_rescores, 422);
     EXPECT_EQ(first.expected_accuracy, 96.533333333333331);
 
     for (std::size_t f = 0; f < in.demand_qps.size(); ++f)
@@ -539,6 +544,9 @@ TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
     EXPECT_EQ(alloc.lastSolveMeta().stop, SearchStop::Gap);
     EXPECT_EQ(alloc.lastSolveMeta().gap, 0.0);
     EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
+    EXPECT_EQ(alloc.lastSolveMeta().hint_moves, 2025);
+    EXPECT_EQ(alloc.lastSolveMeta().hint_sums, 39);
+    EXPECT_EQ(alloc.lastSolveMeta().hint_rescores, 530);
     EXPECT_EQ(second.expected_accuracy, 90.102252387670788);
     EXPECT_EQ(second.planned_qps, 1620.0);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "solver/lp.h"
 
 namespace proteus {
@@ -193,6 +195,71 @@ TEST(SimplexTest, ProteusShapedAllocationLp)
     EXPECT_NEAR(sol.x[wa] + sol.x[wb], 70.0, 1e-8);
     EXPECT_GT(sol.objective, 6700.0 - 1e-6);
     EXPECT_TRUE(lp.isFeasible(sol.x, 1e-6));
+}
+
+/** max 3x + 5y s.t. x <= 4, 2y <= @p cap_y, 3x + 2y <= 18. */
+LinearProgram
+twoVariable(double cap_y)
+{
+    LinearProgram lp;
+    int x = lp.addVariable(0.0, kInf, 3.0);
+    int y = lp.addVariable(0.0, kInf, 5.0);
+    lp.addConstraint({{x, 1.0}}, RowSense::LessEqual, 4.0);
+    lp.addConstraint({{y, 2.0}}, RowSense::LessEqual, cap_y);
+    lp.addConstraint({{x, 3.0}, {y, 2.0}}, RowSense::LessEqual, 18.0);
+    return lp;
+}
+
+TEST(SimplexTest, ReusedMatrixFollowsEveryChangeOfTheProgram)
+{
+    // A solver copies a program's matrix once and reuses it while the
+    // same program, unchanged, is solved again. Every way of changing
+    // the program in place must make it copy again: each solve below
+    // must match a fresh solver's.
+    SimplexSolver reused;
+    auto expectFresh = [&](const LinearProgram& lp, const char* what) {
+        const Solution got = reused.solve(lp);
+        const Solution want = SimplexSolver().solve(lp);
+        ASSERT_EQ(got.status, want.status) << what;
+        EXPECT_EQ(got.objective, want.objective) << what;
+        EXPECT_EQ(got.x, want.x) << what;
+    };
+    LinearProgram lp = twoVariable(12.0);
+    expectFresh(lp, "first solve");  // x = 2, y = 6
+    expectFresh(lp, "same program");
+    lp.variable(1).hi = 1.0;  // bounds and costs are read every solve
+    expectFresh(lp, "bound changed");
+    lp.variable(1).hi = kInf;
+    lp.addConstraint({{0, 1.0}, {1, 1.0}}, RowSense::LessEqual, 5.0);
+    expectFresh(lp, "row appended");
+    lp.addVariable(0.0, 2.0, 7.0);
+    expectFresh(lp, "column appended");
+
+    // Same size, other rows: rebuilt after clear(), assigned a copy,
+    // assigned a moved program, and refilled after being moved from.
+    lp = twoVariable(12.0);
+    expectFresh(lp, "copy of the original");
+    lp.clear();
+    int x = lp.addVariable(0.0, kInf, 3.0);
+    int y = lp.addVariable(0.0, kInf, 5.0);
+    lp.addConstraint({{x, 1.0}}, RowSense::LessEqual, 4.0);
+    lp.addConstraint({{y, 2.0}}, RowSense::LessEqual, 4.0);
+    lp.addConstraint({{x, 3.0}, {y, 2.0}}, RowSense::LessEqual, 18.0);
+    expectFresh(lp, "rebuilt after clear");
+    const LinearProgram other = twoVariable(8.0);
+    lp = other;
+    expectFresh(lp, "assigned a copy");
+    lp = twoVariable(2.0);
+    expectFresh(lp, "assigned a moved program");
+    LinearProgram taken = std::move(lp);
+    lp.clear();  // a moved-from program is valid but unspecified
+    x = lp.addVariable(0.0, kInf, 3.0);
+    y = lp.addVariable(0.0, kInf, 5.0);
+    lp.addConstraint({{x, 1.0}}, RowSense::LessEqual, 1.0);
+    lp.addConstraint({{y, 2.0}}, RowSense::LessEqual, 12.0);
+    lp.addConstraint({{x, 3.0}, {y, 2.0}}, RowSense::LessEqual, 18.0);
+    expectFresh(lp, "refilled after a move");
+    expectFresh(taken, "moved-to program");
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 Runs every perfbench workload once with per-layer tracing on a fixed
 seed and compares each metric whose unit is `count` (decisions, simplex
 iterations, branch-and-bound nodes, batches, model loads, spans, ...)
-exactly against a committed record. These counts do not depend on
-machine speed or load, so any difference means the program did
-different work. Wall-clock metrics are not compared.
+exactly against a committed record. Those counts cover the run's first
+trace only, so it also runs each workload untraced and compares the
+simulated end-to-end metrics, which pool every trace of the run
+(SIM_METRICS). Neither depends on machine speed or load, so any
+difference means the program did different work. Wall-clock metrics
+are not compared.
 
     python3 tools/perfbench_counts.py            # compare, exit 1 on a diff
     python3 tools/perfbench_counts.py --update   # rewrite the record
@@ -27,23 +30,36 @@ RECORD = os.path.join(ROOT, "bench", "baselines",
                       "perfbench_counts_seed1.json")
 WORKLOADS = ("diurnal", "pipeline", "steady")
 SEED = 1
+# End-to-end metrics computed from simulated time alone: deterministic.
+SIM_METRICS = ("slo_violation_ratio", "effective_accuracy",
+               "max_accuracy_drop", "throughput_qps")
 
 
-def run_counts(workload):
-    """Run one traced perfbench repetition; return its count metrics."""
+def run_perfbench(workload, trace):
+    """Run perfbench for one second; return its metrics and whether its
+    correctness checks passed."""
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(SEED), "--seconds", "1",
-           "--trace", "1"]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 2 or not lines:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"perfbench {workload}: could not run")
     result = json.loads(lines[-1])
-    counts = {name: m["value"] for name, m in result["metrics"].items()
-              if m["unit"] == "count"}
     ok = result["correct"] and result["failed"] == 0
-    return counts, ok
+    return result["metrics"], ok
+
+
+def run_counts(workload):
+    """Return the traced run's count metrics and the untraced run's
+    simulated end-to-end metrics, and whether both runs passed."""
+    traced, traced_ok = run_perfbench(workload, 1)
+    untraced, untraced_ok = run_perfbench(workload, 0)
+    counts = {name: m["value"] for name, m in traced.items()
+              if m["unit"] == "count"}
+    counts.update({name: untraced[name]["value"] for name in SIM_METRICS})
+    return counts, traced_ok and untraced_ok
 
 
 def main():
@@ -64,7 +80,8 @@ def main():
     if args.update:
         record = {
             "command": "python3 perfbench/run.py --workload W --seed "
-                       f"{SEED} --seconds 1 --trace 1",
+                       f"{SEED} --seconds 1 --trace T (T = 1: counts, "
+                       "0: " + ", ".join(SIM_METRICS) + ")",
             "workloads": measured,
         }
         with open(RECORD, "w") as f:
