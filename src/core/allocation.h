@@ -122,8 +122,6 @@ struct AllocatorSolveMeta {
     std::int64_t cold_fallbacks = 0;
     /** Local-search moves the warm-start hint decided. */
     std::int64_t hint_moves = 0;
-    /** Of those, the moves whose objective was summed in order. */
-    std::int64_t hint_sums = 0;
     /** Family scores the hint's moves computed. */
     std::int64_t hint_rescores = 0;
 };

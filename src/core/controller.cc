@@ -35,7 +35,6 @@ Controller::setObs(obs::Tracer* tracer, obs::MetricsRegistry* registry)
         work_frac_ = registry->gauge("solver.work_frac");
         backoff_steps_ = registry->histogram("solver.backoff_steps");
         hint_moves_ = registry->histogram("solver.hint_moves");
-        hint_sums_ = registry->histogram("solver.hint_sums");
         hint_rescores_ = registry->histogram("solver.hint_rescores");
         gap_ppm_ = registry->histogram("solver.gap_ppm");
         wall_limit_stops_ = registry->counter("solver.wall_limit_stops");
@@ -70,8 +69,6 @@ Controller::noteSolve(const AllocatorSolveMeta& meta)
         backoff_steps_->record(static_cast<double>(meta.backoff_steps));
     if (hint_moves_)
         hint_moves_->record(static_cast<double>(meta.hint_moves));
-    if (hint_sums_)
-        hint_sums_->record(static_cast<double>(meta.hint_sums));
     if (hint_rescores_)
         hint_rescores_->record(static_cast<double>(meta.hint_rescores));
     if (gap_ppm_)

@@ -132,9 +132,8 @@ class Controller
     /** Last solve's simplex iterations over its work budget (0..1+). */
     obs::Gauge* work_frac_ = nullptr;
     obs::Histogram* backoff_steps_ = nullptr;
-    /** Warm-start hint effort: moves, in-order sums, family scores. */
+    /** Warm-start hint effort: moves and family scores. */
     obs::Histogram* hint_moves_ = nullptr;
-    obs::Histogram* hint_sums_ = nullptr;
     obs::Histogram* hint_rescores_ = nullptr;
     /** Final relative gap in ppm, the unit of the Solve span's v2. */
     obs::Histogram* gap_ppm_ = nullptr;

@@ -1,8 +1,6 @@
 #include "core/counts_evaluator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 namespace proteus {
@@ -10,27 +8,6 @@ namespace proteus {
 namespace {
 
 constexpr std::size_t kWordBits = 64;
-
-/** Unit roundoff of double. */
-constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
-
-/**
- * Higham's gamma_k = k u / (1 - k u): a sum of k + 1 doubles added in
- * any order is off from the exact sum by at most gamma_k times the sum
- * of their magnitudes.
- */
-constexpr double
-roundingGamma(std::size_t k)
-{
-    return static_cast<double>(k) * kUnitRoundoff /
-           (1.0 - static_cast<double>(k) * kUnitRoundoff);
-}
-
-/**
- * Terms a move changes, at most: two families, the replica penalty
- * and two keep bonuses.
- */
-constexpr int kMaxChanged = 5;
 
 /** Index of the lowest set bit of a non-zero word. */
 std::size_t
@@ -57,7 +34,6 @@ CountsEvaluator::CountsEvaluator(const CountsContext& ctx)
       replica_penalty_(ctx.replica_penalty),
       by_acc_desc_(ctx.by_acc_desc),
       score_(ctx.registry->numFamilies()),
-      family_term_(ctx.registry->numFamilies(), kNoTerm),
       version_(ctx.registry->numFamilies(), 1)
 {
     const std::size_t M = ctx.registry->numVariants();
@@ -89,7 +65,7 @@ CountsEvaluator::CountsEvaluator(const CountsContext& ctx)
         }
     }
     memo_.resize(num_types_ * M * 2);
-    keeper_of_.resize(num_types_ * M);
+    keepers_.resize(num_types_ * M);
 }
 
 void
@@ -109,39 +85,16 @@ CountsEvaluator::reset(const std::vector<int>& count,
                 setHosted(t, m, true);
         }
     }
-    terms_.clear();
-    keepers_.clear();
     short_families_ = 0;
-    replicas_ = 0;
     for (std::size_t f = 0; f < demand_.size(); ++f) {
         ++version_[f];
         score_[f] = scoreFamily(static_cast<FamilyId>(f), 0, kIdle, kIdle);
         short_families_ += score_[f].ok ? 0 : 1;
-        family_term_[f] = kNoTerm;
-        if (demand_[f] > 0.0) {
-            family_term_[f] = terms_.size();
-            terms_.push_back(score_[f].value);
-        }
     }
-    for (int c : count_)
-        replicas_ += c;
-    penalty_term_ = terms_.size();
-    terms_.push_back(-(replica_penalty_ * replicas_));
-    std::fill(keeper_of_.begin(), keeper_of_.end(), kNoTerm);
-    if (keep_bonus && cur_counts) {
-        for (std::size_t k = 0; k < num_types_ * M; ++k) {
-            const int cur = (*cur_counts)[k];
-            if (cur <= 0)
-                continue;
-            keeper_of_[k] = keepers_.size();
-            keepers_.push_back(Keeper{cur, (*keep_bonus)[k]});
-            terms_.push_back(keepTerm(keepers_.back(), count_[k]));
-        }
+    for (std::size_t k = 0; k < num_types_ * M; ++k) {
+        const int cur = keep_bonus && cur_counts ? (*cur_counts)[k] : 0;
+        keepers_[k] = cur > 0 ? Keeper{cur, (*keep_bonus)[k]} : Keeper{};
     }
-    eval_.feasible = short_families_ == 0;
-    eval_.objective = sumWith(nullptr, 0);
-    sumAbsTerms();
-    gamma_terms_ = roundingGamma(terms_.size());
 }
 
 std::size_t
@@ -174,14 +127,6 @@ CountsEvaluator::setHosted(std::size_t t, std::size_t m, bool hosted)
     set(&type_hosted_[t * words_per_type_], m);
     set(&family_hosted_[family_word_[family_[m]]],
         rank_[m] * num_types_ + t);
-}
-
-void
-CountsEvaluator::sumAbsTerms()
-{
-    abs_sum_ = 0.0;
-    for (double term : terms_)
-        abs_sum_ += std::abs(term);
 }
 
 CountsEvaluator::Score
@@ -239,64 +184,14 @@ CountsEvaluator::shifted(std::size_t t, std::size_t m, bool add)
 }
 
 double
-CountsEvaluator::keepTerm(const Keeper& k, int count) const
+CountsEvaluator::keepChange(std::size_t t, std::size_t m, int step) const
 {
-    const int kept = std::min(count, k.cur);
-    return kept > 0 ? k.bonus * kept : 0.0;
-}
-
-double
-CountsEvaluator::sumWith(const Term* changed, int n) const
-{
-    // The running sum starts at +0, so it is never -0 and adding a +0
-    // term leaves its bits as they are: a keeper that keeps nothing
-    // may stay in terms_ as 0 where a from-scratch sum skips it.
-    double obj = 0.0;
-    std::size_t at = 0;
-    for (int i = 0; i < n; ++i) {
-        for (; at < changed[i].pos; ++at)
-            obj += terms_[at];
-        obj += changed[i].value;
-        ++at;
-    }
-    for (; at < terms_.size(); ++at)
-        obj += terms_[at];
-    return obj;
-}
-
-bool
-CountsEvaluator::mayExceedThreshold(const Term* changed, int n) const
-{
-    // A move that keeps the plan's feasibility is accepted when
-    // obj > fl(base + 1e-9), obj and base being the in-order sums of the
-    // N moved and the N current terms. Each in-order sum is within
-    // gamma_N times the sum of its terms' magnitudes of the exact sum;
-    // those add up to abs_sum_ and to at most abs_sum_ + sum |new|.
-    // fl(base + 1e-9) >= base + 1e-9 - u (|base| + 1e-9). And d, summed
-    // from 2n values, is within gamma_2n sum (|new| + |old|) of the
-    // exact change. So obj > fl(base + 1e-9) only if d + E >= 1e-9.
-    // E's own roundings (fewer than N + 32, on non-negative values,
-    // each by a factor within 1 +/- u) are covered by the factor
-    // 1 + 2^-20 for N below 2^32; the final comparison rounds
-    // monotonically and needs none.
-    double d = 0.0;
-    double new_abs = 0.0;
-    double changed_abs = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const double now = terms_[changed[i].pos];
-        d += changed[i].value - now;
-        new_abs += std::abs(changed[i].value);
-        changed_abs += std::abs(changed[i].value) + std::abs(now);
-    }
-    // gamma_2n for n changed terms.
-    static constexpr double kGammaChanged[kMaxChanged + 1] = {
-        roundingGamma(0), roundingGamma(2), roundingGamma(4),
-        roundingGamma(6), roundingGamma(8), roundingGamma(10)};
-    const double e = (gamma_terms_ * (2.0 * abs_sum_ + new_abs) +
-                      kGammaChanged[n] * changed_abs +
-                      kUnitRoundoff * (std::abs(eval_.objective) + 1e-9)) *
-                     (1.0 + 0x1p-20);
-    return d + e >= 1e-9;
+    const Keeper& k = keepers_[t * family_.size() + m];
+    auto bonus = [&k](int count) {
+        const int kept = std::min(count, k.cur);
+        return kept > 0 ? k.bonus * kept : 0.0;
+    };
+    return bonus(at(t, m) + step) - bonus(at(t, m));
 }
 
 bool
@@ -318,7 +213,7 @@ CountsEvaluator::improve(std::size_t t, std::size_t src, std::size_t dst)
             next[touched++] = shifted(t, src, false);
             // A short source family stays short whatever the
             // destination, another family, gains.
-            if (eval_.feasible && !next[0].ok)
+            if (short_families_ == 0 && !next[0].ok)
                 return false;
         }
         fam[touched] = df;
@@ -331,58 +226,38 @@ CountsEvaluator::improve(std::size_t t, std::size_t src, std::size_t dst)
                           (score_[fam[k]].ok ? 0 : 1);
     }
     const bool feasible = short_families == 0;
-    if (eval_.feasible && !feasible)
+    const bool was_feasible = short_families_ == 0;
+    if (was_feasible && !feasible)
         return false;
-
-    // The terms the move changes, kept in ascending position.
-    Term changed[kMaxChanged];
-    int n = 0;
-    auto add = [&](std::size_t pos, double value) {
-        int i = n++;
-        changed[i] = Term{pos, value};
-        for (; i > 0 && changed[i - 1].pos > pos; --i)
-            std::swap(changed[i - 1], changed[i]);
-    };
-    for (int k = 0; k < touched; ++k) {
-        if (family_term_[fam[k]] != kNoTerm)
-            add(family_term_[fam[k]], next[k].value);
+    if (feasible == was_feasible) {
+        // The exact change d, in the order of the file comment.
+        if (touched == 2 && fam[1] < fam[0]) {
+            std::swap(fam[0], fam[1]);
+            std::swap(next[0], next[1]);
+        }
+        double d = 0.0;
+        for (int k = 0; k < touched; ++k)
+            d += next[k].value - score_[fam[k]].value;
+        if (src == kIdle)
+            d -= replica_penalty_;
+        // kIdle sorts last and has no keep bonus.
+        for (std::size_t m : {std::min(src, dst), std::max(src, dst)}) {
+            if (m != kIdle)
+                d += keepChange(t, m, m == dst ? 1 : -1);
+        }
+        if (d <= 1e-9)
+            return false;
     }
-    if (src == kIdle)
-        add(penalty_term_, -(replica_penalty_ * (replicas_ + 1)));
-    const std::size_t M = family_.size();
-    for (std::size_t m : {src, dst}) {
-        if (m == kIdle || keeper_of_[t * M + m] == kNoTerm)
-            continue;
-        const std::size_t k = keeper_of_[t * M + m];
-        const int c = at(t, m) + (m == dst ? 1 : -1);
-        add(penalty_term_ + 1 + k, keepTerm(keepers_[k], c));
-    }
-    if (feasible == eval_.feasible && !mayExceedThreshold(changed, n))
-        return false;
-    ++work_.sums;
-    const double obj = sumWith(changed, n);
-    const bool better = (feasible && !eval_.feasible) ||
-                        (feasible == eval_.feasible &&
-                         obj > eval_.objective + 1e-9);
-    if (!better)
-        return false;
 
     if (++at(t, dst) == 1)
         setHosted(t, dst, true);
-    if (src == kIdle)
-        ++replicas_;
-    else if (--at(t, src) == 0)
+    if (src != kIdle && --at(t, src) == 0)
         setHosted(t, src, false);
     for (int k = 0; k < touched; ++k) {
         score_[fam[k]] = next[k];
         ++version_[fam[k]];
     }
-    for (int i = 0; i < n; ++i)
-        terms_[changed[i].pos] = changed[i].value;
-    sumAbsTerms();
     short_families_ = short_families;
-    eval_.feasible = feasible;
-    eval_.objective = obj;
     return true;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Exact evaluation of a fixed integer hosting plan, the inner loop of
- * the local search in the MILP allocator's warm start.
+ * Feasibility of a fixed integer hosting plan and exact decisions on
+ * one-device moves, the inner loop of the local search in the MILP
+ * allocator's warm start.
  *
  * Given per-(type, variant) device counts, the optimal served-QPS
  * assignment fills each family's demand onto its highest-accuracy
@@ -22,18 +23,17 @@
  * are warm, a rejected move re-scores no family, and a family score
  * visits only the (variant, type) pairs that host a device. When the
  * plan is feasible, a move that leaves a touched family short is
- * rejected before any sum; a cross-family move is rejected as soon as
- * its source family is short, before its destination is scored.
+ * rejected at once; a cross-family move is rejected as soon as its
+ * source family is short, before its destination is scored.
  *
- * A move that keeps the plan's feasibility is accepted only when its
- * in-order objective exceeds the current one plus 1e-9. The change of
- * its 2-5 terms, d, bounds that comparison: both in-order sums and the
- * threshold round by at most E (see improve()), so d + E < 1e-9 proves
- * the answer is no without summing. Every other move has its objective
- * summed in the order of a from-scratch evaluation (families in order,
- * the replica penalty, then the keep bonuses in (type, variant) order),
- * so every score is bit-identical to evaluating the moved counts
- * afresh.
+ * A move that makes the plan feasible is accepted. A move that keeps
+ * the plan's feasibility is accepted when its exact change d exceeds
+ * 1e-9. d adds the at most five terms the move changes, each as
+ * (new - old), in one fixed order: the touched families' scores by
+ * ascending family id, -replica_penalty for a device taken from the
+ * idle budget, then the keep bonuses of (t, src) and (t, dst) by
+ * ascending variant. The objective itself is never summed: the MILP
+ * re-prices the plan the search ends with.
  *
  * The allocator keeps one evaluator for its lifetime: construction
  * copies the registry's and profiles' numbers into flat tables, and
@@ -64,20 +64,14 @@ struct CountsContext {
     const std::vector<std::vector<VariantId>>* by_acc_desc;
 };
 
-/** Objective and feasibility of one hosting plan. */
-struct CountsEval {
-    bool feasible = false;
-    double objective = 0.0;
-};
-
 /** Every family's variants, most accurate first. */
 std::vector<std::vector<VariantId>>
 variantsByAccuracyDesc(const ModelRegistry& registry);
 
 /**
- * Scores a hosting plan count[t * M + m] and decides one-device moves
- * on it. reset() evaluates every family; improve() applies a move only
- * when it improves the score.
+ * Tracks a hosting plan count[t * M + m] and decides one-device moves
+ * on it. reset() scores every family; improve() applies a move only
+ * when it improves the plan.
  */
 class CountsEvaluator
 {
@@ -89,7 +83,8 @@ class CountsEvaluator
     explicit CountsEvaluator(const CountsContext& ctx);
 
     /**
-     * Score plan @p count against @p demand (one entry per family).
+     * Take plan @p count, scored against @p demand (one entry per
+     * family).
      * Churn damping, when @p keep_bonus and @p cur_counts are given
      * (both [t * M + m]): keeping up to cur_counts devices on their
      * variant earns keep_bonus per device.
@@ -111,21 +106,20 @@ class CountsEvaluator
     /** Work done by improve() since construction. */
     struct Work {
         std::int64_t moves = 0;     ///< improve() calls
-        std::int64_t sums = 0;      ///< in-order objective sums
         std::int64_t rescores = 0;  ///< family scores computed
     };
     const Work& work() const { return work_; }
 
-    /** Score of the current plan. */
-    const CountsEval& eval() const { return eval_; }
+    /** Whether the current plan covers every family's demand. */
+    bool feasible() const { return short_families_ == 0; }
 
     /**
      * Move one type-@p t device to variant @p dst, from variant @p src
      * or (@p src == kIdle) from the idle budget, if that improves the
-     * plan: it becomes feasible, or keeps its feasibility and its
-     * objective rises by more than 1e-9.
+     * plan: it becomes feasible, or keeps its feasibility and its exact
+     * change d (see the file comment) exceeds 1e-9.
      * @return true when the move was applied; false leaves the plan
-     * and its score untouched.
+     * untouched.
      */
     bool improve(std::size_t t, std::size_t src, std::size_t dst);
 
@@ -150,17 +144,11 @@ class CountsEvaluator
         std::uint64_t version = 0;
         Score score;
     };
-    /** A (type, variant) that may earn a keep bonus. */
+    /** A (type, variant)'s keep bonus: none when cur is 0. */
     struct Keeper {
         int cur = 0;
         double bonus = 0.0;
     };
-    /** A term of the objective sum and its value under a move. */
-    struct Term {
-        std::size_t pos = 0;
-        double value = 0.0;
-    };
-    static constexpr std::size_t kNoTerm = static_cast<std::size_t>(-1);
 
     double peak(std::size_t m, std::size_t t) const
     {
@@ -187,23 +175,13 @@ class CountsEvaluator
      * removed from variant @p m, memoized.
      */
     const Score& shifted(std::size_t t, std::size_t m, bool add);
-    /** What keeper @p k adds to the objective with @p count devices. */
-    double keepTerm(const Keeper& k, int count) const;
     /**
-     * The objective: terms_ summed in order, with the @p n terms of
-     * @p changed (ascending positions) taking their given values.
+     * Change of type-@p t variant @p m's keep bonus when its count
+     * moves by @p step (+1 or -1).
      */
-    double sumWith(const Term* changed, int n) const;
-    /**
-     * Whether the in-order objective with the @p n terms of @p changed
-     * may exceed the current objective plus 1e-9; false proves that it
-     * does not.
-     */
-    bool mayExceedThreshold(const Term* changed, int n) const;
+    double keepChange(std::size_t t, std::size_t m, int step) const;
     /** Record that type-@p t variant @p m hosts (or no longer hosts). */
     void setHosted(std::size_t t, std::size_t m, bool hosted);
-    /** Recompute abs_sum_ from terms_. */
-    void sumAbsTerms();
 
     std::vector<int> count_;
     std::vector<double> demand_;
@@ -230,23 +208,7 @@ class CountsEvaluator
 
     std::vector<Score> score_;  ///< per family, of the current plan
     int short_families_ = 0;    ///< families whose score is not ok
-    int replicas_ = 0;
-    CountsEval eval_;
-    /**
-     * The objective's terms in the order a from-scratch evaluation
-     * adds them: the value of each family with demand, the replica
-     * penalty (negated), then each keeper's bonus in (type, variant)
-     * order (0 when it keeps nothing).
-     */
-    std::vector<double> terms_;
-    /** Sum of |terms_|, in order. */
-    double abs_sum_ = 0.0;
-    /** gamma_N for the N = terms_.size() terms of an in-order sum. */
-    double gamma_terms_ = 0.0;
-    std::vector<std::size_t> family_term_;  ///< per family, or kNoTerm
-    std::size_t penalty_term_ = 0;
-    std::vector<Keeper> keepers_;  ///< term penalty_term_ + 1 + index
-    std::vector<std::size_t> keeper_of_;  ///< [t * M + m]: index or kNoTerm
+    std::vector<Keeper> keepers_;  ///< [t * M + m]
     /**
      * Bumped when an accepted move changes the family's counts, and by
      * reset(), which so invalidates every memo entry.

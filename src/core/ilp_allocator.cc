@@ -383,9 +383,10 @@ IlpAllocator::buildHint(const std::vector<double>& root_x,
     //  1. round the device counts with a per-budget repair (ceil in
     //     descending fractional order while the hosting/quota budgets
     //     allow, floor otherwise);
-    //  2. improve the integer counts by local search, using the exact
-    //     greedy evaluation of a fixed hosting plan (a move re-scores
-    //     only the families it touches);
+    //  2. improve the integer counts by local search, deciding each
+    //     move by its exact change under the greedy evaluation of a
+    //     fixed hosting plan (a move re-scores only the families it
+    //     touches);
     //  3. synthesize the matching served-QPS values.
     const std::size_t T = cluster_->numTypes();
     const std::size_t M = registry_->numVariants();
@@ -489,7 +490,7 @@ IlpAllocator::buildHint(const std::vector<double>& root_x,
     }
 
     // Step 3: synthesize the hint vector (counts + greedy w).
-    if (!ev.eval().feasible)
+    if (!ev.feasible())
         return;
     const std::vector<int>& hinted = ev.count();
     hint->assign(static_cast<std::size_t>(lp_.numVariables()), 0.0);
@@ -765,7 +766,6 @@ IlpAllocator::allocate(const AllocationInput& input)
     meta_.cold_fallbacks = fallbacks;
     const CountsEvaluator::Work& hint = hint_eval_.work();
     meta_.hint_moves = hint.moves - hint_before.moves;
-    meta_.hint_sums = hint.sums - hint_before.sums;
     meta_.hint_rescores = hint.rescores - hint_before.rescores;
     return plan;
 }

@@ -129,6 +129,9 @@ class ServingSystem : private QueryObserver
         return query_pool_.capacity();
     }
 
+    /** @return the event core (event counts of a metered window). */
+    const Simulator& simulator() const { return sim_; }
+
     /** @return the profile store (Fig. 1 style inspection). */
     const ProfileStore& profiles() const { return profiles_; }
 

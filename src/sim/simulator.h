@@ -108,6 +108,13 @@ class Simulator
     /** @return the number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
+    /**
+     * @return the number of events scheduled so far, periodic re-arms
+     * included. Less eventsExecuted() and pendingEvents(), the rest
+     * were cancelled.
+     */
+    std::uint64_t eventsScheduled() const { return seq_; }
+
     /** @return the number of events currently pending. */
     std::size_t pendingEvents() const { return armed_; }
 

@@ -516,8 +516,7 @@ TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
     // each child re-optimising from its parent's basis. Optimisations
     // that keep the pivot sequence and the hint must reproduce them
     // exactly. The hint's work counts are pinned too: its local-search
-    // moves, the ones whose objective it summed in order, and the
-    // family scores it computed.
+    // moves and the family scores it computed.
     World w = paperWorld();
     IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get());
     AllocationInput in;
@@ -529,7 +528,6 @@ TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
     EXPECT_EQ(alloc.lastSolveMeta().gap, 0.0);
     EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
     EXPECT_EQ(alloc.lastSolveMeta().hint_moves, 2968);
-    EXPECT_EQ(alloc.lastSolveMeta().hint_sums, 31);
     EXPECT_EQ(alloc.lastSolveMeta().hint_rescores, 422);
     EXPECT_EQ(first.expected_accuracy, 96.533333333333331);
 
@@ -545,10 +543,56 @@ TEST(IlpAllocatorTest, PaperZooSolveEffortIsPinned)
     EXPECT_EQ(alloc.lastSolveMeta().gap, 0.0);
     EXPECT_EQ(alloc.lastSolveMeta().backoff_steps, 0);
     EXPECT_EQ(alloc.lastSolveMeta().hint_moves, 2025);
-    EXPECT_EQ(alloc.lastSolveMeta().hint_sums, 39);
     EXPECT_EQ(alloc.lastSolveMeta().hint_rescores, 530);
     EXPECT_EQ(second.expected_accuracy, 90.102252387670788);
     EXPECT_EQ(second.planned_qps, 1620.0);
+}
+
+/**
+ * A cold paper-zoo decision with the same demand, @p qps, for every
+ * family: a probe of the branch & bound tree's size. The wall-clock
+ * backstop is raised so that a slow (sanitized) build also ends on the
+ * gap; the search itself is bounded by the deterministic work budget.
+ */
+struct ColdProbe {
+    AllocatorSolveMeta meta;
+    double expected_accuracy = 0.0;
+};
+
+ColdProbe
+coldPaperZooProbe(double qps)
+{
+    World w = paperWorld();
+    IlpAllocatorOptions opts;
+    opts.milp_time_limit_sec = 600.0;
+    IlpAllocator alloc(&w.registry, &w.cluster, w.profiles.get(), opts);
+    AllocationInput in;
+    in.demand_qps.assign(w.registry.numFamilies(), qps);
+    const Allocation plan = alloc.allocate(in);
+    return ColdProbe{alloc.lastSolveMeta(), plan.expected_accuracy};
+}
+
+TEST(IlpAllocatorTest, ColdPaperZooProbeAt10QpsIsPinned)
+{
+    // The largest tree of the cold probes that end on the gap (50 qps
+    // ends at the root: PaperZooSolveEffortIsPinned). Changes to
+    // branching, node selection or cuts show here as exact counts.
+    const ColdProbe probe = coldPaperZooProbe(10.0);
+    EXPECT_EQ(probe.meta.nodes, 18463);
+    EXPECT_EQ(probe.meta.simplex_iterations, 207565);
+    EXPECT_EQ(probe.meta.stop, SearchStop::Gap);
+    EXPECT_EQ(probe.meta.backoff_steps, 0);
+    EXPECT_EQ(probe.expected_accuracy, 98.407549663884737);
+}
+
+TEST(IlpAllocatorTest, ColdPaperZooProbeAt120QpsIsPinned)
+{
+    const ColdProbe probe = coldPaperZooProbe(120.0);
+    EXPECT_EQ(probe.meta.nodes, 3207);
+    EXPECT_EQ(probe.meta.simplex_iterations, 36223);
+    EXPECT_EQ(probe.meta.stop, SearchStop::Gap);
+    EXPECT_EQ(probe.meta.backoff_steps, 0);
+    EXPECT_EQ(probe.expected_accuracy, 94.626330368366354);
 }
 
 }  // namespace

@@ -271,7 +271,6 @@ TEST(ControllerTest, SolveOutcomeFeedsTheRegistry)
     alloc.meta.warm_root = true;
     alloc.meta.stop = SearchStop::WallClock;
     alloc.meta.hint_moves = 1700;
-    alloc.meta.hint_sums = 13;
     alloc.meta.hint_rescores = 240;
     obs::MetricsRegistry registry;
     ControllerOptions opts;
@@ -287,7 +286,6 @@ TEST(ControllerTest, SolveOutcomeFeedsTheRegistry)
     EXPECT_DOUBLE_EQ(registry.histogram("solver.gap_ppm")->max(), 4000.0);
     EXPECT_EQ(registry.histogram("solver.hint_moves")->count(), 2u);
     EXPECT_DOUBLE_EQ(registry.histogram("solver.hint_moves")->max(), 1700.0);
-    EXPECT_DOUBLE_EQ(registry.histogram("solver.hint_sums")->max(), 13.0);
     EXPECT_DOUBLE_EQ(registry.histogram("solver.hint_rescores")->max(),
                      240.0);
     EXPECT_EQ(registry.counter("solver.wall_limit_stops")->value(), 2u);

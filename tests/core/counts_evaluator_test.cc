@@ -86,20 +86,24 @@ struct Keep {
     std::vector<int> cur;
 };
 
+/** From-scratch scores of one plan. */
+struct Scores {
+    std::vector<double> family;  ///< per family; 0 without demand
+    bool feasible = true;
+};
+
 /**
- * From-scratch score of plan @p count, written independently of the
- * evaluator: every family over every (variant, type) pair in
- * accuracy order, then the objective summed in order (families with
- * demand, the replica penalty, the keep bonuses that keep something).
+ * From-scratch scores of plan @p count, written independently of the
+ * evaluator: every family over every (variant, type) pair in accuracy
+ * order.
  */
-CountsEval
+Scores
 reference(const Zoo& zoo, const std::vector<int>& count,
-          const std::vector<double>& demand, const Keep* keep)
+          const std::vector<double>& demand)
 {
     const std::size_t M = zoo.registry->numVariants();
-    CountsEval out;
-    out.feasible = true;
-    double obj = 0.0;
+    Scores out;
+    out.family.assign(demand.size(), 0.0);
     for (std::size_t f = 0; f < demand.size(); ++f) {
         if (demand[f] <= 0.0)
             continue;
@@ -125,28 +129,68 @@ reference(const Zoo& zoo, const std::vector<int>& count,
             }
         }
         out.feasible &= remaining <= 1e-6 * std::max(1.0, demand[f]);
-        obj += value;
+        out.family[f] = value;
     }
-    int replicas = 0;
-    for (int c : count)
-        replicas += c;
-    obj += -(1e-4 * replicas);
-    for (std::size_t k = 0; keep && k < count.size(); ++k) {
-        const int kept = std::min(count[k], keep->cur[k]);
-        if (keep->cur[k] > 0 && kept > 0)
-            obj += keep->bonus[k] * kept;
-    }
-    out.objective = obj;
     return out;
 }
 
-/** The allocator's acceptance rule for a local-search move. */
-bool
-improves(const CountsEval& moved, const CountsEval& base)
+/** What keep bonus @p k earns with @p count devices on its pair. */
+double
+keepTerm(const Keep* keep, std::size_t k, int count)
 {
-    return (moved.feasible && !base.feasible) ||
-           (moved.feasible == base.feasible &&
-            moved.objective > base.objective + 1e-9);
+    if (!keep || keep->cur[k] <= 0)
+        return 0.0;
+    const int kept = std::min(count, keep->cur[k]);
+    return kept > 0 ? keep->bonus[k] * kept : 0.0;
+}
+
+/**
+ * The allocator's rule for moving one type-@p t device of plan
+ * @p before to variant @p dst, from variant @p src or the idle budget,
+ * decided from scratch: accept a move that makes the plan feasible;
+ * reject one that makes it infeasible; otherwise accept when the exact
+ * change d > 1e-9, d summed in the documented order (the touched
+ * families by ascending id, the replica penalty, then the keep bonuses
+ * by ascending variant).
+ */
+bool
+referenceAccepts(const Zoo& zoo, const std::vector<int>& before,
+                 const std::vector<double>& demand, const Keep* keep,
+                 std::size_t t, std::size_t src, std::size_t dst)
+{
+    const std::size_t M = zoo.registry->numVariants();
+    const bool idle = src == CountsEvaluator::kIdle;
+    auto moved = before;
+    ++moved[t * M + dst];
+    if (!idle)
+        --moved[t * M + src];
+    const Scores old_scores = reference(zoo, before, demand);
+    const Scores new_scores = reference(zoo, moved, demand);
+    if (old_scores.feasible != new_scores.feasible)
+        return new_scores.feasible;
+
+    std::vector<FamilyId> families{zoo.registry->familyOf(
+        static_cast<VariantId>(dst))};
+    if (!idle)
+        families.push_back(
+            zoo.registry->familyOf(static_cast<VariantId>(src)));
+    std::sort(families.begin(), families.end());
+    families.erase(std::unique(families.begin(), families.end()),
+                   families.end());
+    double d = 0.0;
+    for (FamilyId f : families)
+        d += new_scores.family[f] - old_scores.family[f];
+    if (idle)
+        d -= 1e-4;
+    std::vector<std::size_t> variants{dst};
+    if (!idle)
+        variants.push_back(src);
+    std::sort(variants.begin(), variants.end());
+    for (std::size_t m : variants) {
+        const std::size_t k = t * M + m;
+        d += keepTerm(keep, k, moved[k]) - keepTerm(keep, k, before[k]);
+    }
+    return d > 1e-9;
 }
 
 /** The hosted variants of type @p t as nextHosted() lists them. */
@@ -163,15 +207,15 @@ hostedList(const CountsEvaluator& ev, std::size_t t, std::size_t M)
 /**
  * Drives the evaluator through seeded random add and re-purpose moves
  * from plans that host each (variant, type) pair with probability
- * @p density. Each improve() must accept exactly when the allocator's
- * rule, applied to from-scratch reference scores of the counts before
- * and after the move, says the move improves; after every step the counts
- * must be the moved ones exactly when it accepted, the score must
- * equal (==) the reference's, and nextHosted() must list exactly the
- * variants with a device. The one evaluator is re-seeded with random
- * counts every 60 steps, as the allocator re-seeds its evaluator every
- * decision, so both sides of the feasibility test keep coming up and
- * no memo entry may outlive a reset().
+ * @p density. Each improve() must accept exactly when the rule, decided
+ * from scratch by referenceAccepts(), says the move improves; after
+ * every step the counts must be the moved ones exactly when it
+ * accepted, feasible() must be the reference's, and nextHosted() must
+ * list exactly the variants with a device. The one evaluator is
+ * re-seeded with random counts every 60 steps, as the allocator
+ * re-seeds its evaluator every decision, so both sides of the
+ * feasibility test keep coming up and no memo entry may outlive a
+ * reset().
  */
 void
 randomMovesMatchFromScratch(const Zoo& zoo, bool keep_bonuses,
@@ -231,22 +275,17 @@ randomMovesMatchFromScratch(const Zoo& zoo, bool keep_bonuses,
         ++moved[t * M + dst];
         if (src != CountsEvaluator::kIdle)
             --moved[t * M + src];
-        const CountsEval ref_before = reference(zoo, before, demand, kp);
-        const CountsEval ref_moved = reference(zoo, moved, demand, kp);
-        ASSERT_EQ(ev.eval().feasible, ref_before.feasible)
-            << "step " << step;
-        ASSERT_EQ(ev.eval().objective, ref_before.objective)
-            << "step " << step;
+        const bool was_feasible = reference(zoo, before, demand).feasible;
+        ASSERT_EQ(ev.feasible(), was_feasible) << "step " << step;
 
         const bool accepted = ev.improve(t, src, dst);
-        ASSERT_EQ(accepted, improves(ref_moved, ref_before))
+        ASSERT_EQ(accepted,
+                  referenceAccepts(zoo, before, demand, kp, t, src, dst))
             << "step " << step;
-        ++outcomes[ref_before.feasible ? 1 : 0][accepted ? 1 : 0];
+        ++outcomes[was_feasible ? 1 : 0][accepted ? 1 : 0];
 
-        const CountsEval& expected = accepted ? ref_moved : ref_before;
         ASSERT_EQ(ev.count(), accepted ? moved : before) << "step " << step;
-        ASSERT_EQ(ev.eval().feasible, expected.feasible) << "step " << step;
-        ASSERT_EQ(ev.eval().objective, expected.objective)
+        ASSERT_EQ(ev.feasible(), reference(zoo, ev.count(), demand).feasible)
             << "step " << step;
         for (std::size_t tt = 0; tt < T; ++tt) {
             std::vector<std::size_t> hosted;
@@ -294,17 +333,28 @@ TEST(CountsEvaluatorTest, MultiWordBitsetsMatchFromScratch)
     }
 }
 
+/** Demand per family that puts the objective near @p objective. */
+double
+demandFor(double objective)
+{
+    // Four families with demand, each served mostly by its 95%
+    // variant: about 4 x 95 = 380 objective per unit of demand.
+    return objective / 380.0;
+}
+
 /**
  * A re-purpose move between two variants of a family without demand
- * changes only keep-bonus terms. Its objective change d is the bonus
- * it gains (@p gain) minus the one it loses (@p loss). Families 1-4
- * carry @p demand each, which sets the objective's magnitude and so
- * how far the in-order sums may round. @return whether improve()
- * accepted, after checking it against the reference; @p summed tells
- * whether it summed the objective in order.
+ * changes only keep-bonus terms. Its change d is the bonus it gains
+ * (@p gain) minus the one it loses (@p loss), with d = @p gain exactly
+ * when @p loss is 0. With @p from_idle the device comes from the idle
+ * budget instead, and d = @p gain minus the replica penalty. Families
+ * 1-4 carry @p demand each, which sets the objective's magnitude.
+ * @return whether improve() accepted, after checking it against the
+ * from-scratch rule and the counts it left.
  */
 bool
-keepBonusMove(double demand, double gain, double loss, bool* summed)
+keepBonusMove(double demand, double gain, double loss,
+              bool from_idle = false)
 {
     const WideZoo wide(11);
     const Zoo zoo = wide.zoo();
@@ -331,66 +381,57 @@ keepBonusMove(double demand, double gain, double loss, bool* summed)
 
     CountsEvaluator ev(zoo.ctx());
     ev.reset(count, demands, &keep.bonus, &keep.cur);
-    const CountsEval before = reference(zoo, count, demands, &keep);
-    EXPECT_TRUE(before.feasible);
-    EXPECT_EQ(ev.eval().objective, before.objective);
-    auto moved = count;
-    --moved[a];
-    ++moved[b];
-    const CountsEval after = reference(zoo, moved, demands, &keep);
+    const Scores scores = reference(zoo, count, demands);
+    EXPECT_TRUE(scores.feasible);
+    EXPECT_TRUE(ev.feasible());
+    // The objective's magnitude, within 5%.
+    double objective = 0.0;
+    for (double value : scores.family)
+        objective += value;
+    EXPECT_NEAR(objective, 380.0 * demand, 19.0 * demand);
 
-    const std::int64_t sums = ev.work().sums;
-    const bool accepted = ev.improve(0, a, b);
-    *summed = ev.work().sums > sums;
-    EXPECT_EQ(accepted, improves(after, before));
-    EXPECT_EQ(ev.eval().objective,
-              accepted ? after.objective : before.objective);
+    const std::size_t src = from_idle ? CountsEvaluator::kIdle : a;
+    const bool accepted = ev.improve(0, src, b);
+    EXPECT_EQ(accepted,
+              referenceAccepts(zoo, count, demands, &keep, 0, src, b));
+    auto moved = count;
+    if (!from_idle)
+        --moved[a];
+    ++moved[b];
+    EXPECT_EQ(ev.count(), accepted ? moved : count);
     return accepted;
 }
 
-TEST(CountsEvaluatorTest, NearThresholdMovesTakeTheInOrderSum)
+TEST(CountsEvaluatorTest, AcceptanceIsMonotoneInTheExactChange)
 {
-    // The objective is about 4 x 500 x 95 = 1.9e5, whose ulp is
-    // 2.9e-11, and the sums' rounding bound E is about 1e-10. Changes
-    // d within 2e-11 of the 1e-9 threshold cannot be decided by the
-    // bound, so each is summed in order; the rounding of those sums
-    // then accepts some and rejects others. With a lost bonus the two
-    // sums round at different places, so some d just below 1e-9 are
-    // accepted: "reject when d < 1e-9" would get them wrong.
-    int accepted = 0;
-    int rejected = 0;
-    for (double loss : {0.0, 1.25, 37.5, 512.3, 4096.7}) {
+    // At objectives whose ulp (2.9e-11 and 4.7e-10) is not small next
+    // to the 1e-9 threshold, a change d just above the threshold is
+    // accepted and one at or below it is rejected: d is the move's own
+    // change, not the difference of two rounded objective sums.
+    for (double objective : {1.9e5, 3e6}) {
+        const double demand = demandFor(objective);
         for (int j = -20; j <= 20; ++j) {
-            bool summed = false;
-            const bool yes = keepBonusMove(
-                500.0, loss + 1e-9 * (1.0 + 1e-3 * j), loss, &summed);
-            EXPECT_TRUE(summed)
-                << "loss " << loss << ", d = 1e-9 * (1 + " << j << "e-3)";
-            (yes ? accepted : rejected) += 1;
+            EXPECT_EQ(keepBonusMove(demand, 1e-9 * (1.0 + 1e-3 * j), 0.0),
+                      j > 0)
+                << "objective " << objective << ", d = 1e-9 * (1 + " << j
+                << "e-3)";
         }
+        // Far from the threshold: a loss is rejected, a clear gain is
+        // accepted, each against a lost bonus.
+        EXPECT_FALSE(keepBonusMove(demand, 37.5, 37.5 + 1e-6));
+        EXPECT_TRUE(keepBonusMove(demand, 37.5 + 1e-6, 37.5));
     }
-    EXPECT_GT(accepted, 0);
-    EXPECT_GT(rejected, 0);
-
-    // Far from the threshold the bound decides: a loss is rejected
-    // without a sum, a clear gain is summed and accepted.
-    bool summed = true;
-    EXPECT_FALSE(keepBonusMove(300.0, 0.0, 1e-6, &summed));
-    EXPECT_FALSE(summed);
-    EXPECT_TRUE(keepBonusMove(300.0, 1e-6, 0.0, &summed));
-    EXPECT_TRUE(summed);
 }
 
 TEST(CountsEvaluatorTest, ZeroDeltaTiesAreRejected)
 {
-    // d = 0 exactly: the gained and lost bonuses are equal. At a small
-    // objective the bound rejects the tie without a sum; at a large one
-    // (E > 1e-9) it cannot, and the in-order sum rejects it.
-    bool summed = true;
-    EXPECT_FALSE(keepBonusMove(30.0, 5.0, 5.0, &summed));
-    EXPECT_FALSE(summed);
-    EXPECT_FALSE(keepBonusMove(3e6, 5.0, 5.0, &summed));
-    EXPECT_TRUE(summed);
+    // d = 0 exactly: the gained and lost bonuses are equal, or an idle
+    // device's bonus pays exactly the replica penalty (1e-4).
+    for (double objective : {1.9e5, 3e6}) {
+        EXPECT_FALSE(keepBonusMove(demandFor(objective), 5.0, 5.0));
+        EXPECT_FALSE(keepBonusMove(demandFor(objective), 1e-4, 0.0, true));
+        EXPECT_TRUE(keepBonusMove(demandFor(objective), 2e-4, 0.0, true));
+    }
 }
 
 TEST(CountsEvaluatorTest, RejectedMoveLeavesCountsAndScore)
@@ -405,7 +446,7 @@ TEST(CountsEvaluatorTest, RejectedMoveLeavesCountsAndScore)
     count[0] = 2;
     CountsEvaluator ev(ctx);
     ev.reset(count, demand);
-    const CountsEval before = ev.eval();
+    const bool feasible = ev.feasible();
     int rejected = 0;
     for (std::size_t dst = 1; dst < w.registry.numVariants(); ++dst) {
         ev.reset(count, demand);
@@ -415,8 +456,7 @@ TEST(CountsEvaluatorTest, RejectedMoveLeavesCountsAndScore)
         // Asked again, the answer comes from the memo.
         EXPECT_FALSE(ev.improve(0, 0, dst));
         EXPECT_EQ(ev.count(), count);
-        EXPECT_EQ(ev.eval().objective, before.objective);
-        EXPECT_EQ(ev.eval().feasible, before.feasible);
+        EXPECT_EQ(ev.feasible(), feasible);
     }
     EXPECT_GT(rejected, 0);
 }

@@ -184,6 +184,26 @@ TEST(SimulatorTest, EventsExecutedCounter)
     EXPECT_EQ(sim.eventsExecuted(), 7u);
 }
 
+TEST(SimulatorTest, ScheduledEventsAreFiredPendingOrCancelled)
+{
+    Simulator sim;
+    std::vector<EventId> ids;
+    for (int i = 1; i <= 6; ++i)
+        ids.push_back(sim.scheduleAt(seconds(i), [] {}));
+    sim.cancel(ids[1]);
+    sim.cancel(ids[4]);
+    sim.cancel(ids[4]);  // already cancelled: counted once
+    sim.run(seconds(3.5));
+    sim.scheduleAfter(0, [] {});  // same instant, still pending
+    EXPECT_EQ(sim.eventsScheduled(), 7u);
+    EXPECT_EQ(sim.eventsExecuted(), 2u);  // t = 1 and 3
+    EXPECT_EQ(sim.pendingEvents(), 3u);   // t = 4, 6 and the new one
+    // scheduled - executed - pending = the two cancelled.
+    EXPECT_EQ(sim.eventsScheduled() - sim.eventsExecuted() -
+                  sim.pendingEvents(),
+              2u);
+}
+
 TEST(SimulatorTest, StepExecutesExactlyOne)
 {
     Simulator sim;

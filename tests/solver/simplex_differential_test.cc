@@ -127,6 +127,46 @@ TEST(DifferentialLpTest, HarnessCoversEveryOutcome)
     EXPECT_GE(unbounded, 20);
 }
 
+TEST(DifferentialLpTest, CyclingLpEndsOnTheBlandFallback)
+{
+    // Beale's cycling example (Bertsimas & Tsitsiklis, Example 3.6):
+    // min -3/4 a + 20 b - 1/2 c + 6 d over a, b, c, d >= 0 with
+    //   1/4 a -  8 b -     c + 9 d <= 0,
+    //   1/2 a - 12 b - 1/2 c + 3 d <= 0   (here scaled by 1/4),
+    //                      c       <= 1.
+    // Scaling the second row makes the largest-pivot tie break of the
+    // ratio test pick the rows the textbook's smallest subscript does,
+    // so Dantzig pricing cycles through degenerate pivots at x = 0.
+    // Only the switch to Bland's rule after 2 (m + n) stalled
+    // iterations ends the solve; without it the solve runs into its
+    // iteration cap.
+    LinearProgram lp(ObjSense::Minimize);
+    const int a = lp.addVariable(0.0, kInf, -0.75);
+    const int b = lp.addVariable(0.0, kInf, 20.0);
+    const int c = lp.addVariable(0.0, kInf, -0.5);
+    const int d = lp.addVariable(0.0, kInf, 6.0);
+    lp.addConstraint({{a, 0.25}, {b, -8.0}, {c, -1.0}, {d, 9.0}},
+                     RowSense::LessEqual, 0.0);
+    lp.addConstraint({{a, 0.125}, {b, -3.0}, {c, -0.125}, {d, 0.75}},
+                     RowSense::LessEqual, 0.0);
+    lp.addConstraint({{c, 1.0}}, RowSense::LessEqual, 1.0);
+
+    SimplexSolver::Options capped;
+    capped.max_iters = 1000;
+    capped.paranoid = true;
+    const Solution ref = DenseTableauSimplex(capped).solve(lp);
+    const Solution got = SimplexSolver(capped).solve(lp);
+    ASSERT_EQ(ref.status, SolveStatus::Optimal);
+    ASSERT_EQ(got.status, SolveStatus::Optimal);
+    EXPECT_TRUE(sameObjective(got.objective, ref.objective));
+    EXPECT_NEAR(got.objective, -1.25, 1e-9);
+    EXPECT_NEAR(got.x[a], 1.0, 1e-9);
+    EXPECT_NEAR(got.x[c], 1.0, 1e-9);
+    // Past the 2 (3 + 7) = 20 stalled pivots the fallback waits for.
+    EXPECT_GT(got.work, 20);
+    EXPECT_EQ(got.work, ref.work);
+}
+
 class WarmStartTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WarmStartTest, WarmMatchesColdAfterBoundAndRhsChanges)
@@ -215,6 +255,36 @@ TEST(WarmStartTest, WrongSizedOrShortBasisIsRepaired)
     Basis wrong(3, BasisStatus::AtLower);
     Solution ignored = SimplexSolver().solve(lp, nullptr, &wrong);
     EXPECT_EQ(ignored.work, cold.work);
+}
+
+TEST(WarmStartTest, DependentStartBasisIsRepairedWithSlacks)
+{
+    // max x + y + z with y's column twice x's: a start basis {x, y, z}
+    // has the right size but is singular. The reinversion drops y,
+    // which has no pivot left once x is in, and gives the row it leaves
+    // uncovered its slack; the dual simplex then re-optimises.
+    LinearProgram lp;
+    const int x = lp.addVariable(0.0, kInf, 1.0);
+    const int y = lp.addVariable(0.0, kInf, 1.0);
+    const int z = lp.addVariable(0.0, kInf, 1.0);
+    lp.addConstraint({{x, 1.0}, {y, 2.0}}, RowSense::LessEqual, 4.0);
+    lp.addConstraint({{x, 2.0}, {y, 4.0}, {z, 1.0}}, RowSense::LessEqual,
+                     10.0);
+    lp.addConstraint({{z, 1.0}}, RowSense::LessEqual, 3.0);
+    Basis dependent(6, BasisStatus::AtLower);
+    dependent[x] = dependent[y] = dependent[z] = BasisStatus::Basic;
+
+    SimplexSolver::Options paranoid;
+    paranoid.paranoid = true;
+    SimplexSolver solver(paranoid);
+    const Solution warm = solver.solve(lp, nullptr, &dependent);
+    const Solution ref = DenseTableauSimplex().solve(lp);
+    ASSERT_EQ(ref.status, SolveStatus::Optimal);
+    ASSERT_EQ(warm.status, SolveStatus::Optimal);
+    EXPECT_TRUE(sameObjective(warm.objective, ref.objective));
+    EXPECT_NEAR(warm.objective, 6.5, 1e-9);  // x = 3.5, z = 3
+    EXPECT_TRUE(lp.isFeasible(warm.x, 1e-9));
+    EXPECT_EQ(solver.coldFallbacks(), 0);
 }
 
 TEST(WarmStartTest, ImpliedBoundKeepsAnUnboxedColumnWarm)

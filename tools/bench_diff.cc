@@ -14,8 +14,10 @@
  * `abs + rel * |baseline|`. Directions are metric-specific (higher
  * throughput is better, lower violation ratio is better; neutral
  * metrics such as demand_qps use a symmetric band). Allocation counts
- * (`allocs_per_*`) do not depend on machine load, so their band is
- * `abs` alone: one more allocation per decision fails the gate.
+ * (`allocs_per_*`) and the event core's per-query event counts
+ * (`events_fired_per_query`, `events_cancelled_per_query`) do not
+ * depend on machine load, so their band is `abs` alone: one more
+ * allocation per decision fails the gate.
  * Reports with different schema versions or bench names refuse to
  * compare.
  *
@@ -66,6 +68,8 @@ directionOf(const std::string& metric)
         {"slo_violation_ratio", Direction::LowerBetter},
         {"allocs_per_query", Direction::LowerBetter},
         {"allocs_per_decision", Direction::LowerBetter},
+        {"events_fired_per_query", Direction::LowerBetter},
+        {"events_cancelled_per_query", Direction::LowerBetter},
         {"trace_overhead_frac", Direction::LowerBetter},
         {"served_late", Direction::LowerBetter},
         {"failed_jobs", Direction::LowerBetter},
@@ -92,7 +96,9 @@ struct Tolerances {
 bool
 isExactCount(const std::string& metric)
 {
-    return metric.rfind("allocs_per_", 0) == 0;
+    return metric.rfind("allocs_per_", 0) == 0 ||
+           metric == "events_fired_per_query" ||
+           metric == "events_cancelled_per_query";
 }
 
 /** CI-metadata suffix emitted by proteus_sweep's aggregation pass. */
