@@ -20,9 +20,13 @@
  *  - events_fired_per_query / events_cancelled_per_query: the event
  *    core's work in the same window, per query: events the Simulator
  *    executed, and events it scheduled that neither fired nor are
- *    still pending (lazy cancellation leaves each one behind as a
- *    stale entry). Both are exact counts of the serving path's
- *    events, so the gate gives them no relative band either.
+ *    still pending (a worker moving its batching wake-up cancels the
+ *    firing it replaces). Both are exact counts of the serving
+ *    path's events, so the gate gives them no relative band either.
+ *  - stale_entries_per_query: queue entries popped in the same
+ *    window that fired nothing. A moved or disarmed timer leaves its
+ *    heap entry nowhere, so this reads 0; an exact count, gated like
+ *    the two above.
  *
  *  - allocs_per_decision: operator-new calls per warm
  *    IlpAllocator::allocate on the mini zoo. The allocator keeps its
@@ -81,6 +85,7 @@ struct SteadyWindow {
     std::uint64_t queries = 0;
     std::uint64_t fired = 0;      ///< events executed
     std::uint64_t cancelled = 0;  ///< events scheduled, then cancelled
+    std::uint64_t stale = 0;      ///< queue entries that fired nothing
 };
 
 /**
@@ -120,6 +125,7 @@ meterSteadyWindow()
     };
     const std::uint64_t executed = sim.eventsExecuted();
     const std::uint64_t cancelled = cancelledSoFar();
+    const std::uint64_t stale = sim.staleEntries();
     SteadyWindow window;
     {
         alloc::ScopedHeapTally tally;
@@ -128,6 +134,7 @@ meterSteadyWindow()
     }
     window.fired = sim.eventsExecuted() - executed;
     window.cancelled = cancelledSoFar() - cancelled;
+    window.stale = sim.staleEntries() - stale;
 
     RunResult r = system.finishRun();
     window.queries = r.summary.arrivals / 2;
@@ -216,6 +223,7 @@ main()
     const double apq = perQuery(window.allocs, window);
     const double fired = perQuery(window.fired, window);
     const double cancelled = perQuery(window.cancelled, window);
+    const double stale = perQuery(window.stale, window);
 
     std::uint64_t decision_allocs = 0;
     std::uint64_t decisions = 0;
@@ -231,6 +239,8 @@ main()
               << "  events_cancelled_per_query: "
               << fmtDouble(cancelled, 4) << "  (" << window.cancelled
               << " events)\n"
+              << "  stale_entries_per_query   : " << fmtDouble(stale, 4)
+              << "  (" << window.stale << " entries)\n"
               << "  allocs_per_decision: " << fmtDouble(apd, 2) << "  ("
               << decision_allocs << " allocs / " << decisions
               << " warm decisions)\n";
@@ -240,6 +250,7 @@ main()
     report.addValue("allocs_per_query", apq);
     report.addValue("events_fired_per_query", fired);
     report.addValue("events_cancelled_per_query", cancelled);
+    report.addValue("stale_entries_per_query", stale);
     report.addValue("allocs_per_decision", apd);
     report.write();
     return 0;

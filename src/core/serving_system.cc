@@ -116,6 +116,12 @@ ServingSystem::ServingSystem(const Cluster* cluster,
     // Every worker and load balancer reports to this system.
     QueryObserver* sink = this;
 
+    // Timers, sized once: the arrival timer, each worker's wake-up
+    // and batch completion, and the controller, metrics and
+    // time-series periodics.
+    sim_.reserveTimers(2 * cluster_->numDevices() + 4);
+    arrival_timer_ = sim_.addTimer([this] { injectArrivals(); });
+
     // One worker per device. Requeued queries (variant swaps, stale
     // routing) are re-submitted through the family's load balancer on
     // the next simulator step to avoid same-instant routing loops.
@@ -498,9 +504,10 @@ ServingSystem::currentPlan() const
 void
 ServingSystem::injectArrivals()
 {
-    // Chained arrival injection: one pending event at a time. Queries
-    // draw recycled slots from the pool; ids stay monotonic via the
-    // dedicated counter (byte-identical to the old grow-only arena).
+    // Chained arrival injection on one timer, re-armed for the next
+    // trace event each time. Queries draw recycled slots from the
+    // pool; ids stay monotonic via the dedicated counter
+    // (byte-identical to the old grow-only arena).
     const auto& events = active_trace_->events();
     while (trace_cursor_ < events.size() &&
            events[trace_cursor_].at <= sim_.now()) {
@@ -527,10 +534,8 @@ ServingSystem::injectArrivals()
         }
         balancers_[e.family]->submit(q);
     }
-    if (trace_cursor_ < events.size()) {
-        sim_.scheduleAt(events[trace_cursor_].at,
-                        [this] { injectArrivals(); });
-    }
+    if (trace_cursor_ < events.size())
+        sim_.armTimer(arrival_timer_, events[trace_cursor_].at);
 }
 
 void
@@ -619,10 +624,8 @@ ServingSystem::beginRun(const Trace& trace,
     active_trace_ = &trace;
     trace_cursor_ = 0;
     sim_.reserveEvents(64);
-    if (!trace.events().empty()) {
-        sim_.scheduleAt(trace.events().front().at,
-                        [this] { injectArrivals(); });
-    }
+    if (!trace.events().empty())
+        sim_.armTimer(arrival_timer_, trace.events().front().at);
 
     // Run past the end of the trace so in-flight queries drain; the
     // controller's periodic task keeps the event queue non-empty, so

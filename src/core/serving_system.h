@@ -238,6 +238,8 @@ class ServingSystem : private QueryObserver
     // Staged-run state (beginRun .. finishRun).
     const Trace* active_trace_ = nullptr;
     std::size_t trace_cursor_ = 0;
+    /** Fires injectArrivals() at the next trace event. */
+    TimerId arrival_timer_ = 0;
     Time horizon_ = kNoTime;
 
     bool first_apply_ = true;

@@ -22,7 +22,12 @@ Worker::Worker(Simulator* sim, const Cluster* cluster, DeviceId device,
       observer_(observer),
       requeue_(std::move(requeue)),
       jitter_frac_(jitter_frac),
-      rng_(jitter_seed + device * 7919)
+      rng_(jitter_seed + device * 7919),
+      wake_timer_(sim->addTimer([this] {
+          timer_at_ = kNoTime;
+          evaluate();
+      })),
+      done_timer_(sim->addTimer([this] { finishBatch(); }))
 {}
 
 void
@@ -156,8 +161,7 @@ Worker::crash()
     if (busy_) {
         // Abort the in-flight batch: it never completed, so unwind
         // its accounting and hand the queries back for re-routing.
-        sim_->cancel(inflight_event_);
-        inflight_event_ = kNoEvent;
+        sim_->disarmTimer(done_timer_);
         busy_ = false;
         --batches_;
         batched_queries_ -=
@@ -247,9 +251,8 @@ Worker::failNextLoad()
 void
 Worker::cancelTimer()
 {
-    if (timer_ != kNoEvent) {
-        sim_->cancel(timer_);
-        timer_ = kNoEvent;
+    if (timer_at_ != kNoTime) {
+        sim_->disarmTimer(wake_timer_);
         timer_at_ = kNoTime;
     }
 }
@@ -322,15 +325,11 @@ Worker::evaluate()
         return;
     }
     if (action.wake_at != kNoTime && !queue_.empty()) {
-        if (timer_ != kNoEvent && timer_at_ == action.wake_at)
+        if (timer_at_ == action.wake_at)
             return;  // identical timer already armed
-        cancelTimer();
+        // Arms the timer, or moves it if it is pending.
         timer_at_ = std::max(action.wake_at, sim_->now());
-        timer_ = sim_->scheduleAt(timer_at_, [this] {
-            timer_ = kNoEvent;
-            timer_at_ = kNoTime;
-            evaluate();
-        });
+        sim_->armTimer(wake_timer_, timer_at_);
         return;
     }
     cancelTimer();
@@ -381,20 +380,17 @@ Worker::executeBatch(int count)
     busy_time_ += lat;
     ++batches_;
     batched_queries_ += static_cast<std::uint64_t>(count);
-    // Capture the executing variant: a swap may be requested while
-    // the batch runs, but these queries were served by this variant.
     // The batch lives in inflight_ so a crash can abort and re-route
-    // it — and so the completion closure stays two words.
-    const VariantId executing = *target_;
-    inflight_event_ = sim_->scheduleAfter(
-        lat, [this, executing] { finishBatch(executing); });
+    // it by disarming the completion timer.
+    inflight_variant_ = *target_;
+    sim_->armTimer(done_timer_, now + lat);
 }
 
 void
-Worker::finishBatch(VariantId executed_variant)
+Worker::finishBatch()
 {
     busy_ = false;
-    inflight_event_ = kNoEvent;
+    const VariantId executed_variant = inflight_variant_;
     const Time now = sim_->now();
     const double accuracy = registry_->variant(executed_variant).accuracy;
     // Read before the observer loop: onFinished may hand a query's

@@ -173,7 +173,7 @@ class Worker
     void dropFront(int count);
     /** Record @p q's Queue span, enqueue to now (batch or drop). */
     void traceQueueWait(const Query& q);
-    void finishBatch(VariantId executed_variant);
+    void finishBatch();
     void cancelTimer();
     void bounce(Query* query);
     /** Move everything queued into drain_scratch_ and bounce it. */
@@ -207,7 +207,8 @@ class Worker
      *  container every time (ISSUE 6 satellite). */
     alloc::ScratchVector<Query*> drain_scratch_;
     bool busy_ = false;
-    EventId timer_ = kNoEvent;
+    /** Batching wake-up: armed at timer_at_, kNoTime while idle. */
+    TimerId wake_timer_;
     Time timer_at_ = kNoTime;
 
     // Fault state (driven by the fault-injection subsystem).
@@ -217,9 +218,13 @@ class Worker
     bool fail_next_load_ = false;
     double stall_factor_ = 1.0;
     Time stall_until_ = kNoTime;
-    EventId inflight_event_ = kNoEvent;
+    /** Completion of the executing batch, armed while busy_. */
+    TimerId done_timer_;
     /** The executing batch (reused across batches; capacity sticks). */
     alloc::ScratchVector<Query*> inflight_;
+    /** The variant executing inflight_: a swap may be requested while
+     *  the batch runs, but these queries were served by this one. */
+    VariantId inflight_variant_ = kInvalidId;
 
     std::uint64_t served_ = 0;
     std::uint64_t dropped_ = 0;

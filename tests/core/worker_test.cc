@@ -288,6 +288,53 @@ TEST(WorkerFaultTest, FailedWorkerRefusesWorkUntilRecovered)
     EXPECT_EQ(fix.rec.finished[1].status, QueryStatus::Served);
 }
 
+TEST(WorkerFaultTest, RecoveredWorkerNeverSeesTheAbortedCompletion)
+{
+    // The batch-completion timer is the worker's for life: a crash
+    // disarms it, and a batch started after recovery re-arms it
+    // before the aborted batch would have completed.
+    WorkerFixture fix;
+    fix.worker.setBatchingPolicy(std::make_unique<StaticBatching>(1));
+    FamilyId resnet = fix.world.registry.findFamily("resnet");
+    VariantId v = fix.world.registry.mostAccurate(resnet);
+    const Duration lat =
+        fix.world.profiles->get(v, fix.worker.deviceType()).latencyFor(1);
+    const Time crash_at = lat / 4;
+    const Time restart_at = lat / 2;
+    ASSERT_GT(crash_at, 0);
+    fix.worker.hostVariant(v, true);
+    fix.sim.scheduleAt(0, [&fix, resnet] {
+        fix.worker.enqueue(fix.makeQuery(resnet, 0));
+    });
+    fix.sim.scheduleAt(crash_at, [&fix] {
+        EXPECT_TRUE(fix.worker.busy());
+        fix.worker.crash();
+    });
+    fix.sim.scheduleAt(restart_at, [&fix, v, resnet] {
+        fix.worker.recover();
+        fix.worker.hostVariant(v, true);
+        fix.worker.enqueue(fix.makeQuery(resnet, fix.sim.now()));
+        EXPECT_TRUE(fix.worker.busy());
+    });
+    fix.sim.run();
+
+    ASSERT_EQ(fix.rec.finished.size(), 2u);
+    EXPECT_EQ(fix.rec.finished[0].status, QueryStatus::Dropped);
+    EXPECT_EQ(fix.rec.finished[0].completion, crash_at);
+    EXPECT_EQ(fix.rec.finished[1].status, QueryStatus::Served);
+    EXPECT_EQ(fix.rec.finished[1].completion, restart_at + lat);
+    // Three scheduled events and one completion: the aborted batch's
+    // never fired.
+    EXPECT_EQ(fix.sim.eventsExecuted(), 4u);
+    EXPECT_EQ(fix.sim.now(), restart_at + lat);
+    EXPECT_FALSE(fix.worker.busy());
+    EXPECT_EQ(fix.worker.batches(), 1u);  // the aborted one unwound
+    EXPECT_EQ(fix.worker.served(), 1u);
+    // Busy time is charged when a batch starts, the aborted one's
+    // included.
+    EXPECT_EQ(fix.worker.busyTime(), 2 * lat);
+}
+
 TEST(WorkerFaultTest, StallSlowsExecutionForWindowOnly)
 {
     auto serve_latency = [](bool stalled) {

@@ -53,9 +53,10 @@ TEST(SimulatorTest, CancelPreventsExecution)
 {
     Simulator sim;
     bool fired = false;
-    EventId id = sim.scheduleAt(seconds(1.0), [&] { fired = true; });
-    EXPECT_TRUE(sim.cancel(id));
-    EXPECT_FALSE(sim.cancel(id));  // already gone
+    const TimerId id = sim.addTimer([&] { fired = true; });
+    sim.armTimer(id, seconds(1.0));
+    EXPECT_TRUE(sim.disarmTimer(id));
+    EXPECT_FALSE(sim.disarmTimer(id));  // already gone
     sim.run();
     EXPECT_FALSE(fired);
 }
@@ -63,7 +64,7 @@ TEST(SimulatorTest, CancelPreventsExecution)
 TEST(SimulatorTest, CancelUnknownIdIsNoop)
 {
     Simulator sim;
-    EXPECT_FALSE(sim.cancel(9999));
+    EXPECT_FALSE(sim.disarmTimer(9999));
 }
 
 TEST(SimulatorTest, RunUntilStopsClock)
@@ -102,27 +103,28 @@ TEST(SimulatorTest, SameInstantEventsKeepFifoOrderWithHeapEvents)
 {
     // Events scheduled at the current instant wait in a FIFO beside the
     // heap; the merged order must be (time, scheduling order) anyway,
-    // with cancelled entries of either queue skipped.
+    // with timers disarmed out of either queue skipped.
     Simulator sim;
     std::vector<std::string> order;
     auto log = [&order](const char* name) {
         return [&order, name] { order.emplace_back(name); };
     };
+    const TimerId z2 = sim.addTimer(log("z2"));
+    const TimerId h3 = sim.addTimer(log("h3"));
     sim.scheduleAfter(0, log("s0"));
-    EventId h3 = kNoEvent;
     sim.scheduleAt(seconds(1.0), [&] {
         order.emplace_back("h1");
         sim.scheduleAfter(0, [&] {
             order.emplace_back("z1");
             sim.scheduleAfter(0, log("z4"));
         });
-        const EventId z2 = sim.scheduleAt(sim.now(), log("z2"));
+        sim.armTimer(z2, sim.now());
         sim.scheduleAfter(0, log("z3"));
-        EXPECT_TRUE(sim.cancel(z2));
-        EXPECT_TRUE(sim.cancel(h3));
+        EXPECT_TRUE(sim.disarmTimer(z2));
+        EXPECT_TRUE(sim.disarmTimer(h3));
     });
     sim.scheduleAt(seconds(1.0), log("h2"));
-    h3 = sim.scheduleAt(seconds(1.0), log("h3"));
+    sim.armTimer(h3, seconds(1.0));
     sim.scheduleAt(seconds(2.0), log("h4"));
 
     sim.run(seconds(1.0));
@@ -139,10 +141,11 @@ TEST(SimulatorTest, PeriodicTaskRepeatsUntilCancelled)
 {
     Simulator sim;
     int ticks = 0;
-    EventId id = sim.schedulePeriodic(seconds(1.0), [&] {
+    TimerId id = 0;
+    id = sim.schedulePeriodic(seconds(1.0), [&] {
         ++ticks;
         if (ticks == 4)
-            sim.cancelPeriodic(id);
+            sim.disarmTimer(id);
     });
     sim.run(seconds(100.0));
     EXPECT_EQ(ticks, 4);
@@ -152,10 +155,11 @@ TEST(SimulatorTest, PeriodicFirstFiringAfterOnePeriod)
 {
     Simulator sim;
     Time first = kNoTime;
-    EventId id = sim.schedulePeriodic(seconds(30.0), [&] {
+    TimerId id = 0;
+    id = sim.schedulePeriodic(seconds(30.0), [&] {
         if (first == kNoTime)
             first = sim.now();
-        sim.cancelPeriodic(id);
+        sim.disarmTimer(id);
     });
     sim.run(seconds(120.0));
     EXPECT_EQ(first, seconds(30.0));
@@ -187,12 +191,14 @@ TEST(SimulatorTest, EventsExecutedCounter)
 TEST(SimulatorTest, ScheduledEventsAreFiredPendingOrCancelled)
 {
     Simulator sim;
-    std::vector<EventId> ids;
-    for (int i = 1; i <= 6; ++i)
-        ids.push_back(sim.scheduleAt(seconds(i), [] {}));
-    sim.cancel(ids[1]);
-    sim.cancel(ids[4]);
-    sim.cancel(ids[4]);  // already cancelled: counted once
+    std::vector<TimerId> ids;
+    for (int i = 1; i <= 6; ++i) {
+        ids.push_back(sim.addTimer([] {}));
+        sim.armTimer(ids.back(), seconds(i));
+    }
+    sim.disarmTimer(ids[1]);
+    sim.disarmTimer(ids[4]);
+    sim.disarmTimer(ids[4]);  // already disarmed: counted once
     sim.run(seconds(3.5));
     sim.scheduleAfter(0, [] {});  // same instant, still pending
     EXPECT_EQ(sim.eventsScheduled(), 7u);
@@ -202,6 +208,41 @@ TEST(SimulatorTest, ScheduledEventsAreFiredPendingOrCancelled)
     EXPECT_EQ(sim.eventsScheduled() - sim.eventsExecuted() -
                   sim.pendingEvents(),
               2u);
+}
+
+TEST(SimulatorTest, ReArmMovesAPendingTimerAndCountsOneCancellation)
+{
+    Simulator sim;
+    std::vector<std::string> order;
+    const TimerId t = sim.addTimer([&] { order.emplace_back("t"); });
+    sim.armTimer(t, seconds(3.0));
+    sim.scheduleAt(seconds(2.0), [&] { order.emplace_back("a"); });
+    sim.armTimer(t, seconds(1.0));  // earlier
+    sim.armTimer(t, seconds(2.0));  // a tie: fires after "a"
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "t"}));
+    EXPECT_EQ(sim.eventsScheduled(), 4u);
+    EXPECT_EQ(sim.eventsExecuted(), 2u);
+    EXPECT_EQ(sim.staleEntries(), 0u);  // moved in place, never skipped
+}
+
+TEST(SimulatorTest, TimerMovedOutOfTheSameInstantRingLeavesOneStaleEntry)
+{
+    Simulator sim;
+    int fired = 0;
+    const TimerId t = sim.addTimer([&] { ++fired; });
+    sim.scheduleAt(seconds(1.0), [&] {
+        sim.armTimer(t, sim.now());  // joins the ring
+        sim.armTimer(t, sim.now() + seconds(1.0));  // leaves it
+    });
+    sim.run(seconds(1.5));
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(sim.staleEntries(), 1u);
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    sim.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.now(), seconds(2.0));
 }
 
 TEST(SimulatorTest, StepExecutesExactlyOne)

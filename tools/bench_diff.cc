@@ -15,7 +15,8 @@
  * throughput is better, lower violation ratio is better; neutral
  * metrics such as demand_qps use a symmetric band). Allocation counts
  * (`allocs_per_*`) and the event core's per-query event counts
- * (`events_fired_per_query`, `events_cancelled_per_query`) do not
+ * (`events_fired_per_query`, `events_cancelled_per_query`,
+ * `stale_entries_per_query`) do not
  * depend on machine load, so their band is `abs` alone: one more
  * allocation per decision fails the gate.
  * Reports with different schema versions or bench names refuse to
@@ -70,6 +71,7 @@ directionOf(const std::string& metric)
         {"allocs_per_decision", Direction::LowerBetter},
         {"events_fired_per_query", Direction::LowerBetter},
         {"events_cancelled_per_query", Direction::LowerBetter},
+        {"stale_entries_per_query", Direction::LowerBetter},
         {"trace_overhead_frac", Direction::LowerBetter},
         {"served_late", Direction::LowerBetter},
         {"failed_jobs", Direction::LowerBetter},
@@ -98,7 +100,8 @@ isExactCount(const std::string& metric)
 {
     return metric.rfind("allocs_per_", 0) == 0 ||
            metric == "events_fired_per_query" ||
-           metric == "events_cancelled_per_query";
+           metric == "events_cancelled_per_query" ||
+           metric == "stale_entries_per_query";
 }
 
 /** CI-metadata suffix emitted by proteus_sweep's aggregation pass. */
