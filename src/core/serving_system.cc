@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -116,10 +117,10 @@ ServingSystem::ServingSystem(const Cluster* cluster,
     // Every worker and load balancer reports to this system.
     QueryObserver* sink = this;
 
-    // Timers, sized once: the arrival timer, each worker's wake-up
-    // and batch completion, and the controller, metrics and
-    // time-series periodics.
-    sim_.reserveTimers(2 * cluster_->numDevices() + 4);
+    // Timers, sized once: the arrival timer, each worker's wake-up,
+    // batch completion and model load, and the controller, metrics
+    // and time-series periodics.
+    sim_.reserveTimers(3 * cluster_->numDevices() + 4);
     arrival_timer_ = sim_.addTimer([this] { injectArrivals(); });
 
     // One worker per device. Requeued queries (variant swaps, stale
@@ -236,6 +237,8 @@ ServingSystem::registerTimeSeriesChannels()
         config_.obs.slo_window / config_.obs.sample_interval);
     obs_registry_.counter("slo.alarms_raised");
     obs_registry_.counter("slo.alarms_cleared");
+    slo_windows_.assign(registry_->numFamilies(),
+                        obs::SloBurnWindow(slo_ticks));
 
     // Per-family rates derived from the collector's live cumulative
     // counters, plus instantaneous depth/quality probes.
@@ -256,55 +259,42 @@ ServingSystem::registerTimeSeriesChannels()
         ts->addCounterRate(prefix + "shed_qps", [lb] {
             return static_cast<double>(lb->shed());
         });
-        ts->addProbe(prefix + "queue", [this, f] {
-            double depth = 0.0;
+        // Sum of a worker count over the workers hosting the family.
+        auto hosted = [this, f](auto count) {
+            std::uint64_t n = 0;
             for (const auto& w : workers_) {
                 if (auto v = w->hostedVariant()) {
                     if (registry_->familyOf(*v) == f)
-                        depth += static_cast<double>(w->queueLength());
+                        n += std::invoke(count, *w);
                 }
             }
-            return depth;
-        });
+            return static_cast<double>(n);
+        };
+        ts->addProbe(prefix + "queue",
+                     [hosted] { return hosted(&Worker::queueLength); });
         // Interval mean batch size over the workers currently hosting
         // the family: ratio of executed-query/batch deltas. Workers
         // that swapped families mid-interval contribute a few foreign
-        // batches to the delta — telemetry-grade, not an invariant.
-        auto batch_last =
-            std::make_shared<std::pair<std::uint64_t, std::uint64_t>>();
-        ts->addProbe(prefix + "batch_size", [this, f, batch_last] {
-            std::uint64_t queries = 0, batches = 0;
-            for (const auto& w : workers_) {
-                if (auto v = w->hostedVariant()) {
-                    if (registry_->familyOf(*v) == f) {
-                        queries += w->batchedQueries();
-                        batches += w->batches();
-                    }
-                }
-            }
-            const std::uint64_t dq = queries - batch_last->first;
-            const std::uint64_t db = batches - batch_last->second;
-            *batch_last = {queries, batches};
-            return db ? static_cast<double>(dq) /
-                            static_cast<double>(db)
-                      : 0.0;
-        });
+        // batches to the delta, and a worker that left the family takes
+        // its lifetime counts out of both totals (a tick whose batch
+        // total shrank reads 0) — telemetry-grade, not an invariant.
+        ts->addCounterRatio(
+            prefix + "batch_size",
+            [hosted] { return hosted(&Worker::batchedQueries); },
+            [hosted] { return hosted(&Worker::batches); });
         // Interval mean served accuracy: ratio of the collector's
         // cumulative accuracy-sum/completed deltas (exact).
-        auto acc_last = std::make_shared<std::pair<double, double>>();
-        ts->addProbe(prefix + "accuracy", [mc, f, acc_last] {
-            const IntervalCounters& t = mc->familyTotals()[f];
-            const double sum = t.accuracy_sum;
-            const double done = static_cast<double>(t.completed());
-            const double dsum = sum - acc_last->first;
-            const double ddone = done - acc_last->second;
-            *acc_last = {sum, done};
-            return ddone > 0.0 ? dsum / ddone : 0.0;
-        });
+        ts->addCounterRatio(
+            prefix + "accuracy",
+            [mc, f] { return mc->familyTotals()[f].accuracy_sum; },
+            [mc, f] {
+                return static_cast<double>(
+                    mc->familyTotals()[f].completed());
+            });
         // Trailing-window violation ratio and burn-rate alarm over the
         // collector's totals, advanced here at each tick; burn_rate is
         // registered next, so it reads the window this tick just left.
-        auto slo = std::make_shared<obs::SloBurnWindow>(slo_ticks);
+        obs::SloBurnWindow* slo = &slo_windows_[f];
         ts->addProbe(prefix + "violation_ratio_w", [this, mc, f, slo] {
             const IntervalCounters& t = mc->familyTotals()[f];
             if (slo->tick(t.completed() + t.dropped, t.violations()) !=
@@ -320,7 +310,7 @@ ServingSystem::registerTimeSeriesChannels()
     // are sampled from the registry, fed by the controller at every
     // decision (Controller::noteSolve).
     ts->addProbe("cluster.devices_down", [this] {
-        return static_cast<double>(metrics_.devicesDown());
+        return static_cast<double>(health_.downCount());
     });
     const obs::Gauge* nodes = obs_registry_.gauge("solver.last_nodes");
     ts->addProbe("solver.last_nodes",
@@ -726,7 +716,6 @@ ServingSystem::finishRun()
     if (injector_)
         result.faults_injected = injector_->injected();
     if (stage_router_) {
-        result.forwarded = stage_router_->forwarded();
         for (PipelineId p = 0; p < pipelines_.size(); ++p) {
             const CompiledPipeline& pipe = pipelines_.pipeline(p);
             // Every query of the entry family is a query of this
@@ -741,6 +730,8 @@ ServingSystem::finishRun()
             prs.stats.served_late = e2e.served_late;
             prs.stats.dropped = e2e.dropped;
             prs.stats.stages = stage_router_->stages(p);
+            for (const StageStats& st : prs.stats.stages)
+                result.forwarded += st.forwarded;
             result.pipelines.push_back(std::move(prs));
         }
     }

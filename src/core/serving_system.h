@@ -213,6 +213,8 @@ class ServingSystem : private QueryObserver
     obs::MetricsRegistry obs_registry_;
     std::unique_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::TimeSeriesRecorder> timeseries_;
+    /** Per-family SLO burn windows, advanced by the recorder's ticks. */
+    std::vector<obs::SloBurnWindow> slo_windows_;
     /** Seeded reservoir of SLO-violating query ids (tail exemplars). */
     std::unique_ptr<obs::TailReservoir> tail_reservoir_;
     /** Pipeline stage step of onFinished (null without pipelines). */

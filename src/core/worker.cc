@@ -27,7 +27,8 @@ Worker::Worker(Simulator* sim, const Cluster* cluster, DeviceId device,
           timer_at_ = kNoTime;
           evaluate();
       })),
-      done_timer_(sim->addTimer([this] { finishBatch(); }))
+      done_timer_(sim->addTimer([this] { finishBatch(); })),
+      load_timer_(sim->addTimer([this] { finishLoad(); }))
 {}
 
 void
@@ -46,7 +47,6 @@ Worker::bounce(Query* query)
     query->status = QueryStatus::Dropped;
     query->completion = sim_->now();
     query->served_by = device_;
-    ++dropped_;
     if (tracer_)
         traceQueryEnd(tracer_, *query);
     if (observer_)
@@ -75,10 +75,8 @@ Worker::hostVariant(std::optional<VariantId> variant, bool instant)
 {
     if (failed_)
         return;  // dead hardware loads nothing (stale static plans)
-    if (variant == target_ && !loading_)
-        return;
-    if (variant == target_ && loading_)
-        return;  // already loading that variant
+    if (variant == target_)
+        return;  // already hosting or loading that variant
 
     cancelTimer();
     ++load_epoch_;
@@ -89,60 +87,62 @@ Worker::hostVariant(std::optional<VariantId> variant, bool instant)
     bounceQueued();
 
     target_ = variant;
-    if (!variant) {
-        loading_ = false;
-        return;
-    }
-    if (instant) {
-        loading_ = false;
-        if (health_)
-            health_->markUp(device_);
-        evaluate();
-        return;
-    }
-    loading_ = true;
-    const Duration load = cost_->loadTime(type_, *variant);
-    const std::uint64_t epoch = load_epoch_;
-    if (fail_next_load_) {
-        // Armed load failure: the load runs its full course and then
-        // fails, leaving the device empty, as a corrupt download or
-        // OOM on a real serving node would.
-        fail_next_load_ = false;
-        sim_->scheduleAfter(load, [this, epoch] {
-            if (epoch != load_epoch_)
-                return;
-            loading_ = false;
-            target_.reset();
-            ++failed_loads_;
-            bounceQueued();
-            if (load_failure_alarm_)
-                load_failure_alarm_(device_);
-        });
-        return;
-    }
-    const Time load_start = sim_->now();
-    sim_->scheduleAfter(load, [this, epoch, load_start] {
-        if (epoch != load_epoch_)
-            return;  // superseded by a newer hostVariant()
-        loading_ = false;
-        if (tracer_ && target_) {
-            obs::SpanRecord s;
-            s.kind = obs::SpanKind::Load;
-            s.start = load_start;
-            s.end = sim_->now();
-            s.id = load_epoch_;
-            if (plan_epoch_ != 0) {  // a load before the first plan is a root
-                s.parent_id = plan_epoch_;
-                s.parent_kind = obs::SpanKind::Apply;
-            }
-            s.a = device_;
-            s.b = *target_;
-            tracer_->record(s);
+    loading_ = variant.has_value() && !instant;
+    if (!loading_) {
+        sim_->disarmTimer(load_timer_);
+        if (variant) {
+            if (health_)
+                health_->markUp(device_);
+            evaluate();
         }
-        if (health_)
-            health_->markUp(device_);
-        evaluate();
-    });
+        return;
+    }
+    // An armed load failure belongs to this load: it runs its full
+    // course and then fails, leaving the device empty, as a corrupt
+    // download or OOM on a real serving node would.
+    load_fails_ = fail_next_load_;
+    fail_next_load_ = false;
+    load_start_ = sim_->now();
+    // Arms the load timer, or moves a superseded load's completion.
+    sim_->armTimer(load_timer_,
+                   load_start_ + cost_->loadTime(type_, *variant));
+}
+
+void
+Worker::finishLoad()
+{
+    if (load_fails_) {
+        failLoad();
+        return;
+    }
+    loading_ = false;
+    if (tracer_) {
+        obs::SpanRecord s;
+        s.kind = obs::SpanKind::Load;
+        s.start = load_start_;
+        s.end = sim_->now();
+        s.id = load_epoch_;
+        if (plan_epoch_ != 0) {  // a load before the first plan is a root
+            s.parent_id = plan_epoch_;
+            s.parent_kind = obs::SpanKind::Apply;
+        }
+        s.a = device_;
+        s.b = *target_;
+        tracer_->record(s);
+    }
+    if (health_)
+        health_->markUp(device_);
+    evaluate();
+}
+
+void
+Worker::failLoad()
+{
+    loading_ = false;
+    target_.reset();
+    bounceQueued();
+    if (load_failure_alarm_)
+        load_failure_alarm_(device_);
 }
 
 void
@@ -151,9 +151,9 @@ Worker::crash()
     if (failed_)
         return;
     failed_ = true;
-    ++crashes_;
     cancelTimer();
-    ++load_epoch_;  // invalidates any pending load completion
+    ++load_epoch_;
+    sim_->disarmTimer(load_timer_);
     loading_ = false;
     target_.reset();
     fail_next_load_ = false;
@@ -163,6 +163,7 @@ Worker::crash()
         // its accounting and hand the queries back for re-routing.
         sim_->disarmTimer(done_timer_);
         busy_ = false;
+        busy_time_ -= batch_end_ - sim_->now();  // charge what ran
         --batches_;
         batched_queries_ -=
             static_cast<std::uint64_t>(inflight_.size());
@@ -237,12 +238,8 @@ Worker::failNextLoad()
     if (loading_) {
         // The in-progress load fails on the spot.
         ++load_epoch_;
-        loading_ = false;
-        target_.reset();
-        ++failed_loads_;
-        bounceQueued();
-        if (load_failure_alarm_)
-            load_failure_alarm_(device_);
+        sim_->disarmTimer(load_timer_);
+        failLoad();
         return;
     }
     fail_next_load_ = true;
@@ -266,7 +263,6 @@ Worker::dropFront(int count)
         q->status = QueryStatus::Dropped;
         q->completion = sim_->now();
         q->served_by = device_;
-        ++dropped_;
         if (tracer_) {
             traceQueueWait(*q);
             traceQueryEnd(tracer_, *q);
@@ -383,7 +379,8 @@ Worker::executeBatch(int count)
     // The batch lives in inflight_ so a crash can abort and re-route
     // it by disarming the completion timer.
     inflight_variant_ = *target_;
-    sim_->armTimer(done_timer_, now + lat);
+    batch_end_ = now + lat;
+    sim_->armTimer(done_timer_, batch_end_);
 }
 
 void
@@ -404,7 +401,6 @@ Worker::finishBatch()
         q->status = now <= q->deadline ? QueryStatus::Served
                                        : QueryStatus::ServedLate;
         any_violation |= q->status == QueryStatus::ServedLate;
-        ++served_;
         if (tracer_) {
             obs::SpanRecord s;
             s.kind = obs::SpanKind::Exec;

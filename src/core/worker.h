@@ -143,20 +143,8 @@ class Worker
     /** @return true while a batch is executing. */
     bool busy() const { return busy_; }
 
-    /** @return total queries served (on time or late). */
-    std::uint64_t served() const { return served_; }
-
-    /** @return total queries dropped by this worker. */
-    std::uint64_t dropped() const { return dropped_; }
-
     /** @return total batches executed. */
     std::uint64_t batches() const { return batches_; }
-
-    /** @return crashes suffered by this worker. */
-    std::uint64_t crashes() const { return crashes_; }
-
-    /** @return model loads that failed on this worker. */
-    std::uint64_t failedLoads() const { return failed_loads_; }
 
     /** @return total queries executed across all batches. */
     std::uint64_t batchedQueries() const { return batched_queries_; }
@@ -174,6 +162,10 @@ class Worker
     /** Record @p q's Queue span, enqueue to now (batch or drop). */
     void traceQueueWait(const Query& q);
     void finishBatch();
+    /** Load timer: the hosted variant is ready, or its load fails. */
+    void finishLoad();
+    /** The load fails: the device ends up empty and says so. */
+    void failLoad();
     void cancelTimer();
     void bounce(Query* query);
     /** Move everything queued into drain_scratch_ and bounce it. */
@@ -195,6 +187,7 @@ class Worker
     std::unique_ptr<BatchingPolicy> policy_;
     std::optional<VariantId> target_;
     bool loading_ = false;
+    /** Counts hosting changes; the id of the Load span. */
     std::uint64_t load_epoch_ = 0;
     /** Controller decision governing the current plan (0 = none). */
     std::uint64_t plan_epoch_ = 0;
@@ -218,20 +211,22 @@ class Worker
     bool fail_next_load_ = false;
     double stall_factor_ = 1.0;
     Time stall_until_ = kNoTime;
-    /** Completion of the executing batch, armed while busy_. */
+    /** Completion of the executing batch, armed at batch_end_. */
     TimerId done_timer_;
+    Time batch_end_ = 0;
+    /** Model-load completion, armed while loading_. */
+    TimerId load_timer_;
+    Time load_start_ = 0;
+    /** The armed failure this load consumed: it ends in failLoad(). */
+    bool load_fails_ = false;
     /** The executing batch (reused across batches; capacity sticks). */
     alloc::ScratchVector<Query*> inflight_;
     /** The variant executing inflight_: a swap may be requested while
      *  the batch runs, but these queries were served by this one. */
     VariantId inflight_variant_ = kInvalidId;
 
-    std::uint64_t served_ = 0;
-    std::uint64_t dropped_ = 0;
     std::uint64_t batches_ = 0;
     std::uint64_t batched_queries_ = 0;
-    std::uint64_t crashes_ = 0;
-    std::uint64_t failed_loads_ = 0;
     Duration busy_time_ = 0;
 };
 

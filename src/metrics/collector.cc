@@ -10,9 +10,7 @@ MetricsCollector::MetricsCollector(Simulator* sim,
                                    std::size_t num_families,
                                    Duration interval)
     : sim_(sim),
-      num_families_(num_families),
       interval_(interval),
-      current_family_(num_families),
       family_totals_(num_families)
 {
     PROTEUS_ASSERT(interval > 0, "snapshot interval must be positive");
@@ -28,9 +26,9 @@ MetricsCollector::start()
 void
 MetricsCollector::onArrival(const Query& query)
 {
-    PROTEUS_ASSERT(query.family < num_families_, "family out of range");
+    PROTEUS_ASSERT(query.family < family_totals_.size(),
+                   "family out of range");
     ++current_.arrivals;
-    ++current_family_[query.family].arrivals;
     ++totals_.arrivals;
     ++family_totals_[query.family].arrivals;
 }
@@ -57,16 +55,8 @@ MetricsCollector::onFinished(const Query& query)
         }
     };
     apply(current_);
-    apply(current_family_[query.family]);
     apply(totals_);
     apply(family_totals_[query.family]);
-
-    if (query.violatedSlo()) {
-        for (FaultWindow& w : fault_windows_) {
-            if (w.end == kNoTime)
-                ++w.violations_during;
-        }
-    }
 }
 
 void
@@ -76,8 +66,8 @@ MetricsCollector::onDeviceDown(DeviceId device, double capacity_lost_qps)
     w.device = device;
     w.start = sim_->now();
     w.capacity_lost_qps = capacity_lost_qps;
+    w.violations_before = totals_.violations();
     fault_windows_.push_back(w);
-    ++devices_down_;
 }
 
 void
@@ -88,8 +78,8 @@ MetricsCollector::onDeviceUp(DeviceId device)
     for (auto it = fault_windows_.rbegin(); it != fault_windows_.rend();
          ++it) {
         if (it->device == device && it->end == kNoTime) {
+            it->violations_during = violationsDuring(*it);
             it->end = sim_->now();
-            --devices_down_;
             return;
         }
     }
@@ -104,13 +94,10 @@ MetricsCollector::commitInterval()
     if (snap.length <= 0)
         snap.length = interval_;
     snap.total = current_;
-    snap.per_family = current_family_;
-    snap.devices_down = devices_down_;
-    timeline_.push_back(std::move(snap));
+    timeline_.push_back(snap);
 
     interval_start_ = sim_->now();
     current_ = IntervalCounters{};
-    current_family_.assign(num_families_, IntervalCounters{});
 }
 
 void
@@ -122,7 +109,16 @@ MetricsCollector::finalize()
         current_.dropped > 0) {
         commitInterval();
     }
+    for (FaultWindow& w : fault_windows_)
+        w.violations_during = violationsDuring(w);
     finalized_ = true;
+}
+
+std::uint64_t
+MetricsCollector::violationsDuring(const FaultWindow& w) const
+{
+    return w.end == kNoTime ? totals_.violations() - w.violations_before
+                            : w.violations_during;
 }
 
 RunSummary
@@ -160,7 +156,7 @@ MetricsCollector::summary() const
     double closed_downtime = 0.0;
     for (const FaultWindow& w : fault_windows_) {
         s.total_downtime_s += toSeconds(w.downtime(sim_->now()));
-        s.fault_violations += w.violations_during;
+        s.fault_violations += violationsDuring(w);
         if (w.end != kNoTime) {
             ++closed;
             closed_downtime += toSeconds(w.end - w.start);

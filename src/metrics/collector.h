@@ -69,8 +69,11 @@ struct FaultWindow {
     Time end = kNoTime;
     /** Serving capacity (QPS) the device carried when it died. */
     double capacity_lost_qps = 0.0;
-    /** SLO violations completed during the outage. */
+    /** SLO violations completed during the outage (set when it closes,
+     *  or at finalize() while still open). */
     std::uint64_t violations_during = 0;
+    /** The run's SLO violations before the outage began. */
+    std::uint64_t violations_before = 0;
 
     /** @return outage length (up to @p now when still open). */
     Duration
@@ -85,9 +88,6 @@ struct IntervalSnapshot {
     Time start = 0;
     Duration length = 0;
     IntervalCounters total;
-    std::vector<IntervalCounters> per_family;
-    /** Devices down at the end of the interval (fault injection). */
-    int devices_down = 0;
 
     double
     demandQps() const
@@ -129,8 +129,9 @@ struct RunSummary {
     }
 };
 
-/** Query-lifecycle observer building the timeseries and summary. */
-class MetricsCollector : public QueryObserver
+/** The run's one ledger of query outcomes (DESIGN.md, "Observability"):
+ *  builds the timeseries, family totals, fault windows and summary. */
+class MetricsCollector
 {
   public:
     MetricsCollector(Simulator* sim, std::size_t num_families,
@@ -139,8 +140,10 @@ class MetricsCollector : public QueryObserver
     /** Start the periodic snapshot task. */
     void start();
 
-    void onArrival(const Query& query) override;
-    void onFinished(const Query& query) override;
+    /** A new query entered the system. */
+    void onArrival(const Query& query);
+    /** @p query reached a terminal state (served, late or dropped). */
+    void onFinished(const Query& query);
 
     /**
      * A device died carrying @p capacity_lost_qps of provisioned
@@ -156,9 +159,6 @@ class MetricsCollector : public QueryObserver
     {
         return fault_windows_;
     }
-
-    /** @return devices currently down. */
-    int devicesDown() const { return devices_down_; }
 
     /** Commit the trailing partial interval; call once after run(). */
     void finalize();
@@ -180,20 +180,19 @@ class MetricsCollector : public QueryObserver
 
   private:
     void commitInterval();
+    /** @return @p w's violations, up to now when it is still open. */
+    std::uint64_t violationsDuring(const FaultWindow& w) const;
 
     Simulator* sim_;
-    std::size_t num_families_;
     Duration interval_;
 
     Time interval_start_ = 0;
     IntervalCounters current_;
-    std::vector<IntervalCounters> current_family_;
 
     std::vector<IntervalSnapshot> timeline_;
     IntervalCounters totals_;
     std::vector<IntervalCounters> family_totals_;
     std::vector<FaultWindow> fault_windows_;
-    int devices_down_ = 0;
     bool finalized_ = false;
 };
 

@@ -53,6 +53,14 @@ TimeSeriesRecorder::addCounterRate(std::string name, ProbeFn cumulative)
 }
 
 void
+TimeSeriesRecorder::addCounterRatio(std::string name, ProbeFn numerator,
+                                    ProbeFn denominator)
+{
+    addCounterRate(std::move(name), std::move(numerator));
+    channels_.back().per = std::move(denominator);
+}
+
+void
 TimeSeriesRecorder::start()
 {
     if (started_)
@@ -64,6 +72,8 @@ TimeSeriesRecorder::start()
     for (Channel& ch : channels_) {
         if (ch.rate)
             ch.last_total = ch.probe();
+        if (ch.per)
+            ch.last_per = ch.per();
     }
     sim_->schedulePeriodic(options_.sample_interval,
                            [this] { sample(sim_->now()); });
@@ -92,7 +102,13 @@ TimeSeriesRecorder::sample(Time now)
         if (ch.rate) {
             const double delta = v - ch.last_total;
             ch.last_total = v;
-            v = dt > 0.0 ? delta / dt : 0.0;
+            double per = dt;
+            if (ch.per) {
+                const double total = ch.per();
+                per = total - ch.last_per;
+                ch.last_per = total;
+            }
+            v = per > 0.0 ? delta / per : 0.0;
         }
         ch.samples.push_back(v);
     }

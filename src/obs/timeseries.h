@@ -4,12 +4,14 @@
  * fixed simulated-time cadence (DESIGN.md, "Observability").
  *
  * The recorder owns one preallocated value column per channel and a
- * shared time column. Channels are registered once at setup — either
- * as instantaneous probes (gauges: queue depth, burn rate) or as
- * cumulative probes from which the recorder derives a per-second rate
- * (counters: arrivals, busy time). Sampling runs as a periodic
- * simulator event that only *reads* system state, so enabling the
- * recorder never changes the simulated behaviour, and every sampled
+ * shared time column. Channels are registered once at setup — as
+ * instantaneous probes (gauges: queue depth, burn rate), as cumulative
+ * probes from which the recorder derives a per-second rate (counters:
+ * arrivals, busy time), or as pairs of cumulative probes whose interval
+ * deltas it divides (means: queries per batch). The recorder keeps
+ * every last total, so probes are stateless reads. Sampling runs as a
+ * periodic simulator event that only *reads* system state, so enabling
+ * the recorder never changes the simulated behaviour, and every sampled
  * value is a deterministic function of simulated time — the exported
  * CSV/JSON of a run is byte-identical across same-seed repetitions.
  *
@@ -65,6 +67,11 @@ class TimeSeriesRecorder
      */
     void addCounterRate(std::string name, ProbeFn cumulative);
 
+    /** Register a ratio channel: each tick stores the ratio of the
+     *  two totals' deltas (0 when @p denominator did not grow). */
+    void addCounterRatio(std::string name, ProbeFn numerator,
+                         ProbeFn denominator);
+
     /** Begin periodic sampling (first tick one interval from now). */
     void start();
 
@@ -113,7 +120,9 @@ class TimeSeriesRecorder
         std::string name;
         ProbeFn probe;
         bool rate = false;      ///< derive per-second rate of deltas
+        ProbeFn per;            ///< set: rate per this total's delta
         double last_total = 0.0;
+        double last_per = 0.0;
         std::vector<double> samples;
     };
 

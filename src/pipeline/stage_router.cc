@@ -27,7 +27,6 @@ StageRouter::advance(Query* query)
         // the running product, advance the cursor and retarget at the
         // next stage's family. The query is still in flight.
         ++stages[query->stage].forwarded;
-        ++forwarded_;
         query->acc_product *= query->accuracy / 100.0;
         ++query->stage;
         query->family = pipe.stages[query->stage].family;

@@ -84,14 +84,10 @@ class StageRouter
         return stages_[p];
     }
 
-    /** @return stage completions forwarded across all pipelines. */
-    std::uint64_t forwarded() const { return forwarded_; }
-
   private:
     const CompiledPipelines* pipelines_;
     obs::Tracer* tracer_ = nullptr;
     std::vector<std::vector<StageStats>> stages_;
-    std::uint64_t forwarded_ = 0;
 };
 
 }  // namespace proteus

@@ -102,15 +102,18 @@ TEST(FaultInjectionTest, CrashVisibleInMetricsTimeline)
 {
     SystemConfig cfg;
     cfg.faults = crashPlan(kV100A, seconds(40.0), seconds(30.0));
+    cfg.obs.enabled = true;
     MiniRun run = runMini(cfg);
 
-    // devices_down transitions 0 -> 1 -> 0 across the timeline.
-    std::vector<int> down;
-    for (const auto& snap : run.result.timeline)
-        down.push_back(snap.devices_down);
-    EXPECT_EQ(down.front(), 0);
-    EXPECT_NE(std::find(down.begin(), down.end(), 1), down.end());
-    EXPECT_EQ(down.back(), 0);
+    // cluster.devices_down, read from the health tracker, transitions
+    // 0 -> 1 -> 0 across the timeline.
+    ASSERT_NE(run.system->timeseries(), nullptr);
+    const std::vector<double>& down =
+        run.system->timeseries()->values("cluster.devices_down");
+    ASSERT_FALSE(down.empty());
+    EXPECT_EQ(down.front(), 0.0);
+    EXPECT_NE(std::find(down.begin(), down.end(), 1.0), down.end());
+    EXPECT_EQ(down.back(), 0.0);
 
     // The fault window is closed and matches the scripted downtime.
     ASSERT_EQ(run.result.fault_windows.size(), 1u);

@@ -123,6 +123,67 @@ TEST(MetricsCollectorTest, SummaryOnEmptyRun)
     EXPECT_DOUBLE_EQ(s.avg_throughput_qps, 0.0);
 }
 
+TEST(MetricsCollectorTest, FaultWindowsCountViolationsWhileOpen)
+{
+    // Device 0 is down over [2 s, 6 s] and again from 8 s to the end;
+    // device 1 over [4 s, 10 s], overlapping both. Each violation
+    // counts in every window open when it completes.
+    Simulator sim;
+    MetricsCollector mc(&sim, 1, seconds(10.0));
+    mc.start();
+    auto finish = [&](double at_s, QueryStatus status) {
+        sim.scheduleAt(seconds(at_s), [&mc, status] {
+            mc.onFinished(finishedQuery(0, status, 90.0));
+        });
+    };
+    auto down = [&](double at_s, DeviceId d, double qps) {
+        sim.scheduleAt(seconds(at_s),
+                       [&mc, d, qps] { mc.onDeviceDown(d, qps); });
+    };
+    auto up = [&](double at_s, DeviceId d) {
+        sim.scheduleAt(seconds(at_s), [&mc, d] { mc.onDeviceUp(d); });
+    };
+    finish(1.0, QueryStatus::Dropped);       // before any outage
+    down(2.0, 0, 40.0);
+    finish(3.0, QueryStatus::ServedLate);    // device 0
+    down(4.0, 1, 25.0);
+    finish(5.0, QueryStatus::Dropped);       // both
+    finish(5.0, QueryStatus::ServedLate);    // both
+    finish(5.0, QueryStatus::Served);        // on time: no window
+    up(6.0, 0);
+    finish(7.0, QueryStatus::Dropped);       // device 1
+    down(8.0, 0, 30.0);
+    finish(9.0, QueryStatus::ServedLate);    // both
+    up(10.0, 1);
+    finish(11.0, QueryStatus::Dropped);      // device 0, still open
+    sim.run(seconds(12.0));
+    mc.finalize();
+
+    const std::vector<FaultWindow>& w = mc.faultWindows();
+    ASSERT_EQ(w.size(), 3u);
+    EXPECT_EQ(w[0].device, 0u);
+    EXPECT_EQ(w[0].start, seconds(2.0));
+    EXPECT_EQ(w[0].end, seconds(6.0));
+    EXPECT_EQ(w[0].capacity_lost_qps, 40.0);
+    EXPECT_EQ(w[0].violations_during, 3u);
+    EXPECT_EQ(w[1].device, 1u);
+    EXPECT_EQ(w[1].start, seconds(4.0));
+    EXPECT_EQ(w[1].end, seconds(10.0));
+    EXPECT_EQ(w[1].violations_during, 4u);
+    EXPECT_EQ(w[2].device, 0u);
+    EXPECT_EQ(w[2].start, seconds(8.0));
+    EXPECT_EQ(w[2].end, kNoTime);
+    EXPECT_EQ(w[2].violations_during, 2u);
+
+    const RunSummary s = mc.summary();
+    EXPECT_EQ(s.violations(), 7u);
+    EXPECT_EQ(s.fault_count, 3u);
+    EXPECT_EQ(s.fault_violations, 9u);
+    // 4 s + 6 s closed, 4 s open up to the 12 s end.
+    EXPECT_DOUBLE_EQ(s.total_downtime_s, 14.0);
+    EXPECT_DOUBLE_EQ(s.mean_recovery_s, 5.0);
+}
+
 TEST(IntervalCountersTest, Helpers)
 {
     IntervalCounters c;

@@ -67,6 +67,34 @@ TEST(TimeSeriesTest, CounterRateDividesDeltaByInterval)
         EXPECT_DOUBLE_EQ(vals[i], 3.0) << "sample " << i;
 }
 
+TEST(TimeSeriesTest, CounterRatioDividesDeltaByDenominatorDelta)
+{
+    // Totals already nonzero at start(): the first tick's ratio is over
+    // its own interval, not since time zero.
+    Simulator sim;
+    double queries = 100.0, batches = 10.0;
+    obs::TimeSeriesRecorder rec(&sim);
+    rec.addCounterRatio("batch_size", [&] { return queries; },
+                        [&] { return batches; });
+    rec.start();
+    // Interval 1: 2 batches of 3; interval 2: none; interval 3: 1 of 5.
+    sim.scheduleAt(millis(500), [&] {
+        queries += 6.0;
+        batches += 2.0;
+    });
+    sim.scheduleAt(millis(2500), [&] {
+        queries += 5.0;
+        batches += 1.0;
+    });
+    sim.run(seconds(3.0));
+
+    const auto& vals = rec.values("batch_size");
+    ASSERT_EQ(vals.size(), 3u);
+    EXPECT_DOUBLE_EQ(vals[0], 3.0);
+    EXPECT_DOUBLE_EQ(vals[1], 0.0);  // no batch: no mean
+    EXPECT_DOUBLE_EQ(vals[2], 5.0);
+}
+
 TEST(TimeSeriesTest, CapacityBoundsStorageAndCountsDrops)
 {
     Simulator sim;

@@ -55,13 +55,13 @@ fingerprint(const RunResult& r)
     appendF(&s, "reallocs=%d batch=%.17g\n", r.reallocations,
             r.mean_batch_size);
     for (const auto& snap : r.timeline) {
-        appendF(&s, "t=%lld a=%llu s=%llu l=%llu d=%llu acc=%.17g dd=%d\n",
+        appendF(&s, "t=%lld a=%llu s=%llu l=%llu d=%llu acc=%.17g\n",
                 (long long)snap.start,
                 (unsigned long long)snap.total.arrivals,
                 (unsigned long long)snap.total.served,
                 (unsigned long long)snap.total.served_late,
                 (unsigned long long)snap.total.dropped,
-                snap.total.accuracy_sum, snap.devices_down);
+                snap.total.accuracy_sum);
     }
     for (const auto& w : r.fault_windows) {
         appendF(&s, "w d=%u s=%lld e=%lld cap=%.17g v=%llu\n",
