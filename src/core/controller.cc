@@ -108,6 +108,18 @@ Controller::traceDecision(std::uint64_t decision, Time solved_at,
 }
 
 void
+Controller::commit(Allocation plan, std::uint64_t decision, Time solved_at,
+                   const AllocatorSolveMeta& meta)
+{
+    current_ = std::move(plan);
+    has_plan_ = true;
+    ++reallocations_;
+    applied_decision_ = decision;
+    apply_fn_(current_);
+    traceDecision(decision, solved_at, meta);
+}
+
+void
 Controller::start(const std::vector<double>& initial_demand)
 {
     AllocationInput input;
@@ -116,13 +128,9 @@ Controller::start(const std::vector<double>& initial_demand)
     input.now = sim_->now();
     if (availability_fn_)
         input.device_down = availability_fn_();
-    current_ = allocator_->allocate(input);
-    const std::uint64_t decision = noteSolve(allocator_->lastSolveMeta());
-    has_plan_ = true;
-    ++reallocations_;
-    applied_decision_ = decision;
-    apply_fn_(current_);
-    traceDecision(decision, sim_->now(), allocator_->lastSolveMeta());
+    Allocation plan = allocator_->allocate(input);
+    const AllocatorSolveMeta meta = allocator_->lastSolveMeta();
+    commit(std::move(plan), noteSolve(meta), sim_->now(), meta);
     last_start_ = sim_->now();
 
     sim_->schedulePeriodic(options_.period, [this] {
@@ -178,12 +186,7 @@ Controller::reallocate()
     const Time solved_at = sim_->now();
     Duration delay = allocator_->decisionDelay();
     if (delay <= 0) {
-        current_ = std::move(plan);
-        has_plan_ = true;
-        ++reallocations_;
-        applied_decision_ = decision;
-        apply_fn_(current_);
-        traceDecision(decision, solved_at, meta);
+        commit(std::move(plan), decision, solved_at, meta);
         return;
     }
     decision_pending_ = true;
@@ -198,12 +201,8 @@ void
 Controller::applyPendingPlan()
 {
     decision_pending_ = false;
-    current_ = std::move(pending_plan_);
-    has_plan_ = true;
-    ++reallocations_;
-    applied_decision_ = pending_decision_;
-    apply_fn_(current_);
-    traceDecision(pending_decision_, pending_solved_at_, pending_meta_);
+    commit(std::move(pending_plan_), pending_decision_, pending_solved_at_,
+           pending_meta_);
     if (resolve_after_apply_) {
         // Capacity changed while this decision was in flight:
         // solve again against the surviving hardware.

@@ -109,6 +109,13 @@ class Controller
     /** Commit the delayed decision staged in the pending_* members. */
     void applyPendingPlan();
 
+    /**
+     * Put decision @p decision's @p plan in force: apply it and trace
+     * the decision (solved at @p solved_at with @p meta).
+     */
+    void commit(Allocation plan, std::uint64_t decision, Time solved_at,
+                const AllocatorSolveMeta& meta);
+
     /** Feed the last solve's stats to the registry; @return its seq. */
     std::uint64_t noteSolve(const AllocatorSolveMeta& meta);
 

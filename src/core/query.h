@@ -42,8 +42,6 @@ struct Query {
     // Stage timestamps for span tracing (DESIGN.md, "Observability").
     // Written unconditionally (plain stores, no branches) so the trace
     // subsystem can attribute latency without touching the hot path.
-    /** Admission at the load balancer (kNoTime before routing). */
-    Time routed_at = kNoTime;
     /** Most recent enqueue on a worker (re-set after re-routing). */
     Time enqueued_at = kNoTime;
     /** Start of the batch execution that served it. */
@@ -116,6 +114,8 @@ traceQueryEnd(obs::Tracer* tracer, const Query& query,
 /**
  * Sink for query lifecycle events: ServingSystem is the one every worker
  * and load balancer reports to, and it feeds the metrics collector.
+ * Workers also report each completed batch, which only the system's
+ * per-family batch counts need.
  */
 class QueryObserver
 {
@@ -127,6 +127,9 @@ class QueryObserver
 
     /** A query reached a terminal state (served, late or dropped). */
     virtual void onFinished(const Query& query) = 0;
+
+    /** A worker completed a batch of @p size queries on @p variant. */
+    virtual void onBatchDone(VariantId /*variant*/, std::size_t /*size*/) {}
 };
 
 }  // namespace proteus

@@ -71,24 +71,21 @@ LoadBalancer::pickWorker()
 void
 LoadBalancer::submit(Query* query)
 {
-    admit(query, query->arrival, /*is_arrival=*/true);
+    admit(query, /*is_arrival=*/true);
 }
 
 void
 LoadBalancer::forward(Query* query)
 {
-    // The previous stage's completion starts the Route span: the span
-    // then covers the cross-stage hand-off gap.
-    admit(query, query->completion, /*is_arrival=*/false);
+    admit(query, /*is_arrival=*/false);
 }
 
 void
-LoadBalancer::admit(Query* query, Time route_start, bool is_arrival)
+LoadBalancer::admit(Query* query, bool is_arrival)
 {
     PROTEUS_ASSERT(query->family == family_,
                    "query routed to wrong balancer");
     const Time now = sim_->now();
-    query->routed_at = now;
     rate_.record(now);
     if (is_arrival && observer_)
         observer_->onArrival(*query);
@@ -129,20 +126,6 @@ LoadBalancer::admit(Query* query, Time route_start, bool is_arrival)
 
     Worker* worker = pickWorker();
     PROTEUS_ASSERT(worker != nullptr, "no routing target");
-    ++routed_;
-    if (tracer_) {
-        obs::SpanRecord s;
-        s.kind = obs::SpanKind::Route;
-        s.start = route_start;
-        s.end = now;
-        s.id = query->id;
-        s.parent_id = query->id;
-        s.parent_kind = obs::SpanKind::Query;
-        s.a = family_;
-        if (query->pipeline != kInvalidId)
-            s.v0 = static_cast<std::int64_t>(query->stage) + 1;
-        tracer_->record(s);
-    }
     if (!is_arrival) {
         // Forwarded hop: the stage ahead owns completion from here.
         query->completion = kNoTime;

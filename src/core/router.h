@@ -71,9 +71,9 @@ class LoadBalancer
      * and shed exactly like submit() — forwarded traffic is demand on
      * this family, so it feeds the monitor window and the burst alarm
      * — but without the arrival announcement (the query entered the
-     * system once, at its entry stage). The Route span starts at the
-     * previous stage's completion, making the cross-stage gap visible
-     * to the trace tooling.
+     * system once, at its entry stage). It runs in a zero-delay
+     * event at the previous stage's completion, so the hand-off takes
+     * no simulated time and records no span.
      */
     void forward(Query* query);
 
@@ -109,16 +109,13 @@ class LoadBalancer
     /** @return queries dropped at admission (load shedding). */
     std::uint64_t shed() const { return shed_; }
 
-    /** @return total queries admitted (routed to a worker). */
-    std::uint64_t routed() const { return routed_; }
-
     /** @return the family this balancer serves. */
     FamilyId family() const { return family_; }
 
   private:
     Worker* pickWorker();
     /** Shared admission path of submit() and forward(). */
-    void admit(Query* query, Time route_start, bool is_arrival);
+    void admit(Query* query, bool is_arrival);
 
     Simulator* sim_;
     FamilyId family_;
@@ -141,7 +138,6 @@ class LoadBalancer
     Time last_alarm_ = kNoTime;
 
     std::uint64_t shed_ = 0;
-    std::uint64_t routed_ = 0;
 };
 
 }  // namespace proteus

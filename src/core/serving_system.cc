@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -109,10 +110,8 @@ ServingSystem::ServingSystem(const Cluster* cluster,
     // Stage router: the pipeline step of onFinished. The hop itself
     // is deferred one zero-delay event in forwardQuery() because the
     // completion that triggers it is still inside Worker::finishBatch.
-    if (!pipelines_.empty()) {
+    if (!pipelines_.empty())
         stage_router_ = std::make_unique<StageRouter>(&pipelines_);
-        stage_router_->setTracer(tracer_.get());
-    }
 
     // Every worker and load balancer reports to this system.
     QueryObserver* sink = this;
@@ -239,6 +238,7 @@ ServingSystem::registerTimeSeriesChannels()
     obs_registry_.counter("slo.alarms_cleared");
     slo_windows_.assign(registry_->numFamilies(),
                         obs::SloBurnWindow(slo_ticks));
+    family_batches_.assign(registry_->numFamilies(), BatchCounts{});
 
     // Per-family rates derived from the collector's live cumulative
     // counters, plus instantaneous depth/quality probes.
@@ -259,29 +259,23 @@ ServingSystem::registerTimeSeriesChannels()
         ts->addCounterRate(prefix + "shed_qps", [lb] {
             return static_cast<double>(lb->shed());
         });
-        // Sum of a worker count over the workers hosting the family.
-        auto hosted = [this, f](auto count) {
-            std::uint64_t n = 0;
+        ts->addProbe(prefix + "queue", [this, f] {
+            std::size_t n = 0;
             for (const auto& w : workers_) {
-                if (auto v = w->hostedVariant()) {
-                    if (registry_->familyOf(*v) == f)
-                        n += std::invoke(count, *w);
-                }
+                const std::optional<VariantId> v = w->hostedVariant();
+                if (v && registry_->familyOf(*v) == f)
+                    n += w->queueLength();
             }
             return static_cast<double>(n);
-        };
-        ts->addProbe(prefix + "queue",
-                     [hosted] { return hosted(&Worker::queueLength); });
-        // Interval mean batch size over the workers currently hosting
-        // the family: ratio of executed-query/batch deltas. Workers
-        // that swapped families mid-interval contribute a few foreign
-        // batches to the delta, and a worker that left the family takes
-        // its lifetime counts out of both totals (a tick whose batch
-        // total shrank reads 0) — telemetry-grade, not an invariant.
+        });
+        // Interval mean batch size: ratio of the family's completed-
+        // query/batch deltas, counted per batch as it completes, so a
+        // worker that changes families moves no counts.
+        const BatchCounts* batches = &family_batches_[f];
         ts->addCounterRatio(
             prefix + "batch_size",
-            [hosted] { return hosted(&Worker::batchedQueries); },
-            [hosted] { return hosted(&Worker::batches); });
+            [batches] { return static_cast<double>(batches->queries); },
+            [batches] { return static_cast<double>(batches->batches); });
         // Interval mean served accuracy: ratio of the collector's
         // cumulative accuracy-sum/completed deltas (exact).
         ts->addCounterRatio(
@@ -565,6 +559,16 @@ ServingSystem::onFinished(const Query& query)
     // After every sink has seen the outcome the slot is recycled; this
     // is what keeps memory bounded on long traces.
     query_pool_.release(q);
+}
+
+void
+ServingSystem::onBatchDone(VariantId variant, std::size_t size)
+{
+    if (family_batches_.empty())
+        return;  // no time-series recorder reads the counts
+    BatchCounts& counts = family_batches_[registry_->familyOf(variant)];
+    ++counts.batches;
+    counts.queries += size;
 }
 
 void

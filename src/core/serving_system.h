@@ -187,6 +187,7 @@ class ServingSystem : private QueryObserver
     // QueryObserver: the single completion sink (see file comment).
     void onArrival(const Query& query) override;
     void onFinished(const Query& query) override;
+    void onBatchDone(VariantId variant, std::size_t size) override;
     /** Drop the still-pending @p query now and report it. */
     void dropQuery(Query* query);
 
@@ -213,6 +214,13 @@ class ServingSystem : private QueryObserver
     obs::MetricsRegistry obs_registry_;
     std::unique_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::TimeSeriesRecorder> timeseries_;
+    /** Completed batches and the queries they executed, per family. */
+    struct BatchCounts {
+        std::uint64_t batches = 0;
+        std::uint64_t queries = 0;
+    };
+    /** Read by the family.<f>.batch_size channel. */
+    std::vector<BatchCounts> family_batches_;
     /** Per-family SLO burn windows, advanced by the recorder's ticks. */
     std::vector<obs::SloBurnWindow> slo_windows_;
     /** Seeded reservoir of SLO-violating query ids (tail exemplars). */

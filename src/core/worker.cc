@@ -219,7 +219,6 @@ Worker::enqueue(Query* query)
             ahead = inflight_[inflight_.size() - 1]->id;
         if (ahead != 0) {
             obs::LinkRecord link;
-            link.kind = obs::LinkKind::QueuedBehind;
             link.at = query->enqueued_at;
             link.from = query->id;
             link.to = ahead;
@@ -342,23 +341,14 @@ Worker::executeBatch(int count)
                    "batch beyond profiled range");
 
     const Time now = sim_->now();
-    const std::uint64_t batch_id = batches_ + 1;
     inflight_.clear();
     inflight_.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
         Query* q = queue_.front();
         queue_.pop_front();
         q->exec_start = now;
-        if (tracer_) {
+        if (tracer_)
             traceQueueWait(*q);
-            obs::LinkRecord link;
-            link.kind = obs::LinkKind::QueryInBatch;
-            link.at = now;
-            link.from = q->id;
-            link.to = batch_id;
-            link.aux = device_;
-            tracer_->recordLink(link);
-        }
         inflight_.push_back(q);
     }
     inflight_plan_epoch_ = plan_epoch_;
@@ -393,6 +383,8 @@ Worker::finishBatch()
     // Read before the observer loop: onFinished may hand a query's
     // pool slot back, after which its fields are fair game for reuse.
     const Time batch_start = inflight_[0]->exec_start;
+    if (observer_)
+        observer_->onBatchDone(executed_variant, inflight_.size());
     bool any_violation = false;
     for (Query* q : inflight_) {
         q->completion = now;
@@ -434,20 +426,6 @@ Worker::finishBatch()
         s.b = executed_variant;
         s.v0 = static_cast<std::int64_t>(inflight_.size());
         tracer_->record(s);
-        obs::LinkRecord device_link;
-        device_link.kind = obs::LinkKind::BatchOnDevice;
-        device_link.at = now;
-        device_link.from = batches_;
-        device_link.to = device_;
-        tracer_->recordLink(device_link);
-        if (inflight_plan_epoch_ != 0) {
-            obs::LinkRecord epoch_link;
-            epoch_link.kind = obs::LinkKind::BatchOnEpoch;
-            epoch_link.at = now;
-            epoch_link.from = batches_;
-            epoch_link.to = inflight_plan_epoch_;
-            tracer_->recordLink(epoch_link);
-        }
     }
     const int batch_size = static_cast<int>(inflight_.size());
     // Done with the batch storage before evaluate(), which may start

@@ -62,7 +62,8 @@ class Worker
 
     /**
      * Record the controller decision whose plan currently governs this
-     * worker (lineage: batches link to the epoch that sized them).
+     * worker (lineage: a Batch span's parent is the Apply of the
+     * decision that sized it).
      */
     void setPlanEpoch(std::uint64_t epoch) { plan_epoch_ = epoch; }
 

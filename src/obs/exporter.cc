@@ -70,8 +70,6 @@ constexpr ArgSpec kQueryArgs[] = {
     {"qid", &S::id},      {"family", &S::a}, {"variant", &S::b, Enc::IdOrNone},
     {"status", &S::v0},   {"device", &S::v1},
     {"pipeline", &S::v2, Enc::PlusOne}};
-constexpr ArgSpec kRouteArgs[] = {{"qid", &S::id}, {"family", &S::a},
-                                  {"stage", &S::v0, Enc::PlusOne}};
 /** Queue and Exec share one layout. */
 constexpr ArgSpec kHopArgs[] = {
     {"qid", &S::id},    {"family", &S::a}, {"variant", &S::b, Enc::IdOrNone},
@@ -90,8 +88,8 @@ constexpr ArgSpec kSloAlarmArgs[] = {
     {"raised", &S::v0},      {"burn_milli", &S::v1},
     {"window_completed", &S::v2}};
 constexpr std::span<const ArgSpec> kArgsByKind[] = {
-    kQueryArgs, kRouteArgs, kHopArgs,   kHopArgs,   kBatchArgs,
-    kLoadArgs,  kSolveArgs, kApplyArgs, kAlarmArgs, kSloAlarmArgs};
+    kQueryArgs, kHopArgs,   kHopArgs,   kBatchArgs,   kLoadArgs,
+    kSolveArgs, kApplyArgs, kAlarmArgs, kSloAlarmArgs};
 static_assert(std::size(kArgsByKind) == kNumSpanKinds &&
                   static_cast<std::size_t>(SpanKind::SloAlarm) + 1 ==
                       kNumSpanKinds,
@@ -174,7 +172,6 @@ appendPidTid(std::string* out, const SpanRecord& s)
     std::int64_t tid = 0;
     switch (s.kind) {
       case SpanKind::Query:
-      case SpanKind::Route:
         pid = kPidQueries;
         tid = s.a;
         break;
@@ -283,9 +280,7 @@ toChromeTraceJson(const Tracer& tracer, const TraceNameTables& names)
     });
     out += "],\"links\":[";
     appendList(&out, tracer.links(), [&](const LinkRecord& l) {
-        out += "{\"k\":\"";
-        out += toString(l.kind);
-        out += "\",\"ts\":";
+        out += "{\"ts\":";
         appendI64(&out, l.at);
         out += ",\"from\":";
         appendU64(&out, l.from);
@@ -372,17 +367,15 @@ integer(const JsonValue& object, const std::string& key,
     return wholeNumber(object.at(key), key, where, lo);
 }
 
-/** @return the kind named by string member @p key of @p object. */
-template <typename Kind>
-Kind
-kindOf(const JsonValue& object, const char* key, std::size_t num_kinds,
-       const std::string& where)
+/** @return the span kind named by the "name" member of @p event. */
+SpanKind
+spanKindOf(const JsonValue& event, const std::string& where)
 {
     const std::string& name =
-        member(object, key, JsonValue::Type::String, where).asString();
-    for (std::size_t k = 0; k < num_kinds; ++k) {
-        if (name == toString(static_cast<Kind>(k)))
-            return static_cast<Kind>(k);
+        member(event, "name", JsonValue::Type::String, where).asString();
+    for (std::size_t k = 0; k < kNumSpanKinds; ++k) {
+        if (name == toString(static_cast<SpanKind>(k)))
+            return static_cast<SpanKind>(k);
     }
     bad(where, "has unknown kind \"" + name + "\"");
 }
@@ -417,7 +410,7 @@ readSpan(const JsonValue& e, std::string where)
     if (!e.isObject())
         bad(where, "is not a JSON object");
     SpanRecord s;
-    s.kind = kindOf<SpanKind>(e, "name", kNumSpanKinds, where);
+    s.kind = spanKindOf(e, where);
     where += std::string(" (") + toString(s.kind) + ")";
     s.start = integer(e, "ts", where);
     s.end = s.start + integer(e, "dur", where);
@@ -437,7 +430,6 @@ readLink(const JsonValue& l, const std::string& where)
     if (!l.isObject())
         bad(where, "is not a JSON object");
     LinkRecord link;
-    link.kind = kindOf<LinkKind>(l, "k", kNumLinkKinds, where);
     link.at = integer(l, "ts", where);
     link.from = static_cast<std::uint64_t>(integer(l, "from", where, 0));
     link.to = static_cast<std::uint64_t>(integer(l, "to", where, 0));

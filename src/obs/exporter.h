@@ -59,7 +59,7 @@ std::string toChromeTraceJson(const Tracer& tracer,
 struct ChromeTrace {
     /** Spans in file order (the tracer's oldest-first order). */
     std::vector<SpanRecord> spans;
-    /** Links in file order. */
+    /** Queued-behind links in file order. */
     std::vector<LinkRecord> links;
     TraceNameTables names;
     /** The tracer's lifetime counters (otherData). */
@@ -73,8 +73,9 @@ struct ChromeTrace {
  * Parse a document written by toChromeTraceJson back into @p out, so
  * offline tools analyse exactly the records the tracer held.
  * @return false with @p error (may be null) naming the event and arg when
- * @p doc does not follow the format: an unknown span or link kind, a
- * missing, extra or non-integer arg, or a malformed name table.
+ * @p doc does not follow the format: an unknown span kind, a missing,
+ * extra or non-integer arg, a missing or non-integer link field, or a
+ * malformed name table.
  */
 bool readChromeTrace(const JsonValue& doc, ChromeTrace* out,
                      std::string* error);

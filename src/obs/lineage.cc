@@ -77,7 +77,6 @@ LineageIndex::LineageIndex(std::vector<SpanRecord> spans,
           case SpanKind::Query:
             query_span_[s.id] = i;
             break;
-          case SpanKind::Route:
           case SpanKind::Queue:
           case SpanKind::Exec:
             hops_[s.id].push_back(i);
@@ -217,16 +216,6 @@ LineageIndex::analyze(std::uint64_t query) const
             if (he <= hs)
                 continue;
             switch (h.kind) {
-              case SpanKind::Route:
-                // v0 = stage+1 for pipeline hops: stage >= 1 means
-                // this admission is a cross-stage handoff.
-                path.segments.push_back(
-                    {hs, he, -1,
-                     h.v0 > 0 ? static_cast<std::uint64_t>(h.v0 - 1)
-                              : 0,
-                     h.v0 >= 2 ? SegmentKind::StageHandoff
-                               : SegmentKind::Route});
-                break;
               case SpanKind::Queue:
                 appendQueueSegments(hs, he, h.v0, &path.segments);
                 break;

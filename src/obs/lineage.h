@@ -3,9 +3,9 @@
  * Causal-lineage analysis over the span + link rings (DESIGN.md,
  * "Observability": lineage schema and critical-path recipe).
  *
- * The tracer records the raw material — parented spans and typed
- * cross-links; this library turns it into answers. LineageIndex
- * ingests the two record streams and decomposes any query's
+ * The tracer records the raw material — parented spans, plus the
+ * queued-behind edges in the link ring; this library turns it into
+ * answers. LineageIndex reads the spans and decomposes any query's
  * end-to-end latency into an **exact partition** of segments: every
  * simulated nanosecond between arrival and the terminal state is
  * attributed to exactly one segment, so segment durations always sum
@@ -36,14 +36,18 @@ namespace obs {
 
 /**
  * The mutually exclusive causes a query's lifetime divides into.
- * Route/StageHandoff/Execution come straight from hop spans;
- * QueueBehindBatch/EpochStall/BatchFormation split the queue wait by
- * what the device was doing; Stall covers every interval no span
- * explains (requeue back-off, spans lost to ring wrap).
+ * Execution comes straight from Exec spans; QueueBehindBatch/
+ * EpochStall/BatchFormation split the queue wait by what the device
+ * was doing; Stall covers every interval no span explains (requeue
+ * back-off, spans lost to ring wrap). Route and StageHandoff are
+ * produced by no span: admission and pipeline hand-offs take no
+ * simulated time, so they are always zero. They keep their place so
+ * blame tables, reports and the benchmark's per-segment keys keep a
+ * stable column set.
  */
 enum class SegmentKind : std::uint8_t {
-    Route,  ///< router admission work
-    StageHandoff,  ///< routing a non-entry pipeline stage
+    Route,  ///< router admission work (no span produces it)
+    StageHandoff,  ///< non-entry stage routing (no span produces it)
     QueueBehindBatch,  ///< queued while the device executed other batches
     EpochStall,  ///< queued while the device loaded a model
     BatchFormation,  ///< queued while the device was idle (batching wait)
@@ -162,8 +166,10 @@ class TailReservoir
 
 /**
  * Queryable view over one trace's spans + links. Build once, then
- * analyze() any query. The index copies the record vectors, so it
- * outlives the tracer (and the offline tools build it from JSON).
+ * analyze() any query; the partition reads the spans only, and the
+ * queued-behind links ride along for callers that walk them. The
+ * index copies the record vectors, so it outlives the tracer (and
+ * the offline tools build it from JSON).
  */
 class LineageIndex
 {
@@ -202,7 +208,7 @@ class LineageIndex
     std::vector<LinkRecord> links_;
     /** query id -> index of its terminal Query span in spans_. */
     std::unordered_map<std::uint64_t, std::size_t> query_span_;
-    /** query id -> indices of its Route/Queue/Exec hop spans. */
+    /** query id -> indices of its Queue/Exec hop spans. */
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> hops_;
     /** device -> Batch-span intervals, sorted by start. */
     std::unordered_map<std::int64_t, std::vector<Interval>> batches_;

@@ -10,7 +10,6 @@ toString(SpanKind kind)
 {
     switch (kind) {
       case SpanKind::Query: return "query";
-      case SpanKind::Route: return "route";
       case SpanKind::Queue: return "queue";
       case SpanKind::Exec: return "exec";
       case SpanKind::Batch: return "batch";
@@ -19,19 +18,6 @@ toString(SpanKind kind)
       case SpanKind::Apply: return "apply";
       case SpanKind::Alarm: return "alarm";
       case SpanKind::SloAlarm: return "slo_alarm";
-    }
-    return "unknown";
-}
-
-const char*
-toString(LinkKind kind)
-{
-    switch (kind) {
-      case LinkKind::QueryInBatch: return "query_in_batch";
-      case LinkKind::BatchOnDevice: return "batch_on_device";
-      case LinkKind::BatchOnEpoch: return "batch_on_epoch";
-      case LinkKind::StageHandoff: return "stage_handoff";
-      case LinkKind::QueuedBehind: return "queued_behind";
     }
     return "unknown";
 }

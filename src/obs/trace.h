@@ -3,20 +3,21 @@
  * Per-query span tracing (DESIGN.md, "Observability").
  *
  * A span is one timed stage of work on the simulated timeline: a
- * query's route/queue/execution stages, one executed batch, a model
- * load, or a controller decision. Spans are fixed-size records written
- * into a preallocated ring buffer — recording never allocates, and all
+ * query's queue/execution stages, one executed batch, a model load,
+ * or a controller decision. Spans are fixed-size records written into
+ * a preallocated ring buffer — recording never allocates, and all
  * payloads are integers keyed by simulated time, so the trace of a run
  * is byte-identical across repetitions with the same seed.
  *
  * Spans form a causal lineage graph, not just a flat list: every
  * record carries a stable span id plus a typed causal parent (kind +
  * domain id, e.g. an Exec span's parent is the Batch that executed
- * it), and emission sites additionally record typed cross-links
- * (LinkRecord) into a second preallocated ring — query→batch-joined,
- * batch→device, batch→controller-epoch, pipeline stage handoffs and
- * query→query queued-behind edges. Offline tools reconstruct the
- * critical path of any query from the two rings alone.
+ * it, a Batch span's parent is the Apply of the decision that sized
+ * it). Each fact is recorded once, on the span that carries it. The
+ * one edge no span carries — which query a newly queued query waits
+ * behind — goes into a second preallocated ring (LinkRecord). Offline
+ * tools reconstruct the critical path of any query from the span ring
+ * alone.
  *
  * The tracer is off by default: every instrumented component holds a
  * `Tracer*` that is nullptr unless ObsOptions::enabled is set, so the
@@ -41,7 +42,7 @@ struct ObsOptions {
     bool enabled = false;
     /** Ring-buffer capacity in spans (oldest overwritten on wrap). */
     std::size_t ring_capacity = 1 << 16;
-    /** Lineage link ring capacity (0 = same as ring_capacity). */
+    /** Queued-behind link ring capacity (0 = same as ring_capacity). */
     std::size_t link_capacity = 0;
 
     /** Time-series sampling period on the simulated clock. */
@@ -56,13 +57,15 @@ struct ObsOptions {
 
 /**
  * The kind of work a span covers. Kinds form the nesting hierarchy:
- * Route/Queue/Exec spans of a query nest inside its Query span (same
- * id); Exec spans nest inside the Batch span of the executing device;
+ * Queue/Exec spans of a query nest inside its Query span (same id);
+ * Exec spans nest inside the Batch span of the executing device;
  * Solve/Apply spans belong to one controller decision (same id).
+ * Routing has no span: admission runs at the arrival instant, and a
+ * pipeline hop at the previous stage's completion, so it never takes
+ * simulated time.
  */
 enum class SpanKind : std::uint8_t {
     Query,  ///< arrival → terminal state; a=family, b=variant, v0=status, v1=device
-    Route,  ///< arrival → admission at the router; a=family
     Queue,  ///< worker enqueue → batch formation (or drop); a=family, b=variant, v0=device
     Exec,   ///< batch start → completion, per query; a=family, b=variant, v0=device
     Batch,  ///< one executed batch; a=device, b=variant, v0=batch size
@@ -74,38 +77,22 @@ enum class SpanKind : std::uint8_t {
 };
 
 /** Number of SpanKind values. */
-inline constexpr std::size_t kNumSpanKinds = 10;
+inline constexpr std::size_t kNumSpanKinds = 9;
 
 /** @return a short stable name for @p kind ("query", "queue", ...). */
 const char* toString(SpanKind kind);
 
 /**
- * Typed cross-links of the lineage graph. Links reference domain ids
- * (query id, batch number, decision number, device id): domain ids
- * are stable before the referenced span is recorded, so producers can
- * link forward in causality without knowing span ids.
+ * One queued-behind edge: at @c at, query @c from joined the queue of
+ * device @c aux directly behind query @c to (the queue tail, or the
+ * tail of the executing batch when the queue was empty). Fixed-size
+ * and trivially copyable.
  */
-enum class LinkKind : std::uint8_t {
-    QueryInBatch,  ///< from=query id, to=batch it joined; aux=device
-    BatchOnDevice,  ///< from=batch number, to=device that executed it
-    BatchOnEpoch,  ///< from=batch number, to=decision whose plan sized it
-    StageHandoff,  ///< from=query id, to=next stage index; aux=pipeline
-    QueuedBehind,  ///< from=query id, to=query immediately ahead; aux=device
-};
-
-/** Number of LinkKind values. */
-inline constexpr std::size_t kNumLinkKinds = 5;
-
-/** @return a short stable name ("query_in_batch", ...) for @p kind. */
-const char* toString(LinkKind kind);
-
-/** One typed lineage edge, fixed-size and trivially copyable. */
 struct LinkRecord {
-    Time at = 0;  ///< simulated time the edge was established
+    Time at = 0;
     std::uint64_t from = 0;
     std::uint64_t to = 0;
     std::int64_t aux = 0;
-    LinkKind kind = LinkKind::QueryInBatch;
 };
 
 /**
@@ -177,7 +164,7 @@ class Tracer
         next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
     }
 
-    /** Append one lineage edge (overwrites the oldest when full). */
+    /** Append one queued-behind edge (overwrites the oldest when full). */
     void
     recordLink(const LinkRecord& link)
     {

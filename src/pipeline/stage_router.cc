@@ -33,15 +33,6 @@ StageRouter::advance(Query* query)
         query->status = QueryStatus::Pending;
         query->accuracy = 0.0;
         query->served_by = kInvalidId;
-        if (tracer_) {
-            obs::LinkRecord link;
-            link.kind = obs::LinkKind::StageHandoff;
-            link.at = query->completion;
-            link.from = query->id;
-            link.to = query->stage;
-            link.aux = query->pipeline;
-            tracer_->recordLink(link);
-        }
         return true;
     }
 

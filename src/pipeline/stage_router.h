@@ -27,7 +27,6 @@
 
 #include "common/types.h"
 #include "core/query.h"
-#include "obs/trace.h"
 #include "pipeline/pipeline.h"
 
 namespace proteus {
@@ -66,9 +65,6 @@ class StageRouter
     StageRouter(const StageRouter&) = delete;
     StageRouter& operator=(const StageRouter&) = delete;
 
-    /** Attach the span tracer (nullptr = tracing off, the default). */
-    void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
     /**
      * Step the finished pipeline query @p query.
      *
@@ -86,7 +82,6 @@ class StageRouter
 
   private:
     const CompiledPipelines* pipelines_;
-    obs::Tracer* tracer_ = nullptr;
     std::vector<std::vector<StageStats>> stages_;
 };
 

@@ -114,7 +114,11 @@ TEST(RouterTest, ShedsUnroutedFraction)
     }
     fix.sim.run();
     EXPECT_NEAR(static_cast<double>(fix.lb->shed()) / n, 0.4, 0.01);
-    EXPECT_EQ(fix.lb->routed() + fix.lb->shed(),
+    // Every admitted query finished on the one routed worker.
+    EXPECT_EQ(fix.rec.arrivals, n);
+    EXPECT_EQ(static_cast<std::uint64_t>(
+                  fix.rec.finished_on[fix.device_ids[0]]) +
+                  fix.lb->shed(),
               static_cast<std::uint64_t>(n));
 }
 

@@ -126,7 +126,7 @@ TEST(ChromeTraceExport, SpanIdAndParentRideTheArgs)
     t.record(root);
 
     SpanRecord child;
-    child.kind = SpanKind::Route;
+    child.kind = SpanKind::Queue;
     child.start = 0;
     child.end = 2;
     child.id = 7;
@@ -156,15 +156,13 @@ TEST(ChromeTraceExport, LinksArrayCarriesTypedEdges)
 {
     Tracer t(8, 4);
     LinkRecord l;
-    l.kind = LinkKind::QueryInBatch;
     l.at = 123;
     l.from = 9;
     l.to = 4;
     l.aux = 2;
     t.recordLink(l);
-    l.kind = LinkKind::QueuedBehind;
-    l.from = 9;
-    l.to = 8;
+    l.from = 10;
+    l.to = 9;
     t.recordLink(l);
 
     JsonValue doc;
@@ -172,12 +170,12 @@ TEST(ChromeTraceExport, LinksArrayCarriesTypedEdges)
     ASSERT_TRUE(parseJson(toChromeTraceJson(t), &doc, &error)) << error;
     const auto& links = doc.at("links").asArray();
     ASSERT_EQ(links.size(), 2u);
-    EXPECT_EQ(links[0].stringOr("k", ""), "query_in_batch");
+    EXPECT_FALSE(links[0].has("k"));
     EXPECT_DOUBLE_EQ(links[0].numberOr("ts", -1.0), 123.0);
     EXPECT_DOUBLE_EQ(links[0].numberOr("from", -1.0), 9.0);
     EXPECT_DOUBLE_EQ(links[0].numberOr("to", -1.0), 4.0);
     EXPECT_DOUBLE_EQ(links[0].numberOr("aux", -1.0), 2.0);
-    EXPECT_EQ(links[1].stringOr("k", ""), "queued_behind");
+    EXPECT_DOUBLE_EQ(links[1].numberOr("from", -1.0), 10.0);
     EXPECT_DOUBLE_EQ(
         doc.at("otherData").numberOr("links_recorded", -1.0), 2.0);
     EXPECT_DOUBLE_EQ(
@@ -296,7 +294,6 @@ expectRoundTrip(const ServingSystem& system)
     const std::vector<LinkRecord> links = tracer.links();
     ASSERT_EQ(back.links.size(), links.size());
     for (std::size_t i = 0; i < links.size(); ++i) {
-        EXPECT_EQ(back.links[i].kind, links[i].kind) << "link " << i;
         EXPECT_EQ(back.links[i].at, links[i].at) << "link " << i;
         EXPECT_EQ(back.links[i].from, links[i].from) << "link " << i;
         EXPECT_EQ(back.links[i].to, links[i].to) << "link " << i;
@@ -449,9 +446,9 @@ TEST(ChromeTraceRead, MalformedDocumentsReturnAnErrorNamingThePlace)
                   .find("an arg its kind does not carry"),
               std::string::npos);
     // Out-of-range values for the field they land in.
-    EXPECT_NE(readError(oneEvent(R"({"name":"route","ts":0,"dur":0,)"
+    EXPECT_NE(readError(oneEvent(R"({"name":"queue","ts":0,"dur":0,)"
                                  R"("args":{"sid":1,"qid":1,"family":0,)"
-                                 R"("stage":-2}})"))
+                                 R"("variant":0,"device":0,"stage":-2}})"))
                   .find("negative \"stage\""),
               std::string::npos);
     EXPECT_NE(readError(oneEvent(R"({"name":"alarm","ts":0,"dur":0,)"
@@ -459,10 +456,10 @@ TEST(ChromeTraceRead, MalformedDocumentsReturnAnErrorNamingThePlace)
                                  R"("family":0}})"))
                   .find("\"pk\" out of range"),
               std::string::npos);
-    // A link of an unknown kind and a malformed name table.
-    EXPECT_NE(readError(R"({"traceEvents":[],"links":[{"k":"x","ts":0,)"
-                        R"("from":1,"to":2,"aux":0}],"otherData":{}})")
-                  .find("links[0] has unknown kind \"x\""),
+    // A link without its target and a malformed name table.
+    EXPECT_NE(readError(R"({"traceEvents":[],"links":[{"ts":0,)"
+                        R"("from":1,"aux":0}],"otherData":{}})")
+                  .find("links[0] has no \"to\""),
               std::string::npos);
     EXPECT_NE(readError(R"({"traceEvents":[],"links":[],"otherData":)"
                         R"({"spans_recorded":0,"spans_dropped":0,)"

@@ -11,7 +11,9 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serving_system.h"
@@ -119,7 +121,7 @@ makeSpan(SpanKind kind, Time start, Time end, std::uint64_t id)
 
 TEST(LineageIndexTest, QueueWaitSplitsByDeviceActivity)
 {
-    // Query 5 on device 0: routed [0,2], queued [2,60], executed
+    // Query 5 on device 0: queued [0,60] from its arrival, executed
     // [60,100] in batch 9. While it queued, the device ran batch 7
     // over [10,30] and loaded a model over [30,50].
     std::vector<SpanRecord> spans;
@@ -129,8 +131,7 @@ TEST(LineageIndexTest, QueueWaitSplitsByDeviceActivity)
     q.v0 = 1;  // status
     q.v1 = 0;  // device
     spans.push_back(q);
-    spans.push_back(makeSpan(SpanKind::Route, 0, 2, 5));
-    SpanRecord queue = makeSpan(SpanKind::Queue, 2, 60, 5);
+    SpanRecord queue = makeSpan(SpanKind::Queue, 0, 60, 5);
     queue.v0 = 0;  // device
     spans.push_back(queue);
     SpanRecord exec = makeSpan(SpanKind::Exec, 60, 100, 5);
@@ -166,8 +167,7 @@ TEST(LineageIndexTest, QueueWaitSplitsByDeviceActivity)
         std::uint64_t ref;
     };
     const std::vector<Expect> expected = {
-        {SegmentKind::Route, 0, 2, 0},
-        {SegmentKind::BatchFormation, 2, 10, 0},
+        {SegmentKind::BatchFormation, 0, 10, 0},
         {SegmentKind::QueueBehindBatch, 10, 30, 7},
         {SegmentKind::EpochStall, 30, 50, 3},
         {SegmentKind::BatchFormation, 50, 60, 0},
@@ -184,15 +184,15 @@ TEST(LineageIndexTest, QueueWaitSplitsByDeviceActivity)
 
 TEST(LineageIndexTest, UnexplainedIntervalsBecomeStall)
 {
-    // Hop spans leave gaps: [2,10) before the queue and [50,100) after
-    // it (no exec — e.g. the query was dropped). Both must surface as
-    // Stall so the partition stays exact.
+    // Hop spans leave gaps: [0,10) before the queue (e.g. a requeue
+    // back-off) and [50,100) after it (no exec — the query was
+    // dropped). Both must surface as Stall so the partition stays
+    // exact.
     std::vector<SpanRecord> spans;
     SpanRecord q = makeSpan(SpanKind::Query, 0, 100, 1);
     q.a = 0;
     q.v0 = 3;  // dropped
     spans.push_back(q);
-    spans.push_back(makeSpan(SpanKind::Route, 0, 2, 1));
     SpanRecord queue = makeSpan(SpanKind::Queue, 10, 50, 1);
     queue.v0 = 2;
     spans.push_back(queue);
@@ -200,40 +200,15 @@ TEST(LineageIndexTest, UnexplainedIntervalsBecomeStall)
     const LineageIndex index(spans, {});
     const CriticalPath cp = index.analyze(1);
     EXPECT_TRUE(cp.exact());
-    ASSERT_EQ(cp.segments.size(), 4u);
-    EXPECT_EQ(cp.segments[0].kind, SegmentKind::Route);
-    EXPECT_EQ(cp.segments[1].kind, SegmentKind::Stall);
-    EXPECT_EQ(cp.segments[1].start, 2);
-    EXPECT_EQ(cp.segments[1].end, 10);
+    ASSERT_EQ(cp.segments.size(), 3u);
+    EXPECT_EQ(cp.segments[0].kind, SegmentKind::Stall);
+    EXPECT_EQ(cp.segments[0].start, 0);
+    EXPECT_EQ(cp.segments[0].end, 10);
     // No device activity recorded: the whole wait is batching time.
-    EXPECT_EQ(cp.segments[2].kind, SegmentKind::BatchFormation);
-    EXPECT_EQ(cp.segments[3].kind, SegmentKind::Stall);
-    EXPECT_EQ(cp.segments[3].start, 50);
-    EXPECT_EQ(cp.segments[3].end, 100);
-}
-
-TEST(LineageIndexTest, NonEntryRouteIsStageHandoff)
-{
-    std::vector<SpanRecord> spans;
-    SpanRecord q = makeSpan(SpanKind::Query, 0, 20, 4);
-    q.a = 0;
-    q.v2 = 3;  // pipeline id 2, 1-based
-    spans.push_back(q);
-    SpanRecord entry = makeSpan(SpanKind::Route, 0, 5, 4);
-    entry.v0 = 1;  // stage 0: entry admission, plain Route
-    spans.push_back(entry);
-    SpanRecord hop = makeSpan(SpanKind::Route, 5, 20, 4);
-    hop.v0 = 3;  // stage 2: a cross-stage handoff
-    spans.push_back(hop);
-
-    const LineageIndex index(spans, {});
-    const CriticalPath cp = index.analyze(4);
-    EXPECT_EQ(cp.pipeline, 2);
-    EXPECT_TRUE(cp.exact());
-    ASSERT_EQ(cp.segments.size(), 2u);
-    EXPECT_EQ(cp.segments[0].kind, SegmentKind::Route);
-    EXPECT_EQ(cp.segments[1].kind, SegmentKind::StageHandoff);
-    EXPECT_EQ(cp.segments[1].ref, 2u);
+    EXPECT_EQ(cp.segments[1].kind, SegmentKind::BatchFormation);
+    EXPECT_EQ(cp.segments[2].kind, SegmentKind::Stall);
+    EXPECT_EQ(cp.segments[2].start, 50);
+    EXPECT_EQ(cp.segments[2].end, 100);
 }
 
 TEST(LineageIndexTest, MissingQueryYieldsEmptyPath)
@@ -319,6 +294,45 @@ expectAllQueriesExact(const Tracer& tracer, std::uint64_t* analyzed)
     return index;
 }
 
+/**
+ * Check that every Exec span names, as its parent, a recorded Batch
+ * span of its device (batch numbers count per device), with the same
+ * variant and interval, and that each batch's size counts its Exec
+ * spans. @return the number of Exec spans.
+ */
+std::uint64_t
+expectExecSpansJoinTheirBatch(const LineageIndex& index)
+{
+    using BatchKey = std::pair<std::int64_t, std::uint64_t>;  // device, id
+    std::map<BatchKey, const SpanRecord*> batches;
+    for (const SpanRecord& s : index.spans())
+        if (s.kind == SpanKind::Batch)
+            batches[{static_cast<std::int64_t>(s.a), s.id}] = &s;
+    std::map<BatchKey, std::int64_t> members;
+    std::uint64_t execs = 0;
+    for (const SpanRecord& e : index.spans()) {
+        if (e.kind != SpanKind::Exec)
+            continue;
+        ++execs;
+        EXPECT_EQ(e.parent_kind, SpanKind::Batch) << "query " << e.id;
+        const BatchKey key{e.v0, e.parent_id};
+        const auto it = batches.find(key);
+        if (it == batches.end()) {
+            ADD_FAILURE() << "query " << e.id << ": no batch "
+                          << e.parent_id << " on device " << e.v0;
+            continue;
+        }
+        const SpanRecord& b = *it->second;
+        EXPECT_EQ(b.b, e.b) << "query " << e.id;
+        EXPECT_EQ(b.start, e.start) << "query " << e.id;
+        EXPECT_EQ(b.end, e.end) << "query " << e.id;
+        ++members[key];
+    }
+    for (const auto& [key, b] : batches)
+        EXPECT_EQ(members[key], b->v0) << "batch " << key.second;
+    return execs;
+}
+
 TEST(LineageSystemTest, EveryTracedQueryPartitionsExactly)
 {
     testing::World w = testing::miniWorld();
@@ -333,12 +347,21 @@ TEST(LineageSystemTest, EveryTracedQueryPartitionsExactly)
         expectAllQueriesExact(*system.tracer(), &analyzed);
     EXPECT_EQ(analyzed, r.summary.arrivals);
 
-    // Served queries produced query->batch joins.
-    std::uint64_t joins = 0;
-    for (const LinkRecord& l : index.links())
-        if (l.kind == LinkKind::QueryInBatch)
-            ++joins;
-    EXPECT_GT(joins, 0u);
+    // Each completed query joined one batch, named by its Exec span.
+    EXPECT_EQ(expectExecSpansJoinTheirBatch(index),
+              r.summary.served + r.summary.served_late);
+
+    // The links are the queued-behind edges: both ends are traced
+    // queries, and the one ahead arrived before the newcomer queued.
+    EXPECT_GT(index.links().size(), 0u);
+    for (const LinkRecord& l : index.links()) {
+        const SpanRecord* from = index.querySpan(l.from);
+        const SpanRecord* ahead = index.querySpan(l.to);
+        ASSERT_NE(from, nullptr) << "query " << l.from;
+        ASSERT_NE(ahead, nullptr) << "query " << l.to;
+        EXPECT_LE(ahead->start, l.at) << "query " << l.from;
+        EXPECT_LE(from->start, l.at) << "query " << l.from;
+    }
 }
 
 TEST(LineageSystemTest, WorkerDropsExplainTheirQueueWait)
@@ -383,8 +406,7 @@ TEST(LineageSystemTest, WorkerDropsExplainTheirQueueWait)
 TEST(LineageSystemTest, PipelineQueriesPartitionExactly)
 {
     // The fig12 vision chain (tests/pipeline/pipeline_system_test.cc):
-    // stage handoffs must keep the partition exact, and at least one
-    // analyzed path must carry a StageHandoff segment.
+    // stage handoffs must keep the partition exact.
     Cluster cluster;
     StandardTypes types = addStandardTypes(&cluster);
     cluster.addDevices(types.cpu, 8);
@@ -429,20 +451,26 @@ TEST(LineageSystemTest, PipelineQueriesPartitionExactly)
     }
 
     // Handoffs are instantaneous on the simulated clock (the next
-    // stage admits at the previous stage's completion event), so they
-    // surface as zero-width non-entry Route hops — the partition must
-    // stay exact across them — plus one StageHandoff link per forward.
-    std::uint64_t handoff_hops = 0;
+    // stage admits at the previous stage's completion event), so no
+    // segment is ever attributed to routing. Each forward is an
+    // intermediate stage's completion, so it is exactly a non-final-
+    // stage Exec span (v1 = stage + 1, stages 0 and 1 of 3).
+    for (const SpanRecord& s : index.spans()) {
+        if (s.kind != SpanKind::Query)
+            continue;
+        for (const Segment& seg : index.analyze(s.id).segments) {
+            EXPECT_NE(seg.kind, SegmentKind::Route) << "query " << s.id;
+            EXPECT_NE(seg.kind, SegmentKind::StageHandoff)
+                << "query " << s.id;
+        }
+    }
+    std::uint64_t intermediate_execs = 0;
     for (const SpanRecord& s : index.spans())
-        if (s.kind == SpanKind::Route && s.v0 >= 2)
-            ++handoff_hops;
-    EXPECT_EQ(handoff_hops, r.forwarded);
-
-    std::uint64_t handoff_links = 0;
-    for (const LinkRecord& l : index.links())
-        if (l.kind == LinkKind::StageHandoff)
-            ++handoff_links;
-    EXPECT_EQ(handoff_links, r.forwarded);
+        if (s.kind == SpanKind::Exec && (s.v1 == 1 || s.v1 == 2))
+            ++intermediate_execs;
+    EXPECT_EQ(intermediate_execs, r.forwarded);
+    EXPECT_GT(r.forwarded, 0u);
+    expectExecSpansJoinTheirBatch(index);
 }
 
 TEST(LineageSystemTest, ReservoirFeedsExportedExemplars)

@@ -65,21 +65,77 @@ TEST(ObsSystemTest, TracedRunCoversAllStages)
     EXPECT_EQ(system.tracer()->dropped(), 0u);
 
     std::set<obs::SpanKind> kinds;
+    std::set<std::uint64_t> applied;
     std::uint64_t query_spans = 0;
     for (const obs::SpanRecord& s : system.tracer()->spans()) {
         kinds.insert(s.kind);
         EXPECT_LE(s.start, s.end);
         if (s.kind == obs::SpanKind::Query)
             ++query_spans;
+        if (s.kind == obs::SpanKind::Apply)
+            applied.insert(s.id);
+        // A batch runs under the plan of an already applied decision,
+        // named by its parent.
+        if (s.kind == obs::SpanKind::Batch) {
+            EXPECT_EQ(s.parent_kind, obs::SpanKind::Apply);
+            EXPECT_TRUE(applied.count(s.parent_id)) << "batch " << s.id;
+        }
     }
     // Every query reaches a terminal state exactly once.
     EXPECT_EQ(query_spans, r.summary.arrivals);
     for (obs::SpanKind k :
-         {obs::SpanKind::Query, obs::SpanKind::Route,
-          obs::SpanKind::Queue, obs::SpanKind::Exec,
-          obs::SpanKind::Batch, obs::SpanKind::Load,
-          obs::SpanKind::Solve, obs::SpanKind::Apply})
+         {obs::SpanKind::Query, obs::SpanKind::Queue,
+          obs::SpanKind::Exec, obs::SpanKind::Batch,
+          obs::SpanKind::Load, obs::SpanKind::Solve,
+          obs::SpanKind::Apply})
         EXPECT_TRUE(kinds.count(k)) << obs::toString(k);
+}
+
+/**
+ * The exact number of spans and links @p system recorded. Each trace
+ * fact is recorded once, so these move only when the run does
+ * different work or a record kind is added or removed.
+ */
+void
+expectRecords(const ServingSystem& system, std::uint64_t queries,
+              std::uint64_t spans, std::uint64_t links)
+{
+    ASSERT_NE(system.tracer(), nullptr);
+    EXPECT_EQ(system.metricsRegistry().counters().at("queries.arrivals")
+                  ->value(),
+              queries);
+    EXPECT_EQ(system.tracer()->recorded(), spans);
+    EXPECT_EQ(system.tracer()->linksRecorded(), links);
+}
+
+TEST(ObsSystemTest, SteadyRunRecordCountsArePinned)
+{
+    testing::World w = testing::miniWorld();
+    Trace trace = steadyTrace(w.registry.numFamilies(), 50.0,
+                              seconds(20.0), ArrivalProcess::Poisson, 7);
+    ServingSystem system(&w.cluster, &w.registry, tracedConfig(7));
+    system.run(trace);
+    expectRecords(system, 976, 3331, 695);
+}
+
+TEST(ObsSystemTest, PipelineRunRecordCountsArePinned)
+{
+    testing::World w = testing::miniWorld(8, 4, 4);
+    PipelineSpec spec;
+    spec.name = "vision";
+    spec.slo = millis(60.0);
+    spec.stages.push_back({"detect", "resnet", {}});
+    spec.stages.push_back({"classify", "efficientnet", {"detect"}});
+    spec.stages.push_back({"annotate", "mobilenet", {"classify"}});
+    SystemConfig cfg = tracedConfig(7);
+    cfg.pipelines = {spec};
+    PipelineTraceConfig wl;
+    wl.qps = 80.0;
+    wl.duration = seconds(20.0);
+    wl.seed = 7;
+    ServingSystem system(&w.cluster, &w.registry, cfg);
+    system.run(pipelineTrace({0}, wl));
+    expectRecords(system, 1610, 15974, 1322);
 }
 
 TEST(ObsSystemTest, RegistryReflectsRunSummary)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <utility>
 
@@ -182,6 +183,54 @@ TEST(TimeSeriesTest, SystemRunRecordsExpectedChannels)
           "family.0.burn_rate", "cluster.devices_down",
           "solver.work_frac"})
         EXPECT_NE(csv.find(chan), std::string::npos) << chan;
+}
+
+TEST(TimeSeriesTest, FamilyBatchSizeStaysExactWhenAWorkerLeavesTheFamily)
+{
+    // A burst makes the controller move workers between families
+    // mid-run. The batch-size channel counts each batch as it
+    // completes, so a tick reads a mean batch size (>= 1) exactly when
+    // the family completed queries in it, whatever the workers did.
+    testing::World w = testing::miniWorld(8, 4, 4);
+    BurstTraceConfig burst;
+    burst.duration = seconds(120.0);
+    burst.low_qps = 150.0;
+    burst.high_qps = 500.0;
+    burst.phase = seconds(40.0);
+    SystemConfig cfg;
+    cfg.control_period = seconds(20.0);
+    cfg.obs.enabled = true;
+    cfg.obs.ring_capacity = 1 << 18;  // no wraparound in this run
+    ServingSystem system(&w.cluster, &w.registry, cfg);
+    system.run(burstTrace(w.registry.numFamilies(), burst));
+
+    // Some device executes batches of one family, then of another.
+    std::map<std::uint32_t, FamilyId> family_on;
+    bool moved = false;
+    for (const obs::SpanRecord& s : system.tracer()->spans()) {
+        if (s.kind != obs::SpanKind::Batch)
+            continue;
+        const FamilyId f = w.registry.familyOf(s.b);
+        const auto it = family_on.find(s.a);
+        moved |= it != family_on.end() && it->second != f;
+        family_on[s.a] = f;
+    }
+    ASSERT_TRUE(moved);
+
+    const obs::TimeSeriesRecorder* rec = system.timeseries();
+    for (FamilyId f = 0; f < w.registry.numFamilies(); ++f) {
+        const std::string prefix = "family." + std::to_string(f) + ".";
+        const auto& size = rec->values(prefix + "batch_size");
+        const auto& done = rec->values(prefix + "throughput_qps");
+        ASSERT_EQ(size.size(), done.size());
+        ASSERT_FALSE(size.empty());
+        for (std::size_t i = 0; i < size.size(); ++i) {
+            if (done[i] > 0.0)
+                EXPECT_GE(size[i], 1.0) << prefix << " tick " << i;
+            else
+                EXPECT_EQ(size[i], 0.0) << prefix << " tick " << i;
+        }
+    }
 }
 
 TEST(TimeSeriesTest, SameSeedTimelineByteIdenticalTwentySeeds)

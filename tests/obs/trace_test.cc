@@ -84,7 +84,6 @@ TEST(SpanRecordTest, DurationAndContainment)
 TEST(SpanKindTest, NamesAreStable)
 {
     EXPECT_STREQ(toString(SpanKind::Query), "query");
-    EXPECT_STREQ(toString(SpanKind::Route), "route");
     EXPECT_STREQ(toString(SpanKind::Queue), "queue");
     EXPECT_STREQ(toString(SpanKind::Exec), "exec");
     EXPECT_STREQ(toString(SpanKind::Batch), "batch");
@@ -92,15 +91,6 @@ TEST(SpanKindTest, NamesAreStable)
     EXPECT_STREQ(toString(SpanKind::Solve), "solve");
     EXPECT_STREQ(toString(SpanKind::Apply), "apply");
     EXPECT_STREQ(toString(SpanKind::Alarm), "alarm");
-}
-
-TEST(LinkKindTest, NamesAreStable)
-{
-    EXPECT_STREQ(toString(LinkKind::QueryInBatch), "query_in_batch");
-    EXPECT_STREQ(toString(LinkKind::BatchOnDevice), "batch_on_device");
-    EXPECT_STREQ(toString(LinkKind::BatchOnEpoch), "batch_on_epoch");
-    EXPECT_STREQ(toString(LinkKind::StageHandoff), "stage_handoff");
-    EXPECT_STREQ(toString(LinkKind::QueuedBehind), "queued_behind");
 }
 
 TEST(TracerTest, SpanIdsAreStableAcrossWraparound)
@@ -118,14 +108,12 @@ TEST(TracerTest, SpanIdsAreStableAcrossWraparound)
 }
 
 LinkRecord
-link(Time at, std::uint64_t from, std::uint64_t to,
-     LinkKind kind = LinkKind::QueryInBatch)
+link(Time at, std::uint64_t from, std::uint64_t to)
 {
     LinkRecord l;
     l.at = at;
     l.from = from;
     l.to = to;
-    l.kind = kind;
     return l;
 }
 

@@ -4,8 +4,8 @@
  * written by the observability subsystem (proteus_sim --trace, or any
  * bench binary run with PROTEUS_TRACE_FILE set).
  *
- * Prints a per-stage latency breakdown (route wait, queue wait,
- * execution, end-to-end) with p50/p95/p99 per model variant, the
+ * Prints a per-stage latency breakdown (queue wait, execution,
+ * end-to-end) with p50/p95/p99 per model variant, the
  * controller/solver decision summary, and the top-N slowest queries.
  * With --critical-path, decomposes each tail exemplar's end-to-end
  * latency into the exact segment partition (obs/lineage.h), aggregating
@@ -149,43 +149,28 @@ main(int argc, char** argv)
 
     // Per-variant stage breakdown. Queue/exec waits are grouped by the
     // variant whose queue the query joined (a worker drop's queue span
-    // names the variant it waited for), route waits by the same
-    // variant, and end-to-end times by the variant in the query span
-    // (variant -1 = dropped before execution).
+    // names the variant it waited for), end-to-end times by the
+    // variant in the query span (variant -1 = dropped before
+    // execution).
     struct StageDurations {
-        std::vector<double> route, queue, exec, total;
+        std::vector<double> queue, exec, total;
     };
     std::map<long long, StageDurations> by_variant;
-    std::map<std::uint64_t, long long> route_variant_of_query;
     std::vector<const obs::SpanRecord*> queries;
     std::vector<double> solve_durs, solve_nodes;
 
     for (const obs::SpanRecord& s : trace.spans) {
         const auto dur = static_cast<double>(s.duration());
-        if (s.kind == obs::SpanKind::Queue ||
-            s.kind == obs::SpanKind::Exec) {
-            auto& d = by_variant[variantKey(s)];
-            (s.kind == obs::SpanKind::Queue ? d.queue : d.exec)
-                .push_back(dur);
-            route_variant_of_query[s.id] = variantKey(s);
+        if (s.kind == obs::SpanKind::Queue) {
+            by_variant[variantKey(s)].queue.push_back(dur);
+        } else if (s.kind == obs::SpanKind::Exec) {
+            by_variant[variantKey(s)].exec.push_back(dur);
         } else if (s.kind == obs::SpanKind::Solve) {
             solve_durs.push_back(dur);
             solve_nodes.push_back(static_cast<double>(s.v0));
         } else if (s.kind == obs::SpanKind::Query) {
+            by_variant[variantKey(s)].total.push_back(dur);
             queries.push_back(&s);
-        }
-    }
-    for (const obs::SpanRecord& s : trace.spans) {
-        if (s.kind == obs::SpanKind::Query) {
-            by_variant[variantKey(s)].total.push_back(
-                static_cast<double>(s.duration()));
-        } else if (s.kind == obs::SpanKind::Route) {
-            auto it = route_variant_of_query.find(s.id);
-            long long v = it == route_variant_of_query.end()
-                              ? -1
-                              : it->second;
-            by_variant[v].route.push_back(
-                static_cast<double>(s.duration()));
         }
     }
 
@@ -198,9 +183,8 @@ main(int argc, char** argv)
             const char* stage;
             std::vector<double>* vals;
         };
-        for (const Row& row :
-             {Row{"route", &s.route}, Row{"queue", &s.queue},
-              Row{"exec", &s.exec}, Row{"total", &s.total}}) {
+        for (const Row& row : {Row{"queue", &s.queue}, Row{"exec", &s.exec},
+                               Row{"total", &s.total}}) {
             if (row.vals->empty())
                 continue;
             std::vector<double> p = percentiles(*row.vals, kPs);
@@ -216,7 +200,7 @@ main(int argc, char** argv)
 
     // Per-pipeline e2e breakdown: exec time per stage, the queue gap
     // between consecutive stages (next stage's exec start minus the
-    // previous stage's exec end — routing plus queueing of the hop),
+    // previous stage's exec end — the queueing of the hop),
     // and the end-to-end latency from the query span. Only present
     // when the trace carries pipeline/stage args.
     struct PipelineDurations {
