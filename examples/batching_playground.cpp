@@ -37,9 +37,17 @@ class Counter : public QueryObserver
           case QueryStatus::Pending: break;
         }
     }
+    void
+    onBatchDone(VariantId, std::size_t size) override
+    {
+        ++batches;
+        batched += static_cast<int>(size);
+    }
     int served = 0;
     int late = 0;
     int dropped = 0;
+    int batches = 0;
+    int batched = 0;
 };
 
 struct Outcome {
@@ -85,7 +93,10 @@ runPolicy(std::unique_ptr<BatchingPolicy> policy,
     out.served = counter.served;
     out.late = counter.late;
     out.dropped = counter.dropped;
-    out.mean_batch = worker.meanBatchSize();
+    out.mean_batch = counter.batches
+                         ? static_cast<double>(counter.batched) /
+                               static_cast<double>(counter.batches)
+                         : 0.0;
     return out;
 }
 

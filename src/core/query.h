@@ -39,13 +39,12 @@ struct Query {
     /** Device that served (or dropped) it, kInvalidId if none. */
     DeviceId served_by = kInvalidId;
 
-    // Stage timestamps for span tracing (DESIGN.md, "Observability").
-    // Written unconditionally (plain stores, no branches) so the trace
+    // Stage timestamp for span tracing (DESIGN.md, "Observability").
+    // Written unconditionally (a plain store, no branch) so the trace
     // subsystem can attribute latency without touching the hot path.
+    // The execution interval is the worker's, recorded on its Batch.
     /** Most recent enqueue on a worker (re-set after re-routing). */
     Time enqueued_at = kNoTime;
-    /** Start of the batch execution that served it. */
-    Time exec_start = kNoTime;
 
     // Pipeline cursor (DESIGN.md, "Pipeline serving"). Single-family
     // queries keep the defaults; the one hot-path branch they pay is
@@ -114,8 +113,8 @@ traceQueryEnd(obs::Tracer* tracer, const Query& query,
 /**
  * Sink for query lifecycle events: ServingSystem is the one every worker
  * and load balancer reports to, and it feeds the metrics collector.
- * Workers also report each completed batch, which only the system's
- * per-family batch counts need.
+ * Workers also report each completed batch, which the collector's
+ * per-family batch table counts.
  */
 class QueryObserver
 {

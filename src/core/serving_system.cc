@@ -238,7 +238,6 @@ ServingSystem::registerTimeSeriesChannels()
     obs_registry_.counter("slo.alarms_cleared");
     slo_windows_.assign(registry_->numFamilies(),
                         obs::SloBurnWindow(slo_ticks));
-    family_batches_.assign(registry_->numFamilies(), BatchCounts{});
 
     // Per-family rates derived from the collector's live cumulative
     // counters, plus instantaneous depth/quality probes.
@@ -268,10 +267,10 @@ ServingSystem::registerTimeSeriesChannels()
             }
             return static_cast<double>(n);
         });
-        // Interval mean batch size: ratio of the family's completed-
-        // query/batch deltas, counted per batch as it completes, so a
-        // worker that changes families moves no counts.
-        const BatchCounts* batches = &family_batches_[f];
+        // Interval mean batch size: ratio of the collector's per-family
+        // completed-query/batch deltas, counted per batch as it
+        // completes, so a worker that changes families moves no counts.
+        const BatchCounts* batches = &mc->familyBatches()[f];
         ts->addCounterRatio(
             prefix + "batch_size",
             [batches] { return static_cast<double>(batches->queries); },
@@ -564,11 +563,7 @@ ServingSystem::onFinished(const Query& query)
 void
 ServingSystem::onBatchDone(VariantId variant, std::size_t size)
 {
-    if (family_batches_.empty())
-        return;  // no time-series recorder reads the counts
-    BatchCounts& counts = family_batches_[registry_->familyOf(variant)];
-    ++counts.batches;
-    counts.queries += size;
+    metrics_.onBatchDone(registry_->familyOf(variant), size);
 }
 
 void
@@ -705,15 +700,12 @@ ServingSystem::finishRun()
     result.timeline = metrics_.timeline();
     result.family_totals = metrics_.familyTotals();
     result.reallocations = controller_->reallocations();
-    std::uint64_t batches = 0, batched = 0;
-    for (const auto& w : workers_) {
-        batches += w->batches();
-        batched += w->batchedQueries();
-    }
-    result.mean_batch_size =
-        batches ? static_cast<double>(batched) /
-                      static_cast<double>(batches)
-                : 0.0;
+    BatchCounts all;
+    for (const BatchCounts& c : metrics_.familyBatches())
+        all = {all.batches + c.batches, all.queries + c.queries};
+    result.mean_batch_size = all.batches ? static_cast<double>(all.queries) /
+                                               static_cast<double>(all.batches)
+                                         : 0.0;
     for (const auto& lb : balancers_)
         result.shed += lb->shed();
     result.fault_windows = metrics_.faultWindows();

@@ -64,7 +64,7 @@ struct RunResult {
     std::vector<IntervalCounters> family_totals;
     /** Number of plans applied by the controller. */
     int reallocations = 0;
-    /** Mean executed batch size across all workers. */
+    /** Mean completed batch size across all workers. */
     double mean_batch_size = 0.0;
     /** Queries shed at the routers (subset of dropped). */
     std::uint64_t shed = 0;
@@ -214,13 +214,6 @@ class ServingSystem : private QueryObserver
     obs::MetricsRegistry obs_registry_;
     std::unique_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::TimeSeriesRecorder> timeseries_;
-    /** Completed batches and the queries they executed, per family. */
-    struct BatchCounts {
-        std::uint64_t batches = 0;
-        std::uint64_t queries = 0;
-    };
-    /** Read by the family.<f>.batch_size channel. */
-    std::vector<BatchCounts> family_batches_;
     /** Per-family SLO burn windows, advanced by the recorder's ticks. */
     std::vector<obs::SloBurnWindow> slo_windows_;
     /** Seeded reservoir of SLO-violating query ids (tail exemplars). */

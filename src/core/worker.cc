@@ -164,11 +164,12 @@ Worker::crash()
         sim_->disarmTimer(done_timer_);
         busy_ = false;
         busy_time_ -= batch_end_ - sim_->now();  // charge what ran
-        --batches_;
-        batched_queries_ -=
-            static_cast<std::uint64_t>(inflight_.size());
-        for (Query* q : inflight_)
+        --batches_;  // the next batch takes this one's number
+        for (Query* q : inflight_) {
+            if (tracer_)
+                traceQueueWait(*q, batch_start_, inflight_variant_, 0);
             bounce(q);
+        }
         inflight_.clear();
     }
     bounceQueued();
@@ -263,7 +264,7 @@ Worker::dropFront(int count)
         q->completion = sim_->now();
         q->served_by = device_;
         if (tracer_) {
-            traceQueueWait(*q);
+            traceQueueWait(*q, q->completion, *target_, 0);
             traceQueryEnd(tracer_, *q);
         }
         if (observer_)
@@ -272,17 +273,20 @@ Worker::dropFront(int count)
 }
 
 void
-Worker::traceQueueWait(const Query& q)
+Worker::traceQueueWait(const Query& q, Time end, VariantId variant,
+                       std::uint64_t batch)
 {
     obs::SpanRecord s;
     s.kind = obs::SpanKind::Queue;
     s.start = q.enqueued_at;
-    s.end = sim_->now();
+    s.end = end;
     s.id = q.id;
-    s.parent_id = q.id;
-    s.parent_kind = obs::SpanKind::Query;
+    if (batch != 0) {
+        s.parent_id = batch;
+        s.parent_kind = obs::SpanKind::Batch;
+    }
     s.a = q.family;
-    s.b = *target_;
+    s.b = variant;
     s.v0 = device_;
     if (q.pipeline != kInvalidId)
         s.v1 = static_cast<std::int64_t>(q.stage) + 1;
@@ -346,9 +350,6 @@ Worker::executeBatch(int count)
     for (int i = 0; i < count; ++i) {
         Query* q = queue_.front();
         queue_.pop_front();
-        q->exec_start = now;
-        if (tracer_)
-            traceQueueWait(*q);
         inflight_.push_back(q);
     }
     inflight_plan_epoch_ = plan_epoch_;
@@ -365,10 +366,10 @@ Worker::executeBatch(int count)
     busy_ = true;
     busy_time_ += lat;
     ++batches_;
-    batched_queries_ += static_cast<std::uint64_t>(count);
     // The batch lives in inflight_ so a crash can abort and re-route
     // it by disarming the completion timer.
     inflight_variant_ = *target_;
+    batch_start_ = now;
     batch_end_ = now + lat;
     sim_->armTimer(done_timer_, batch_end_);
 }
@@ -380,9 +381,6 @@ Worker::finishBatch()
     const VariantId executed_variant = inflight_variant_;
     const Time now = sim_->now();
     const double accuracy = registry_->variant(executed_variant).accuracy;
-    // Read before the observer loop: onFinished may hand a query's
-    // pool slot back, after which its fields are fair game for reuse.
-    const Time batch_start = inflight_[0]->exec_start;
     if (observer_)
         observer_->onBatchDone(executed_variant, inflight_.size());
     bool any_violation = false;
@@ -394,19 +392,8 @@ Worker::finishBatch()
                                        : QueryStatus::ServedLate;
         any_violation |= q->status == QueryStatus::ServedLate;
         if (tracer_) {
-            obs::SpanRecord s;
-            s.kind = obs::SpanKind::Exec;
-            s.start = q->exec_start;
-            s.end = now;
-            s.id = q->id;
-            s.parent_id = batches_;
-            s.parent_kind = obs::SpanKind::Batch;
-            s.a = q->family;
-            s.b = executed_variant;
-            s.v0 = device_;
-            if (q->pipeline != kInvalidId)
-                s.v1 = static_cast<std::int64_t>(q->stage) + 1;
-            tracer_->record(s);
+            // Before onFinished, which may hand the pool slot back.
+            traceQueueWait(*q, batch_start_, executed_variant, batches_);
             traceQueryEnd(tracer_, *q, executed_variant);
         }
         if (observer_)
@@ -415,7 +402,7 @@ Worker::finishBatch()
     if (tracer_) {
         obs::SpanRecord s;
         s.kind = obs::SpanKind::Batch;
-        s.start = batch_start;
+        s.start = batch_start_;
         s.end = now;
         s.id = batches_;
         if (inflight_plan_epoch_ != 0) {
@@ -434,15 +421,6 @@ Worker::finishBatch()
     if (policy_)
         policy_->onBatchOutcome(batch_size, any_violation);
     evaluate();
-}
-
-double
-Worker::meanBatchSize() const
-{
-    if (batches_ == 0)
-        return 0.0;
-    return static_cast<double>(batched_queries_) /
-           static_cast<double>(batches_);
 }
 
 }  // namespace proteus

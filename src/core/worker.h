@@ -100,9 +100,6 @@ class Worker
      */
     void recover();
 
-    /** @return true while the device is crashed. */
-    bool failed() const { return failed_; }
-
     /**
      * Transient stall: execution latency is multiplied by @p factor
      * until @p window from now. Overlapping stalls keep the maximum
@@ -141,18 +138,6 @@ class Worker
     /** @return current queue length. */
     std::size_t queueLength() const { return queue_.size(); }
 
-    /** @return true while a batch is executing. */
-    bool busy() const { return busy_; }
-
-    /** @return total batches executed. */
-    std::uint64_t batches() const { return batches_; }
-
-    /** @return total queries executed across all batches. */
-    std::uint64_t batchedQueries() const { return batched_queries_; }
-
-    /** @return mean executed batch size (0 when none). */
-    double meanBatchSize() const;
-
     /** @return busy time accumulated so far. */
     Duration busyTime() const { return busy_time_; }
 
@@ -160,8 +145,11 @@ class Worker
     void evaluate();
     void executeBatch(int count);
     void dropFront(int count);
-    /** Record @p q's Queue span, enqueue to now (batch or drop). */
-    void traceQueueWait(const Query& q);
+    /** Record @p q's Queue span, enqueue to @p end, waiting for
+     *  @p variant; its parent is Batch @p batch (0 = none: a drop or
+     *  a batch a crash aborted). */
+    void traceQueueWait(const Query& q, Time end, VariantId variant,
+                        std::uint64_t batch);
     void finishBatch();
     /** Load timer: the hosted variant is ready, or its load fails. */
     void finishLoad();
@@ -214,6 +202,7 @@ class Worker
     Time stall_until_ = kNoTime;
     /** Completion of the executing batch, armed at batch_end_. */
     TimerId done_timer_;
+    Time batch_start_ = 0;
     Time batch_end_ = 0;
     /** Model-load completion, armed while loading_. */
     TimerId load_timer_;
@@ -226,8 +215,9 @@ class Worker
      *  the batch runs, but these queries were served by this one. */
     VariantId inflight_variant_ = kInvalidId;
 
+    /** Batches started, less the aborted ones: the id of the Batch
+     *  span. Counts per device, so a Batch is named by (device, id). */
     std::uint64_t batches_ = 0;
-    std::uint64_t batched_queries_ = 0;
     Duration busy_time_ = 0;
 };
 

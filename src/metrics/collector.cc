@@ -11,7 +11,8 @@ MetricsCollector::MetricsCollector(Simulator* sim,
                                    Duration interval)
     : sim_(sim),
       interval_(interval),
-      family_totals_(num_families)
+      family_totals_(num_families),
+      family_batch_counts_(num_families)
 {
     PROTEUS_ASSERT(interval > 0, "snapshot interval must be positive");
 }

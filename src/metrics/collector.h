@@ -13,6 +13,7 @@
 #ifndef PROTEUS_METRICS_COLLECTOR_H_
 #define PROTEUS_METRICS_COLLECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -103,6 +104,12 @@ struct IntervalSnapshot {
     }
 };
 
+/** Completed batches and the queries they executed (one family). */
+struct BatchCounts {
+    std::uint64_t batches = 0;
+    std::uint64_t queries = 0;
+};
+
 /** Whole-run summary in the paper's §6.1.4 metrics. */
 struct RunSummary {
     std::uint64_t arrivals = 0;
@@ -129,8 +136,8 @@ struct RunSummary {
     }
 };
 
-/** The run's one ledger of query outcomes (DESIGN.md, "Observability"):
- *  builds the timeseries, family totals, fault windows and summary. */
+/** The run's one ledger of query and batch outcomes (DESIGN.md,
+ *  "Observability"): timeseries, totals, fault windows, summary. */
 class MetricsCollector
 {
   public:
@@ -144,6 +151,14 @@ class MetricsCollector
     void onArrival(const Query& query);
     /** @p query reached a terminal state (served, late or dropped). */
     void onFinished(const Query& query);
+    /** A batch of @p size queries of @p family completed. */
+    void
+    onBatchDone(FamilyId family, std::size_t size)
+    {
+        BatchCounts& c = family_batch_counts_[family];
+        ++c.batches;
+        c.queries += size;
+    }
 
     /**
      * A device died carrying @p capacity_lost_qps of provisioned
@@ -178,6 +193,12 @@ class MetricsCollector
         return family_totals_;
     }
 
+    /** @return cumulative per-family completed-batch counts. */
+    const std::vector<BatchCounts>& familyBatches() const
+    {
+        return family_batch_counts_;
+    }
+
   private:
     void commitInterval();
     /** @return @p w's violations, up to now when it is still open. */
@@ -192,6 +213,7 @@ class MetricsCollector
     std::vector<IntervalSnapshot> timeline_;
     IntervalCounters totals_;
     std::vector<IntervalCounters> family_totals_;
+    std::vector<BatchCounts> family_batch_counts_;
     std::vector<FaultWindow> fault_windows_;
     bool finalized_ = false;
 };

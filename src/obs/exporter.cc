@@ -70,8 +70,7 @@ constexpr ArgSpec kQueryArgs[] = {
     {"qid", &S::id},      {"family", &S::a}, {"variant", &S::b, Enc::IdOrNone},
     {"status", &S::v0},   {"device", &S::v1},
     {"pipeline", &S::v2, Enc::PlusOne}};
-/** Queue and Exec share one layout. */
-constexpr ArgSpec kHopArgs[] = {
+constexpr ArgSpec kQueueArgs[] = {
     {"qid", &S::id},    {"family", &S::a}, {"variant", &S::b, Enc::IdOrNone},
     {"device", &S::v0}, {"stage", &S::v1, Enc::PlusOne}};
 constexpr ArgSpec kBatchArgs[] = {{"batch", &S::id}, {"device", &S::a},
@@ -88,7 +87,7 @@ constexpr ArgSpec kSloAlarmArgs[] = {
     {"raised", &S::v0},      {"burn_milli", &S::v1},
     {"window_completed", &S::v2}};
 constexpr std::span<const ArgSpec> kArgsByKind[] = {
-    kQueryArgs, kHopArgs,   kHopArgs,   kBatchArgs,   kLoadArgs,
+    kQueryArgs, kQueueArgs, kBatchArgs, kLoadArgs,
     kSolveArgs, kApplyArgs, kAlarmArgs, kSloAlarmArgs};
 static_assert(std::size(kArgsByKind) == kNumSpanKinds &&
                   static_cast<std::size_t>(SpanKind::SloAlarm) + 1 ==
@@ -176,7 +175,6 @@ appendPidTid(std::string* out, const SpanRecord& s)
         tid = s.a;
         break;
       case SpanKind::Queue:
-      case SpanKind::Exec:
         pid = kPidWorkers;
         tid = s.v0;
         break;

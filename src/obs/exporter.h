@@ -9,6 +9,11 @@
  *    byte-identical across runs with the same seed. readChromeTrace()
  *    parses it back into the records it was written from; both sides
  *    use one per-kind table of span args (exporter.cc, kArgsByKind).
+ *    A child's causal parent rides in the "pk" (SpanKind) and "pid"
+ *    (the parent's domain id) args. Batch numbers count per device,
+ *    so a "pid" naming a Batch is resolved on the child's "device"
+ *    arg: a queue event's parent is the batch with that number on
+ *    that device.
  *  - Plain-JSON metrics dump of a MetricsRegistry (counters, gauges,
  *    histogram summaries with p50/p95/p99).
  */

@@ -78,12 +78,12 @@ LineageIndex::LineageIndex(std::vector<SpanRecord> spans,
             query_span_[s.id] = i;
             break;
           case SpanKind::Queue:
-          case SpanKind::Exec:
             hops_[s.id].push_back(i);
             break;
           case SpanKind::Batch:
             batches_[static_cast<std::int64_t>(s.a)].push_back(
                 {s.start, s.end, s.id});
+            batch_span_[{static_cast<std::int64_t>(s.a), s.id}] = i;
             break;
           case SpanKind::Load:
             loads_[static_cast<std::int64_t>(s.a)].push_back(
@@ -122,6 +122,15 @@ LineageIndex::querySpan(std::uint64_t query) const
 {
     const auto it = query_span_.find(query);
     return it == query_span_.end() ? nullptr : &spans_[it->second];
+}
+
+const SpanRecord*
+LineageIndex::executedBatch(const SpanRecord& queue) const
+{
+    if (queue.parent_id == 0 || queue.parent_kind != SpanKind::Batch)
+        return nullptr;
+    const auto it = batch_span_.find({queue.v0, queue.parent_id});
+    return it == batch_span_.end() ? nullptr : &spans_[it->second];
 }
 
 void
@@ -200,35 +209,33 @@ LineageIndex::analyze(std::uint64_t query) const
     const auto hit = hops_.find(query);
     if (hit != hops_.end()) {
         for (const std::size_t idx : hit->second) {
+            // A hop is its queue wait, then the batch that executed it.
             const SpanRecord& h = spans_[idx];
-            if (h.start > cursor) {
-                // Interval no hop span explains: requeue back-off,
-                // or spans lost to ring wraparound.
-                const Time ge = std::min(h.start, path.end);
-                if (ge > cursor) {
-                    path.segments.push_back(
-                        {cursor, ge, -1, 0, SegmentKind::Stall});
-                    cursor = ge;
+            const SpanRecord* b = executedBatch(h);
+            for (const SpanRecord* part : {&h, b}) {
+                if (part == nullptr)
+                    break;
+                if (part->start > cursor) {
+                    // Interval no span explains: requeue back-off, an
+                    // aborted batch, or spans lost to ring wraparound.
+                    const Time ge = std::min(part->start, path.end);
+                    if (ge > cursor) {
+                        path.segments.push_back(
+                            {cursor, ge, -1, 0, SegmentKind::Stall});
+                        cursor = ge;
+                    }
                 }
+                const Time hs = std::max(cursor, part->start);
+                const Time he = std::min(path.end, part->end);
+                if (he <= hs)
+                    continue;
+                if (part == b)
+                    path.segments.push_back(
+                        {hs, he, h.v0, b->id, SegmentKind::Execution});
+                else
+                    appendQueueSegments(hs, he, h.v0, &path.segments);
+                cursor = he;
             }
-            const Time hs = std::max(cursor, h.start);
-            const Time he = std::min(path.end, h.end);
-            if (he <= hs)
-                continue;
-            switch (h.kind) {
-              case SpanKind::Queue:
-                appendQueueSegments(hs, he, h.v0, &path.segments);
-                break;
-              case SpanKind::Exec:
-                path.segments.push_back(
-                    {hs, he, h.v0,
-                     h.parent_kind == SpanKind::Batch ? h.parent_id : 0,
-                     SegmentKind::Execution});
-                break;
-              default:
-                break;
-            }
-            cursor = he;
         }
     }
     if (cursor < path.end) {

@@ -24,7 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -36,10 +38,11 @@ namespace obs {
 
 /**
  * The mutually exclusive causes a query's lifetime divides into.
- * Execution comes straight from Exec spans; QueueBehindBatch/
- * EpochStall/BatchFormation split the queue wait by what the device
- * was doing; Stall covers every interval no span explains (requeue
- * back-off, spans lost to ring wrap). Route and StageHandoff are
+ * Execution is the interval of the Batch a Queue span names as its
+ * parent; QueueBehindBatch/EpochStall/BatchFormation split the queue
+ * wait by what the device was doing; Stall covers every interval no
+ * span explains (requeue back-off, a batch a crash aborted, spans
+ * lost to ring wrap). Route and StageHandoff are
  * produced by no span: admission and pipeline hand-offs take no
  * simulated time, so they are always zero. They keep their place so
  * blame tables, reports and the benchmark's per-segment keys keep a
@@ -181,6 +184,13 @@ class LineageIndex
     const SpanRecord* querySpan(std::uint64_t query) const;
 
     /**
+     * @return the Batch span that executed @p queue's hop: its parent
+     * batch number on its device (v0), as numbers count per device.
+     * nullptr for a drop, an aborted batch or a Batch lost to wrap.
+     */
+    const SpanRecord* executedBatch(const SpanRecord& queue) const;
+
+    /**
      * Decompose @p query's lifetime into the exact segment partition.
      * Returns an empty-path (segments empty, family == kInvalidId)
      * when the query's terminal span is not in the trace.
@@ -208,10 +218,13 @@ class LineageIndex
     std::vector<LinkRecord> links_;
     /** query id -> index of its terminal Query span in spans_. */
     std::unordered_map<std::uint64_t, std::size_t> query_span_;
-    /** query id -> indices of its Queue/Exec hop spans. */
+    /** query id -> indices of its Queue spans, one per hop. */
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> hops_;
     /** device -> Batch-span intervals, sorted by start. */
     std::unordered_map<std::int64_t, std::vector<Interval>> batches_;
+    /** (device, batch number) -> index of its Batch span in spans_. */
+    std::map<std::pair<std::int64_t, std::uint64_t>, std::size_t>
+        batch_span_;
     /** device -> Load-span intervals, sorted by start. */
     std::unordered_map<std::int64_t, std::vector<Interval>> loads_;
 };

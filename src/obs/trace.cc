@@ -11,7 +11,6 @@ toString(SpanKind kind)
     switch (kind) {
       case SpanKind::Query: return "query";
       case SpanKind::Queue: return "queue";
-      case SpanKind::Exec: return "exec";
       case SpanKind::Batch: return "batch";
       case SpanKind::Load: return "load";
       case SpanKind::Solve: return "solve";

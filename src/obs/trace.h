@@ -3,7 +3,7 @@
  * Per-query span tracing (DESIGN.md, "Observability").
  *
  * A span is one timed stage of work on the simulated timeline: a
- * query's queue/execution stages, one executed batch, a model load,
+ * query's wait in a worker queue, one executed batch, a model load,
  * or a controller decision. Spans are fixed-size records written into
  * a preallocated ring buffer — recording never allocates, and all
  * payloads are integers keyed by simulated time, so the trace of a run
@@ -11,9 +11,10 @@
  *
  * Spans form a causal lineage graph, not just a flat list: every
  * record carries a stable span id plus a typed causal parent (kind +
- * domain id, e.g. an Exec span's parent is the Batch that executed
- * it, a Batch span's parent is the Apply of the decision that sized
- * it). Each fact is recorded once, on the span that carries it. The
+ * domain id, e.g. a Queue span's parent is the Batch that then
+ * executed the query, a Batch span's parent is the Apply of the
+ * decision that sized it). Each fact is recorded once, on the span
+ * that carries it: a query's execution interval is its Batch's. The
  * one edge no span carries — which query a newly queued query waits
  * behind — goes into a second preallocated ring (LinkRecord). Offline
  * tools reconstruct the critical path of any query from the span ring
@@ -57,8 +58,9 @@ struct ObsOptions {
 
 /**
  * The kind of work a span covers. Kinds form the nesting hierarchy:
- * Queue/Exec spans of a query nest inside its Query span (same id);
- * Exec spans nest inside the Batch span of the executing device;
+ * Queue spans of a query nest inside its Query span (same id); a Queue
+ * span that ends at batch formation names the Batch that executed the
+ * hop as its parent, and that batch's interval is the hop's execution;
  * Solve/Apply spans belong to one controller decision (same id).
  * Routing has no span: admission runs at the arrival instant, and a
  * pipeline hop at the previous stage's completion, so it never takes
@@ -66,9 +68,8 @@ struct ObsOptions {
  */
 enum class SpanKind : std::uint8_t {
     Query,  ///< arrival → terminal state; a=family, b=variant, v0=status, v1=device
-    Queue,  ///< worker enqueue → batch formation (or drop); a=family, b=variant, v0=device
-    Exec,   ///< batch start → completion, per query; a=family, b=variant, v0=device
-    Batch,  ///< one executed batch; a=device, b=variant, v0=batch size
+    Queue,  ///< worker enqueue → batch start (parent: that Batch, recorded when it completes) or drop/crash (no parent); a=family, b=variant, v0=device, v1=stage+1 (0 = single-family)
+    Batch,  ///< one executed batch; id counts per device; a=device, b=variant, v0=batch size
     Load,   ///< model load on a device; id=load epoch, a=device, b=variant
     Solve,  ///< decision compute → plan ready; v0=B&B nodes, v1=simplex iters, v2=gap ppm
     Apply,  ///< instant: a plan took effect; v0=plans applied so far
@@ -77,7 +78,7 @@ enum class SpanKind : std::uint8_t {
 };
 
 /** Number of SpanKind values. */
-inline constexpr std::size_t kNumSpanKinds = 9;
+inline constexpr std::size_t kNumSpanKinds = 8;
 
 /** @return a short stable name for @p kind ("query", "queue", ...). */
 const char* toString(SpanKind kind);

@@ -130,8 +130,8 @@ TEST(ChromeTraceExport, SpanIdAndParentRideTheArgs)
     child.start = 0;
     child.end = 2;
     child.id = 7;
-    child.parent_id = 7;
-    child.parent_kind = SpanKind::Query;
+    child.parent_id = 3;
+    child.parent_kind = SpanKind::Batch;
     t.record(child);
 
     JsonValue doc;
@@ -148,8 +148,8 @@ TEST(ChromeTraceExport, SpanIdAndParentRideTheArgs)
     const JsonValue& cargs = events[1].at("args");
     EXPECT_DOUBLE_EQ(cargs.numberOr("sid", -1.0), 2.0);
     EXPECT_DOUBLE_EQ(cargs.numberOr("pk", -1.0),
-                     static_cast<double>(SpanKind::Query));
-    EXPECT_DOUBLE_EQ(cargs.numberOr("pid", -1.0), 7.0);
+                     static_cast<double>(SpanKind::Batch));
+    EXPECT_DOUBLE_EQ(cargs.numberOr("pid", -1.0), 3.0);
 }
 
 TEST(ChromeTraceExport, LinksArrayCarriesTypedEdges)
@@ -382,6 +382,15 @@ TEST(ChromeTraceRoundTrip, PipelineRun)
     ServingSystem system(&w.cluster, &w.registry, cfg);
     system.run(pipelineTrace({0}, wl));
     expectRoundTrip(system);
+}
+
+TEST(ChromeTraceRoundTrip, RandomCrashRun)
+{
+    // Crashes abort batches in flight (17 hops on seed 4), leaving
+    // Queue spans that name no batch beside those that do.
+    const testing::RandomCrashRun run(4, true);
+    EXPECT_FALSE(run.result.fault_windows.empty());
+    expectRoundTrip(run.system);
 }
 
 /** @return readChromeTrace's error for @p text (empty on success). */

@@ -133,12 +133,9 @@ TEST(LineageIndexTest, QueueWaitSplitsByDeviceActivity)
     spans.push_back(q);
     SpanRecord queue = makeSpan(SpanKind::Queue, 0, 60, 5);
     queue.v0 = 0;  // device
+    queue.parent_kind = SpanKind::Batch;
+    queue.parent_id = 9;
     spans.push_back(queue);
-    SpanRecord exec = makeSpan(SpanKind::Exec, 60, 100, 5);
-    exec.v0 = 0;
-    exec.parent_kind = SpanKind::Batch;
-    exec.parent_id = 9;
-    spans.push_back(exec);
     SpanRecord other = makeSpan(SpanKind::Batch, 10, 30, 7);
     other.a = 0;  // device
     spans.push_back(other);
@@ -180,6 +177,57 @@ TEST(LineageIndexTest, QueueWaitSplitsByDeviceActivity)
         EXPECT_EQ(cp.segments[i].end, expected[i].end) << "seg " << i;
         EXPECT_EQ(cp.segments[i].ref, expected[i].ref) << "seg " << i;
     }
+}
+
+TEST(LineageIndexTest, RepeatedBatchNumbersResolveOnTheHopsDevice)
+{
+    // Batch numbers count per device: devices 0 and 1 both run a
+    // batch 1, at different times. Query 1 queued on device 0 over
+    // [0,10] and ran in its batch 1 over [10,30]; query 2 queued on
+    // device 1 over [0,40] and ran in its batch 1 over [40,70].
+    std::vector<SpanRecord> spans;
+    for (const std::uint64_t id : {1, 2}) {
+        SpanRecord q = makeSpan(SpanKind::Query, 0, id == 1 ? 30 : 70, id);
+        q.a = 0;
+        q.v0 = 1;
+        spans.push_back(q);
+    }
+    SpanRecord queue1 = makeSpan(SpanKind::Queue, 0, 10, 1);
+    queue1.v0 = 0;
+    queue1.parent_kind = SpanKind::Batch;
+    queue1.parent_id = 1;
+    spans.push_back(queue1);
+    SpanRecord queue2 = makeSpan(SpanKind::Queue, 0, 40, 2);
+    queue2.v0 = 1;
+    queue2.parent_kind = SpanKind::Batch;
+    queue2.parent_id = 1;
+    spans.push_back(queue2);
+    SpanRecord batch_dev0 = makeSpan(SpanKind::Batch, 10, 30, 1);
+    batch_dev0.a = 0;
+    spans.push_back(batch_dev0);
+    SpanRecord batch_dev1 = makeSpan(SpanKind::Batch, 40, 70, 1);
+    batch_dev1.a = 1;
+    spans.push_back(batch_dev1);
+
+    const LineageIndex index(spans, {});
+    for (const std::uint64_t id : {1, 2}) {
+        const std::int64_t device = id == 1 ? 0 : 1;
+        const Time start = id == 1 ? 10 : 40;
+        const Time end = id == 1 ? 30 : 70;
+        const CriticalPath cp = index.analyze(id);
+        EXPECT_TRUE(cp.exact()) << "query " << id;
+        ASSERT_FALSE(cp.segments.empty()) << "query " << id;
+        const Segment& exec = cp.segments.back();
+        EXPECT_EQ(exec.kind, SegmentKind::Execution) << "query " << id;
+        EXPECT_EQ(exec.device, device) << "query " << id;
+        EXPECT_EQ(exec.ref, 1u) << "query " << id;
+        EXPECT_EQ(exec.start, start) << "query " << id;
+        EXPECT_EQ(exec.end, end) << "query " << id;
+    }
+    const SpanRecord* b = index.executedBatch(queue2);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->a, 1u);
+    EXPECT_EQ(b->start, 40);
 }
 
 TEST(LineageIndexTest, UnexplainedIntervalsBecomeStall)
@@ -294,14 +342,23 @@ expectAllQueriesExact(const Tracer& tracer, std::uint64_t* analyzed)
     return index;
 }
 
+/** @return true when @p s is the Queue span of a hop a batch ran. */
+bool
+isExecutedHop(const SpanRecord& s)
+{
+    return s.kind == SpanKind::Queue && s.parent_id != 0;
+}
+
 /**
- * Check that every Exec span names, as its parent, a recorded Batch
- * span of its device (batch numbers count per device), with the same
- * variant and interval, and that each batch's size counts its Exec
- * spans. @return the number of Exec spans.
+ * Check that every Queue span with a parent names a recorded Batch
+ * span of its device (batch numbers count per device), which the
+ * index resolves too, that starts where the queue wait ends and runs
+ * the variant the query waited for, and that each batch's size
+ * counts the Queue spans naming it. @return the number of executed
+ * hops (Queue spans with a Batch parent).
  */
 std::uint64_t
-expectExecSpansJoinTheirBatch(const LineageIndex& index)
+expectExecutedHopsJoinTheirBatch(const LineageIndex& index)
 {
     using BatchKey = std::pair<std::int64_t, std::uint64_t>;  // device, id
     std::map<BatchKey, const SpanRecord*> batches;
@@ -309,28 +366,28 @@ expectExecSpansJoinTheirBatch(const LineageIndex& index)
         if (s.kind == SpanKind::Batch)
             batches[{static_cast<std::int64_t>(s.a), s.id}] = &s;
     std::map<BatchKey, std::int64_t> members;
-    std::uint64_t execs = 0;
-    for (const SpanRecord& e : index.spans()) {
-        if (e.kind != SpanKind::Exec)
+    std::uint64_t hops = 0;
+    for (const SpanRecord& q : index.spans()) {
+        if (!isExecutedHop(q))
             continue;
-        ++execs;
-        EXPECT_EQ(e.parent_kind, SpanKind::Batch) << "query " << e.id;
-        const BatchKey key{e.v0, e.parent_id};
+        ++hops;
+        EXPECT_EQ(q.parent_kind, SpanKind::Batch) << "query " << q.id;
+        const BatchKey key{q.v0, q.parent_id};
         const auto it = batches.find(key);
         if (it == batches.end()) {
-            ADD_FAILURE() << "query " << e.id << ": no batch "
-                          << e.parent_id << " on device " << e.v0;
+            ADD_FAILURE() << "query " << q.id << ": no batch "
+                          << q.parent_id << " on device " << q.v0;
             continue;
         }
         const SpanRecord& b = *it->second;
-        EXPECT_EQ(b.b, e.b) << "query " << e.id;
-        EXPECT_EQ(b.start, e.start) << "query " << e.id;
-        EXPECT_EQ(b.end, e.end) << "query " << e.id;
+        EXPECT_EQ(index.executedBatch(q), &b) << "query " << q.id;
+        EXPECT_EQ(b.b, q.b) << "query " << q.id;
+        EXPECT_EQ(b.start, q.end) << "query " << q.id;
         ++members[key];
     }
     for (const auto& [key, b] : batches)
         EXPECT_EQ(members[key], b->v0) << "batch " << key.second;
-    return execs;
+    return hops;
 }
 
 TEST(LineageSystemTest, EveryTracedQueryPartitionsExactly)
@@ -347,8 +404,8 @@ TEST(LineageSystemTest, EveryTracedQueryPartitionsExactly)
         expectAllQueriesExact(*system.tracer(), &analyzed);
     EXPECT_EQ(analyzed, r.summary.arrivals);
 
-    // Each completed query joined one batch, named by its Exec span.
-    EXPECT_EQ(expectExecSpansJoinTheirBatch(index),
+    // Each completed query joined one batch, named by its Queue span.
+    EXPECT_EQ(expectExecutedHopsJoinTheirBatch(index),
               r.summary.served + r.summary.served_late);
 
     // The links are the queued-behind edges: both ends are traced
@@ -454,7 +511,7 @@ TEST(LineageSystemTest, PipelineQueriesPartitionExactly)
     // stage admits at the previous stage's completion event), so no
     // segment is ever attributed to routing. Each forward is an
     // intermediate stage's completion, so it is exactly a non-final-
-    // stage Exec span (v1 = stage + 1, stages 0 and 1 of 3).
+    // stage executed hop (v1 = stage + 1, stages 0 and 1 of 3).
     for (const SpanRecord& s : index.spans()) {
         if (s.kind != SpanKind::Query)
             continue;
@@ -464,13 +521,44 @@ TEST(LineageSystemTest, PipelineQueriesPartitionExactly)
                 << "query " << s.id;
         }
     }
-    std::uint64_t intermediate_execs = 0;
+    std::uint64_t intermediate_hops = 0;
     for (const SpanRecord& s : index.spans())
-        if (s.kind == SpanKind::Exec && (s.v1 == 1 || s.v1 == 2))
-            ++intermediate_execs;
-    EXPECT_EQ(intermediate_execs, r.forwarded);
+        if (isExecutedHop(s) && (s.v1 == 1 || s.v1 == 2))
+            ++intermediate_hops;
+    EXPECT_EQ(intermediate_hops, r.forwarded);
     EXPECT_GT(r.forwarded, 0u);
-    expectExecSpansJoinTheirBatch(index);
+    EXPECT_EQ(expectExecutedHopsJoinTheirBatch(index),
+              r.summary.served + r.summary.served_late + r.forwarded);
+}
+
+TEST(LineageSystemTest, CrashedRunJoinsEveryExecutedHopToItsBatch)
+{
+    // Crashes abort batches in flight: their queries' Queue spans end
+    // at the aborted batch's start, name no batch, and the queries
+    // are re-routed, so only the batches that completed are named.
+    // Seed 4 aborts 17 hops (seed 5's crashes hit no running batch).
+    const testing::RandomCrashRun run(4, true);
+    ASSERT_NE(run.system.tracer(), nullptr);
+    EXPECT_FALSE(run.result.fault_windows.empty());
+
+    std::uint64_t analyzed = 0;
+    const LineageIndex index =
+        expectAllQueriesExact(*run.system.tracer(), &analyzed);
+    EXPECT_EQ(analyzed, run.result.summary.arrivals);
+    EXPECT_EQ(expectExecutedHopsJoinTheirBatch(index),
+              run.result.summary.served + run.result.summary.served_late);
+
+    // A hop a crash aborted ends before its query does (a worker
+    // drop's Queue span ends with the query).
+    std::uint64_t aborted = 0;
+    for (const SpanRecord& q : index.spans()) {
+        if (q.kind != SpanKind::Queue || q.parent_id != 0)
+            continue;
+        const SpanRecord* end = index.querySpan(q.id);
+        ASSERT_NE(end, nullptr) << "query " << q.id;
+        aborted += q.end < end->end;
+    }
+    EXPECT_GT(aborted, 0u);
 }
 
 TEST(LineageSystemTest, ReservoirFeedsExportedExemplars)

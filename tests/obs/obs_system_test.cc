@@ -85,9 +85,8 @@ TEST(ObsSystemTest, TracedRunCoversAllStages)
     EXPECT_EQ(query_spans, r.summary.arrivals);
     for (obs::SpanKind k :
          {obs::SpanKind::Query, obs::SpanKind::Queue,
-          obs::SpanKind::Exec, obs::SpanKind::Batch,
-          obs::SpanKind::Load, obs::SpanKind::Solve,
-          obs::SpanKind::Apply})
+          obs::SpanKind::Batch, obs::SpanKind::Load,
+          obs::SpanKind::Solve, obs::SpanKind::Apply})
         EXPECT_TRUE(kinds.count(k)) << obs::toString(k);
 }
 
@@ -115,7 +114,7 @@ TEST(ObsSystemTest, SteadyRunRecordCountsArePinned)
                               seconds(20.0), ArrivalProcess::Poisson, 7);
     ServingSystem system(&w.cluster, &w.registry, tracedConfig(7));
     system.run(trace);
-    expectRecords(system, 976, 3331, 695);
+    expectRecords(system, 976, 2369, 695);
 }
 
 TEST(ObsSystemTest, PipelineRunRecordCountsArePinned)
@@ -135,7 +134,7 @@ TEST(ObsSystemTest, PipelineRunRecordCountsArePinned)
     wl.seed = 7;
     ServingSystem system(&w.cluster, &w.registry, cfg);
     system.run(pipelineTrace({0}, wl));
-    expectRecords(system, 1610, 15974, 1322);
+    expectRecords(system, 1610, 11198, 1322);
 }
 
 TEST(ObsSystemTest, RegistryReflectsRunSummary)
@@ -256,18 +255,7 @@ expectSameResult(const RunResult& off, const RunResult& on)
 RunResult
 miniRun(std::uint64_t seed, bool obs)
 {
-    testing::World w = testing::miniWorld();
-    SystemConfig cfg;
-    cfg.seed = seed;
-    cfg.obs.enabled = obs;
-    cfg.faults.seed = seed;
-    cfg.faults.random.crash_rate_per_hour = 90.0;
-    cfg.faults.random.mean_downtime = seconds(10.0);
-    Trace trace = steadyTrace(w.registry.numFamilies(), 50.0,
-                              seconds(40.0), ArrivalProcess::Poisson,
-                              seed);
-    ServingSystem system(&w.cluster, &w.registry, cfg);
-    return system.run(trace);
+    return testing::RandomCrashRun(seed, obs).result;
 }
 
 /** 3-stage vision pipeline run, observability @p obs on or off. */

@@ -71,7 +71,7 @@ TEST(TracerTest, CapacityIsFixedAfterConstruction)
 TEST(SpanRecordTest, DurationAndContainment)
 {
     SpanRecord outer = span(10, 100, 1, SpanKind::Query);
-    SpanRecord inner = span(20, 80, 1, SpanKind::Exec);
+    SpanRecord inner = span(20, 80, 1, SpanKind::Queue);
     SpanRecord overlapping = span(50, 120, 2, SpanKind::Queue);
 
     EXPECT_EQ(outer.duration(), 90);
@@ -85,7 +85,6 @@ TEST(SpanKindTest, NamesAreStable)
 {
     EXPECT_STREQ(toString(SpanKind::Query), "query");
     EXPECT_STREQ(toString(SpanKind::Queue), "queue");
-    EXPECT_STREQ(toString(SpanKind::Exec), "exec");
     EXPECT_STREQ(toString(SpanKind::Batch), "batch");
     EXPECT_STREQ(toString(SpanKind::Load), "load");
     EXPECT_STREQ(toString(SpanKind::Solve), "solve");

@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include "cluster/device.h"
+#include "core/serving_system.h"
 #include "models/cost_model.h"
 #include "models/model.h"
 #include "models/profiler.h"
 #include "sweep/runner.h"
+#include "workload/generators.h"
 
 namespace proteus {
 namespace testing {
@@ -63,6 +65,38 @@ paperWorld(ProfilerOptions options = {})
         profileModels(w.registry, w.cluster, *w.cost, options));
     return w;
 }
+
+/**
+ * The random-crash mini-zoo run: 40 s of 50 qps Poisson arrivals per
+ * family while devices crash at 90 per hour (10 s mean downtime), so
+ * crashes abort batches in flight. Built in place, since the system
+ * borrows the world.
+ */
+struct RandomCrashRun {
+    RandomCrashRun(std::uint64_t seed, bool obs)
+        : world(miniWorld()),
+          system(&world.cluster, &world.registry, config(seed, obs)),
+          result(system.run(steadyTrace(world.registry.numFamilies(),
+                                        50.0, seconds(40.0),
+                                        ArrivalProcess::Poisson, seed)))
+    {}
+
+    static SystemConfig
+    config(std::uint64_t seed, bool obs)
+    {
+        SystemConfig cfg;
+        cfg.seed = seed;
+        cfg.obs.enabled = obs;
+        cfg.faults.seed = seed;
+        cfg.faults.random.crash_rate_per_hour = 90.0;
+        cfg.faults.random.mean_downtime = seconds(10.0);
+        return cfg;
+    }
+
+    World world;
+    ServingSystem system;
+    RunResult result;
+};
 
 // ---------------------------------------------------------------------------
 // SeedSweep: the shared N-seed byte-determinism harness

@@ -109,6 +109,14 @@ trace_smoke() {
              --trace observability_trace.json \
              --blame observability_blame.json \
              --out observability_report.html > /dev/null)
+    echo "=== obs smoke: pipeline trace + critical path ==="
+    # A pipeline query's hops are its Queue spans, each joined to the
+    # Batch that ran it; an inexact partition exits 1.
+    (cd "${dir}" &&
+         ./tools/proteus_sim ../config/pipeline_steady.json \
+             --trace pipeline_trace.json --quiet > /dev/null &&
+         ./tools/proteus_trace pipeline_trace.json --critical-path \
+             > /dev/null)
     echo "=== obs smoke: bench_diff self-compare ==="
     "${dir}/tools/bench_diff" "${dir}/BENCH_fig05_bursty.json" \
         "${dir}/BENCH_fig05_bursty.json" > /dev/null

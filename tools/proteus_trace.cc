@@ -142,16 +142,20 @@ main(int argc, char** argv)
         return 1;
     }
     const obs::TraceNameTables& names = trace.names;
+    // Every table below reads the spans through the lineage index, so
+    // a hop's execution is the Batch its Queue span names.
+    const obs::LineageIndex index(std::move(trace.spans),
+                                  std::move(trace.links));
 
-    std::cout << "== " << path << ": " << trace.spans.size()
+    std::cout << "== " << path << ": " << index.spans().size()
               << " spans (recorded " << trace.spans_recorded
               << ", dropped " << trace.spans_dropped << ") ==\n\n";
 
-    // Per-variant stage breakdown. Queue/exec waits are grouped by the
-    // variant whose queue the query joined (a worker drop's queue span
-    // names the variant it waited for), end-to-end times by the
-    // variant in the query span (variant -1 = dropped before
-    // execution).
+    // Per-variant stage breakdown. Queue waits and the executions that
+    // follow them are grouped by the variant whose queue the query
+    // joined (a worker drop's queue span names the variant it waited
+    // for), end-to-end times by the variant in the query span
+    // (variant -1 = dropped before execution).
     struct StageDurations {
         std::vector<double> queue, exec, total;
     };
@@ -159,12 +163,13 @@ main(int argc, char** argv)
     std::vector<const obs::SpanRecord*> queries;
     std::vector<double> solve_durs, solve_nodes;
 
-    for (const obs::SpanRecord& s : trace.spans) {
+    for (const obs::SpanRecord& s : index.spans()) {
         const auto dur = static_cast<double>(s.duration());
         if (s.kind == obs::SpanKind::Queue) {
-            by_variant[variantKey(s)].queue.push_back(dur);
-        } else if (s.kind == obs::SpanKind::Exec) {
-            by_variant[variantKey(s)].exec.push_back(dur);
+            StageDurations& d = by_variant[variantKey(s)];
+            d.queue.push_back(dur);
+            if (const obs::SpanRecord* b = index.executedBatch(s))
+                d.exec.push_back(static_cast<double>(b->duration()));
         } else if (s.kind == obs::SpanKind::Solve) {
             solve_durs.push_back(dur);
             solve_nodes.push_back(static_cast<double>(s.v0));
@@ -198,11 +203,12 @@ main(int argc, char** argv)
     std::cout << "-- per-variant stage latency --\n";
     stages.print(std::cout);
 
-    // Per-pipeline e2e breakdown: exec time per stage, the queue gap
-    // between consecutive stages (next stage's exec start minus the
-    // previous stage's exec end — the queueing of the hop),
-    // and the end-to-end latency from the query span. Only present
-    // when the trace carries pipeline/stage args.
+    // Per-pipeline e2e breakdown: exec time per stage (the batch that
+    // ran the stage's hop), the queue gap between consecutive stages
+    // (next stage's exec start minus the previous stage's exec end —
+    // the queueing of the hop), and the end-to-end latency from the
+    // query span. Only present when the trace carries pipeline/stage
+    // args.
     struct PipelineDurations {
         std::map<long long, std::vector<double>> stage_exec;
         std::map<long long, std::vector<double>> stage_gap;
@@ -215,11 +221,14 @@ main(int argc, char** argv)
     std::map<long long,
              std::map<long long, std::pair<double, double>>>
         exec_of_query;
-    for (const obs::SpanRecord& s : trace.spans) {
-        if (s.kind == obs::SpanKind::Exec && s.v1 != 0) {
+    for (const obs::SpanRecord& s : index.spans()) {
+        const obs::SpanRecord* b = nullptr;
+        if (s.kind == obs::SpanKind::Queue && s.v1 != 0)
+            b = index.executedBatch(s);
+        if (b != nullptr) {
             exec_of_query[static_cast<long long>(s.id)][s.v1 - 1] = {
-                static_cast<double>(s.start),
-                static_cast<double>(s.duration())};
+                static_cast<double>(b->start),
+                static_cast<double>(b->duration())};
         }
         if (s.kind == obs::SpanKind::Query && s.v2 != 0) {
             by_pipeline[s.v2 - 1].e2e.push_back(
@@ -336,8 +345,6 @@ main(int argc, char** argv)
 
     // Critical-path analysis: the exact-partition decomposition on the
     // chosen queries (explicit id > recorded tail exemplars > slowest).
-    const obs::LineageIndex index(std::move(trace.spans),
-                                  std::move(trace.links));
     std::vector<std::uint64_t> exemplar_ids;
     const char* exemplar_source = "";
     if (critical_qid >= 0) {
